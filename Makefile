@@ -1,10 +1,10 @@
 # Development targets. CI (.github/workflows/ci.yml) runs build, vet,
-# staticcheck, ttlint, govulncheck, test, race, and a short fuzz pass on
-# every push.
+# staticcheck, ttlint, govulncheck, test, race, perfbench-check, and a short
+# fuzz pass on every push.
 
 GO ?= go
 
-.PHONY: build test race vet lint fuzz-short golden bench-json bench-smoke bench-diff serve-smoke chaos-smoke certify-smoke route-smoke cluster-smoke approx-smoke
+.PHONY: build test race vet lint fuzz-short golden bench-json bench-smoke bench-diff perfbench-check serve-smoke chaos-smoke certify-smoke route-smoke cluster-smoke approx-smoke
 
 build:
 	$(GO) build ./...
@@ -47,18 +47,18 @@ golden:
 # BENCH_bvm.json holds the pre-kernel scalar baseline that the route-kernel
 # speedups in EXPERIMENTS.md are measured against; rerun this target to
 # re-baseline after an intentional performance change.
-BENCH_PATTERN = BenchmarkExecPerRoute|BenchmarkExecActivation|BenchmarkExecStriped|BenchmarkApply3|BenchmarkGather|BenchmarkE3CycleID|BenchmarkE13BVMTT|BenchmarkA2WavefrontBVM|BenchmarkCertifyOverhead|BenchmarkSolveLevelPair|BenchmarkSolveBatch|BenchmarkSolveReuse|BenchmarkRouteStep|BenchmarkRouteBatch|BenchmarkGreedySolve|BenchmarkBranchAndBound
+BENCH_PATTERN = BenchmarkExecPerRoute|BenchmarkExecActivation|BenchmarkExecStriped|BenchmarkApply3|BenchmarkGather|BenchmarkE3CycleID|BenchmarkE13BVMTT|BenchmarkA2WavefrontBVM|BenchmarkCertifyOverhead|BenchmarkSolveDP|BenchmarkSolveBatch|BenchmarkSolveReuse|BenchmarkRouteStep|BenchmarkRouteBatch|BenchmarkGreedySolve|BenchmarkBranchAndBound
 bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 200ms ./internal/bvm ./internal/bitvec ./internal/policy . \
 		| $(GO) run ./cmd/benchjson > BENCH_bvm.json
 
 # One-iteration benchmark smoke: exercises every route kernel, Apply3 fast
-# path, striped Exec, the level-pair/batched DP sweeps, and the certification
+# path, striped Exec, the single and batched DP sweeps, and the certification
 # pipeline under the bench harness so a silent fallback to the scalar path
 # (or a kernel panic on any geometry, or a certifier regression) fails CI
 # fast.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkExecPerRoute|BenchmarkExecStriped|BenchmarkApply3|BenchmarkE3CycleID|BenchmarkCertifyOverhead|BenchmarkSolveLevelPair|BenchmarkSolveBatch|BenchmarkRouteStep' -benchtime 1x ./internal/bvm ./internal/bitvec ./internal/policy .
+	$(GO) test -run '^$$' -bench 'BenchmarkExecPerRoute|BenchmarkExecStriped|BenchmarkApply3|BenchmarkE3CycleID|BenchmarkCertifyOverhead|BenchmarkSolveDP|BenchmarkSolveBatch|BenchmarkRouteStep' -benchtime 1x ./internal/bvm ./internal/bitvec ./internal/policy .
 
 # Regression gate against the committed baseline: rerun the suite, render it
 # to JSON, and diff against BENCH_bvm.json. The threshold is generous (CI
@@ -70,6 +70,15 @@ bench-diff:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 200ms ./internal/bvm ./internal/bitvec ./internal/policy . \
 		| $(GO) run ./cmd/benchjson > BENCH_new.json
 	$(GO) run ./cmd/benchjson -diff BENCH_bvm.json BENCH_new.json -threshold $(BENCH_DIFF_THRESHOLD)
+
+# The serving benchmark (perfbench/, see BENCHMARK.json) is its own module
+# with a replace directive onto this one, so the root `go test ./...` never
+# builds it and a core API change could break the benchmark unnoticed. Vet
+# and test it in place, offline, with the installed toolchain.
+PERFBENCH_ENV = GOWORK=off GOPROXY=off GOTOOLCHAIN=local
+perfbench-check:
+	cd perfbench && $(PERFBENCH_ENV) $(GO) vet ./...
+	cd perfbench && $(PERFBENCH_ENV) $(GO) test ./...
 
 # End-to-end smoke of the solver service: boots ttserve on a random port
 # through its real run loop, then drives a solve, a cache hit, an oversized

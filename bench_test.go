@@ -111,25 +111,15 @@ func BenchmarkE9SequentialDP(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveLevelPair — the cache-resident table restructure (ISSUE 7):
-// the classic three-table sweep against the cost-only level-pair layout, at
-// the k=16 serving sweet spot and the k=20 cache-pressure regime where the
-// classic layout's 24 bytes/subset stop fitting in L2.
-func BenchmarkSolveLevelPair(b *testing.B) {
+// BenchmarkSolveDP — the exact sweep every engine shares: one cost plane,
+// levels in Gosper order, each cell one core.Cell call, at the k=16 serving
+// sweet spot and the k=20 cache-pressure regime (8 MiB plane, past L2).
+func BenchmarkSolveDP(b *testing.B) {
 	for _, k := range []int{16, 20} {
 		p := workload.Random(2, k, 16, 16)
-		b.Run(benchName("classic", k), func(b *testing.B) {
+		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sol, err := core.Solve(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sol.Release()
-			}
-		})
-		b.Run(benchName("levelpair", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sol, err := core.SolveLevelPair(p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -164,10 +154,6 @@ func BenchmarkSolveReuse(b *testing.B) {
 	}
 }
 
-func benchName(layout string, k int) string {
-	return fmt.Sprintf("%s/k%d", layout, k)
-}
-
 // BenchmarkSolveBatch — shared-lattice amortization (ISSUE 7): G instances
 // differing only in costs and weights, solved one-by-one versus in a single
 // enumerate-once re-price-per-instance sweep. The batched row's advantage is
@@ -190,7 +176,7 @@ func BenchmarkSolveBatch(b *testing.B) {
 	b.Run(fmt.Sprintf("solo/G%d", G), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, p := range group {
-				sol, err := core.SolveLevelPair(p)
+				sol, err := core.Solve(p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -379,7 +365,7 @@ func BenchmarkCertifyOverhead(b *testing.B) {
 				if mode == certify.ModeOff {
 					continue
 				}
-				if rep := certify.Check(p, sol.Cost, tree, sol.C, sol.Choice, mode, 7); !rep.OK() {
+				if rep := certify.Check(p, sol.Cost, tree, sol.C, nil, mode, 7); !rep.OK() {
 					b.Fatalf("certification failed: %v", rep.Err())
 				}
 			}

@@ -104,7 +104,7 @@ func solve(args []string, stdin io.Reader, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		cost, cplane, choices = sol.Cost, sol.C, sol.Choice
+		cost, cplane = sol.Cost, sol.C
 		if *explain {
 			fmt.Fprintln(stdout, "action pricing at the full universe (M[U,i]):")
 			for _, row := range core.Explain(p, sol, core.Universe(p.K)) {

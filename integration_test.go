@@ -9,6 +9,7 @@ package repro_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -67,8 +68,7 @@ func TestEndToEndPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fromMachine := &core.Solution{Cost: par.Cost, C: par.C, Choice: par.Choice}
-			tree, err := fromMachine.Tree(p)
+			tree, err := core.TreeFromCosts(p, par.C)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +115,7 @@ func TestSoakAllEngines(t *testing.T) {
 		if err != nil || memo != seq.Cost {
 			t.Fatalf("seed %d: memo %d err %v", seed, memo, err)
 		}
-		hostPar, err := core.SolveParallel(p, 0)
+		hostPar, err := core.SolveParallelPooledCtx(context.Background(), p, 0, nil, nil, nil)
 		if err != nil || hostPar.Cost != seq.Cost {
 			t.Fatalf("seed %d: host-parallel %d err %v", seed, hostPar.Cost, err)
 		}

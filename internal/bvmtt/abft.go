@@ -56,7 +56,7 @@ var abftCorruptHook func(round int, m *bvm.Machine)
 
 // abft is the host-side trusted shadow of a verified BVM solve.
 type abft struct {
-	actions []core.Action // real actions
+	p       *core.Problem // the real (unpadded) instance
 	paddedA []core.Action // the padded table streamed into the machine
 	psum    []uint64      // host p(S), uint64
 	c       []uint64      // trusted mirror of C, core.Inf semantics
@@ -69,7 +69,7 @@ type abft struct {
 func newABFT(p *core.Problem, paddedA []core.Action, logN, width int, inf uint64) *abft {
 	size := 1 << uint(p.K)
 	a := &abft{
-		actions: p.Actions,
+		p:       p,
 		paddedA: paddedA,
 		psum:    make([]uint64, size),
 		c:       make([]uint64, size),
@@ -109,36 +109,13 @@ func (a *abft) seed(f *core.Frontier) {
 	}
 }
 
-// advance computes the true level-j values into the mirror from the
-// recurrence over the already-trusted lower levels, in host arithmetic.
+// advance computes the true level-j values into the mirror with core.Cell
+// over the already-trusted lower levels, in host arithmetic.
 func (a *abft) advance(j int) {
 	size := 1 << uint(a.k)
 	v := uint32(1)<<uint(j) - 1
 	for v < uint32(size) {
-		s := core.Set(v)
-		best := core.Inf
-		for _, act := range a.actions {
-			inter := s & act.Set
-			diff := s &^ act.Set
-			cost := core.SatMul(act.Cost, a.psum[s])
-			if act.Treatment {
-				if inter == 0 {
-					cost = core.Inf
-				} else {
-					cost = core.SatAdd(cost, a.c[diff])
-				}
-			} else {
-				if inter == 0 || diff == 0 {
-					cost = core.Inf
-				} else {
-					cost = core.SatAdd(cost, core.SatAdd(a.c[inter], a.c[diff]))
-				}
-			}
-			if cost < best {
-				best = cost
-			}
-		}
-		a.c[v] = best
+		a.c[v], _ = core.Cell(a.p, a.c, core.Set(v))
 		c := v & -v
 		r := v + c
 		v = (r^v)>>2/c | r

@@ -229,12 +229,12 @@ func TestBVMABFTVerifiedResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &core.Frontier{Level: 2, C: make([]uint64, len(want.C)), Choice: make([]int32, len(want.C))}
+	f := &core.Frontier{Level: 2, C: make([]uint64, len(want.C))}
 	for s := range want.C {
 		if bits.OnesCount(uint(s)) <= 2 {
-			f.C[s], f.Choice[s] = want.C[s], want.Choice[s]
+			f.C[s] = want.C[s]
 		} else {
-			f.C[s], f.Choice[s] = core.Inf, -1
+			f.C[s] = core.Inf
 		}
 	}
 	res, err := SolveOpts(context.Background(), p, Options{Frontier: f, Verify: true})

@@ -188,8 +188,8 @@ func SolveCtx(ctx context.Context, p *core.Problem, width int) (*Result, error) 
 // the #S = f.Level mark register; the program phases before the main loop
 // (load, p(S), TP) re-execute as BVM instructions and are deterministic. A
 // cost-only frontier suffices: the BVM program tracks no argmins. A non-nil
-// ck fires after every round j < k with the cost plane read off the machine
-// (Solution.Choice nil). Costs are bit-identical to an uninterrupted run;
+// ck fires after every round j < k with the cost plane read off the machine.
+// Costs are bit-identical to an uninterrupted run;
 // instruction counts reflect only the rounds actually executed.
 func SolveCheckpointedCtx(ctx context.Context, p *core.Problem, width int, f *core.Frontier, ck core.Checkpointer) (*Result, error) {
 	return solve(ctx, p, Options{Width: width, Frontier: f, Checkpointer: ck})

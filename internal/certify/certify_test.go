@@ -82,11 +82,11 @@ func TestHonestAnswersCertify(t *testing.T) {
 		if r := Monotone(p, sol.C); !r.OK() {
 			t.Fatalf("trial %d: Monotone rejected an honest answer: %v", trial, r.Violations)
 		}
-		if r := Cells(p, sol.C, sol.Choice, 64, int64(trial)); !r.OK() {
+		if r := Cells(p, sol.C, choicesOf(p, sol.C), 64, int64(trial)); !r.OK() {
 			t.Fatalf("trial %d: Cells rejected an honest answer: %v", trial, r.Violations)
 		}
 		for _, mode := range []Mode{ModeOff, ModeFast, ModeAudit} {
-			if r := Check(p, sol.Cost, root, sol.C, sol.Choice, mode, int64(trial)); !r.OK() {
+			if r := Check(p, sol.Cost, root, sol.C, choicesOf(p, sol.C), mode, int64(trial)); !r.OK() {
 				t.Fatalf("trial %d: Check(%v) rejected an honest answer: %v", trial, mode, r.Violations)
 			}
 		}
@@ -108,7 +108,7 @@ func TestInadequateCertifies(t *testing.T) {
 	if sol.Adequate() {
 		t.Fatal("instance should be inadequate")
 	}
-	if r := Check(p, sol.Cost, nil, sol.C, sol.Choice, ModeAudit, 1); !r.OK() {
+	if r := Check(p, sol.Cost, nil, sol.C, choicesOf(p, sol.C), ModeAudit, 1); !r.OK() {
 		t.Fatalf("inadequate answer rejected: %v", r.Violations)
 	}
 }
@@ -179,7 +179,7 @@ func TestCellsDetectsWrongArgmin(t *testing.T) {
 	size := len(sol.C)
 	const seed = 42
 	first := 1 + rand.New(rand.NewSource(seed)).Intn(size-1)
-	choice := append([]int32(nil), sol.Choice...)
+	choice := append([]int32(nil), choicesOf(p, sol.C)...)
 	choice[first] = (choice[first] + 1) % int32(len(p.Actions))
 	// The perturbed index may happen to be an equal-cost minimizer only if it
 	// prices identically; the lowest-index tie-break still makes it wrong
@@ -237,4 +237,14 @@ func collect(n *core.Node) []*core.Node {
 	out := []*core.Node{n}
 	out = append(out, collect(n.Pos)...)
 	return append(out, collect(n.Neg)...)
+}
+
+// choicesOf is the argmin plane of a finished cost plane — what the machine
+// engines report alongside C — rebuilt with core.Cell.
+func choicesOf(p *core.Problem, c []uint64) []int32 {
+	choice := make([]int32, len(c))
+	for s := range c {
+		_, choice[s] = core.Cell(p, c, core.Set(s))
+	}
+	return choice
 }

@@ -35,10 +35,9 @@ func genProblem(seed int64, k, nActions int) *core.Problem {
 // engine adapts each solver to one shape so every resilience property is
 // provable across all of them with the same loop.
 type engine struct {
-	name     string
-	k        int // instance size: the bit-level bvm engine gets a smaller one
-	costOnly bool
-	run      func(ctx context.Context, p *core.Problem, f *core.Frontier, ck core.Checkpointer) (uint64, []uint64, []int32, error)
+	name string
+	k    int // instance size: the bit-level bvm engine gets a smaller one
+	run  func(ctx context.Context, p *core.Problem, f *core.Frontier, ck core.Checkpointer) (uint64, []uint64, []int32, error)
 }
 
 func engines() []engine {
@@ -48,14 +47,14 @@ func engines() []engine {
 			if err != nil {
 				return 0, nil, nil, err
 			}
-			return sol.Cost, sol.C, sol.Choice, nil
+			return sol.Cost, sol.C, nil, nil
 		}},
 		{name: "parallel", k: 6, run: func(ctx context.Context, p *core.Problem, f *core.Frontier, ck core.Checkpointer) (uint64, []uint64, []int32, error) {
-			sol, err := core.SolveParallelCheckpointedCtx(ctx, p, 3, f, ck)
+			sol, err := core.SolveParallelPooledCtx(ctx, p, 3, nil, f, ck)
 			if err != nil {
 				return 0, nil, nil, err
 			}
-			return sol.Cost, sol.C, sol.Choice, nil
+			return sol.Cost, sol.C, nil, nil
 		}},
 		{name: "lockstep", k: 6, run: func(ctx context.Context, p *core.Problem, f *core.Frontier, ck core.Checkpointer) (uint64, []uint64, []int32, error) {
 			res, err := parttsolve.SolveCheckpointedCtx(ctx, p, parttsolve.Lockstep, f, ck)
@@ -71,7 +70,7 @@ func engines() []engine {
 			}
 			return res.Cost, res.C, res.Choice, nil
 		}},
-		{name: "bvm", k: 4, costOnly: true, run: func(ctx context.Context, p *core.Problem, f *core.Frontier, ck core.Checkpointer) (uint64, []uint64, []int32, error) {
+		{name: "bvm", k: 4, run: func(ctx context.Context, p *core.Problem, f *core.Frontier, ck core.Checkpointer) (uint64, []uint64, []int32, error) {
 			res, err := bvmtt.SolveCheckpointedCtx(ctx, p, 0, f, ck)
 			if err != nil {
 				return 0, nil, nil, err
@@ -81,7 +80,10 @@ func engines() []engine {
 	}
 }
 
-func compare(t *testing.T, label string, want *core.Solution, cost uint64, c []uint64, choice []int32) {
+// compare requires an engine's answer to equal the sequential solve's: the
+// cost, the C plane, and — for the machine engines, which report argmins —
+// the lowest-index minimizer at every set.
+func compare(t *testing.T, label string, p *core.Problem, want *core.Solution, cost uint64, c []uint64, choice []int32) {
 	t.Helper()
 	if cost != want.Cost {
 		t.Fatalf("%s: cost %d, want %d", label, cost, want.Cost)
@@ -90,8 +92,11 @@ func compare(t *testing.T, label string, want *core.Solution, cost uint64, c []u
 		if c[s] != want.C[s] {
 			t.Fatalf("%s: C[%d] = %d, want %d", label, s, c[s], want.C[s])
 		}
-		if choice != nil && choice[s] != want.Choice[s] {
-			t.Fatalf("%s: Choice[%d] = %d, want %d", label, s, choice[s], want.Choice[s])
+		if choice == nil {
+			continue
+		}
+		if _, ch := core.Cell(p, want.C, core.Set(s)); choice[s] != ch {
+			t.Fatalf("%s: Choice[%d] = %d, want %d", label, s, choice[s], ch)
 		}
 	}
 }
@@ -133,22 +138,19 @@ func TestKillAtEveryLevelResume(t *testing.T) {
 			if snap.Level != level || snap.Engine != eng.name || snap.Hash != hash {
 				t.Fatalf("%s: snapshot %+v after kill at level %d", eng.name, snap, level)
 			}
-			if eng.costOnly == snap.Frontier.HasChoice() {
-				t.Fatalf("%s: costOnly=%v but HasChoice=%v", eng.name, eng.costOnly, snap.Frontier.HasChoice())
-			}
 			cost, c, choice, err := eng.run(ctx, snap.Problem, snap.Frontier, nil)
 			if err != nil {
 				t.Fatalf("%s: resume from level %d: %v", eng.name, level, err)
 			}
-			compare(t, eng.name, want, cost, c, choice)
+			compare(t, eng.name, p, want, cost, c, choice)
 		}
 	}
 }
 
 // TestCrossEngineResume proves a frontier is engine-portable: a checkpoint
-// written by the sequential engine resumes on every other engine (the DP
-// tables are canonical, not engine state), and a cost-only bvm checkpoint
-// resumes only on bvm — choice-producing engines must reject it cleanly.
+// holds C alone, so one written by the sequential engine and one written by
+// the bit-level bvm engine each resume on every engine, and the machine
+// engines recompute the restored argmins themselves.
 func TestCrossEngineResume(t *testing.T) {
 	ctx := context.Background()
 	p := genProblem(17, 4, 5)
@@ -160,41 +162,29 @@ func TestCrossEngineResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	w, err := checkpoint.NewWriter(nil, dir, p, hash, "seq", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, _, err = engines()[0].run(ctx, p, nil, &chaos.Kill{Inner: w, Level: 2})
-	if !errors.Is(err, chaos.ErrKilled) {
-		t.Fatal(err)
-	}
-	snap, err := checkpoint.Load(nil, w.Path())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eng := range engines() {
-		cost, c, choice, err := eng.run(ctx, p, snap.Frontier, nil)
-		if err != nil {
-			t.Fatalf("%s: cross-engine resume: %v", eng.name, err)
-		}
-		compare(t, "seq frontier on "+eng.name, want, cost, c, choice)
-	}
-
-	// The reverse direction: a cost-only frontier must be rejected by every
-	// engine that has to produce argmins, and accepted by bvm.
-	costOnly := &core.Frontier{Level: snap.Frontier.Level, C: snap.Frontier.C}
-	for _, eng := range engines() {
-		cost, c, _, err := eng.run(ctx, p, costOnly, nil)
-		if eng.costOnly {
-			if err != nil {
-				t.Fatalf("bvm rejected a cost-only frontier: %v", err)
-			}
-			compare(t, "cost-only on bvm", want, cost, c, nil)
+	for _, writer := range engines() {
+		if writer.name != "seq" && writer.name != "bvm" {
 			continue
 		}
-		if err == nil {
-			t.Fatalf("%s accepted a cost-only frontier", eng.name)
+		dir := t.TempDir()
+		w, err := checkpoint.NewWriter(nil, dir, p, hash, writer.name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, err = writer.run(ctx, p, nil, &chaos.Kill{Inner: w, Level: 2})
+		if !errors.Is(err, chaos.ErrKilled) {
+			t.Fatal(err)
+		}
+		snap, err := checkpoint.Load(nil, w.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eng := range engines() {
+			cost, c, choice, err := eng.run(ctx, p, snap.Frontier, nil)
+			if err != nil {
+				t.Fatalf("%s frontier on %s: %v", writer.name, eng.name, err)
+			}
+			compare(t, writer.name+" frontier on "+eng.name, p, want, cost, c, choice)
 		}
 	}
 }
@@ -241,7 +231,7 @@ func TestDiskFullMidSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compare(t, "resume after ENOSPC", want, sol.Cost, sol.C, sol.Choice)
+	compare(t, "resume after ENOSPC", p, want, sol.Cost, sol.C, nil)
 }
 
 // TestRenameFailure breaks the publish step itself: the write of the temp
@@ -292,7 +282,7 @@ func TestKillWithoutCheckpointer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compare(t, "fresh solve", want, sol.Cost, sol.C, sol.Choice)
+	compare(t, "fresh solve", p, want, sol.Cost, sol.C, nil)
 }
 
 func TestFailFirstAndPanicFirst(t *testing.T) {

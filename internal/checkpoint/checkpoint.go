@@ -3,13 +3,13 @@
 // mid-sweep instead of restarting it. A checkpoint file is self-contained:
 // it embeds the canonical instance (instio wire form), the engine that was
 // solving it, the canonical instance hash, the level cursor, and the packed
-// (C, Choice) frontier — everything a fresh process needs to validate the
+// C frontier — everything a fresh process needs to validate the
 // file against the problem it claims to describe and hand the solver a
 // core.Frontier.
 //
 // The format is defensive by construction. Every file starts with a magic
-// and a format version; the three sections (JSON meta, costs, choices) are
-// each framed as length + payload + CRC32-C, and the file must end exactly
+// and a format version; the two sections (JSON meta, costs) are each
+// framed as length + payload + CRC32-C, and the file must end exactly
 // at the last frame. Load rejects — with an error wrapping ErrCorrupt, never
 // a panic — torn writes, truncation, bit rot, version skew, geometry
 // mismatches, and files whose embedded problem no longer hashes to the
@@ -41,8 +41,10 @@ import (
 	"repro/internal/instio"
 )
 
-// Version is the on-disk format version; Load rejects any other.
-const Version = 1
+// Version is the on-disk and wire format version; Load and DecodePlane
+// reject any other. Version 2 carries C only (8 bytes per subset); version 1
+// also carried an argmin frame, which every engine now recomputes.
+const Version = 2
 
 // Ext is the checkpoint file extension; Scan considers only these files.
 const Ext = ".ckpt"
@@ -62,14 +64,13 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // meta is the JSON header frame.
 type meta struct {
-	Engine    string          `json:"engine"`
-	Hash      string          `json:"hash"`
-	K         int             `json:"k"`
-	Actions   int             `json:"actions"`
-	Level     int             `json:"level"`
-	Width     int             `json:"width,omitempty"` // bvm word width; 0 otherwise
-	HasChoice bool            `json:"has_choice"`
-	Problem   json.RawMessage `json:"problem"` // instio wire form
+	Engine  string          `json:"engine"`
+	Hash    string          `json:"hash"`
+	K       int             `json:"k"`
+	Actions int             `json:"actions"`
+	Level   int             `json:"level"`
+	Width   int             `json:"width,omitempty"` // bvm word width; 0 otherwise
+	Problem json.RawMessage `json:"problem"`         // instio wire form
 }
 
 // Snapshot is a loaded, validated checkpoint.
@@ -80,7 +81,7 @@ type Snapshot struct {
 	Level    int    // last completed level barrier
 	Width    int    // bvm word width, 0 for word-level engines
 	Problem  *core.Problem
-	Frontier *core.Frontier // full 2^K tables; Choice nil for cost-only engines
+	Frontier *core.Frontier // full 2^K cost plane
 }
 
 // ProblemHash returns the canonical instance hash: SHA-256 over the instio
@@ -111,7 +112,7 @@ func frontierCount(k, level int) int {
 }
 
 // forEachFrontierSubset visits every subset of popcount <= level in (level,
-// Gosper) order — the packing order of the cost and choice frames.
+// Gosper) order — the packing order of the cost frame.
 func forEachFrontierSubset(k, level int, visit func(s int)) {
 	visit(0)
 	limit := uint32(1) << uint(k)
@@ -149,9 +150,9 @@ func nextFrame(data []byte) (payload, rest []byte, err error) {
 	return payload, data[8+n:], nil
 }
 
-// Encode serializes one level frontier. sol.Choice may be nil (cost-only
-// engines); width records the bvm word width (0 otherwise). The problem is
-// embedded in instio wire form so the file is self-contained.
+// Encode serializes one level frontier: the C values of every subset of
+// popcount <= level. width records the bvm word width (0 otherwise). The
+// problem is embedded in instio wire form so the file is self-contained.
 func Encode(p *core.Problem, hash, engine string, width, level int, sol *core.Solution) ([]byte, error) {
 	if level < 0 || level > p.K {
 		return nil, fmt.Errorf("checkpoint: level %d outside [0,%d]", level, p.K)
@@ -160,22 +161,18 @@ func Encode(p *core.Problem, hash, engine string, width, level int, sol *core.So
 	if len(sol.C) != size {
 		return nil, fmt.Errorf("checkpoint: %d costs for a %d-object universe", len(sol.C), p.K)
 	}
-	if sol.Choice != nil && len(sol.Choice) != size {
-		return nil, fmt.Errorf("checkpoint: %d choices for a %d-object universe", len(sol.Choice), p.K)
-	}
 	var pbuf bytes.Buffer
 	if err := instio.Write(&pbuf, p, ""); err != nil {
 		return nil, err
 	}
 	m := meta{
-		Engine:    engine,
-		Hash:      hash,
-		K:         p.K,
-		Actions:   len(p.Actions),
-		Level:     level,
-		Width:     width,
-		HasChoice: sol.Choice != nil,
-		Problem:   json.RawMessage(pbuf.Bytes()),
+		Engine:  engine,
+		Hash:    hash,
+		K:       p.K,
+		Actions: len(p.Actions),
+		Level:   level,
+		Width:   width,
+		Problem: json.RawMessage(pbuf.Bytes()),
 	}
 	metaJSON, err := json.Marshal(&m)
 	if err != nil {
@@ -189,15 +186,7 @@ func Encode(p *core.Problem, hash, engine string, width, level int, sol *core.So
 	out := append([]byte(nil), magic[:]...)
 	out = binary.LittleEndian.AppendUint32(out, Version)
 	out = appendFrame(out, metaJSON)
-	out = appendFrame(out, costs)
-	if sol.Choice != nil {
-		choices := make([]byte, 0, 4*cnt)
-		forEachFrontierSubset(p.K, level, func(s int) {
-			choices = binary.LittleEndian.AppendUint32(choices, uint32(sol.Choice[s]))
-		})
-		out = appendFrame(out, choices)
-	}
-	return out, nil
+	return appendFrame(out, costs), nil
 }
 
 // Decode parses and validates a checkpoint image. Every defect — framing,
@@ -252,35 +241,6 @@ func Decode(data []byte) (*Snapshot, error) {
 		f.C[s] = binary.LittleEndian.Uint64(costs[8*i:])
 		i++
 	})
-	if m.HasChoice {
-		choices, r2, err := nextFrame(rest)
-		if err != nil {
-			return nil, err
-		}
-		rest = r2
-		if len(choices) != 4*cnt {
-			return nil, fmt.Errorf("%w: choice frame holds %d bytes, want %d", ErrCorrupt, len(choices), 4*cnt)
-		}
-		f.Choice = make([]int32, size)
-		for s := range f.Choice {
-			f.Choice[s] = -1
-		}
-		i = 0
-		forEachFrontierSubset(m.K, m.Level, func(s int) {
-			f.Choice[s] = int32(binary.LittleEndian.Uint32(choices[4*i:]))
-			i++
-		})
-		// The frontier's choices must reference real actions.
-		bad := false
-		forEachFrontierSubset(m.K, m.Level, func(s int) {
-			if c := f.Choice[s]; c < -1 || int(c) >= len(p.Actions) {
-				bad = true
-			}
-		})
-		if bad {
-			return nil, fmt.Errorf("%w: frontier choice out of action range", ErrCorrupt)
-		}
-	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(rest))
 	}
@@ -301,53 +261,24 @@ func Decode(data []byte) (*Snapshot, error) {
 }
 
 // validateFrontier is the certify-on-resume check: it re-derives every
-// frontier cell from the DP recurrence — C(∅)=0, M[S,i] = t_i·p(S) +
-// C(S∩T_i) + C(S−T_i) with treatments dropping the intersection term,
-// C(S) = min_i M[S,i] with the lowest index winning ties — and compares the
-// stored values against the independent recomputation. The frame CRCs catch
-// bit rot on disk, but a checkpoint written by a machine that was already
-// computing garbage is internally consistent; without this check a resumed
-// solve would inherit the wrong frontier and certify-before-cache would only
-// catch the damage after the remaining levels were wasted on it. Every cell's
-// recurrence reads only strict subsets, which have strictly smaller popcount
-// and therefore also live inside the frontier, so the whole restored prefix
-// is checkable from C(∅)=0 alone. Cost is O(N·2^K) — the same order as the
+// frontier cell from the DP recurrence (core.Cell) and compares it with the
+// stored value. The frame CRCs catch bit rot on disk, but a checkpoint
+// written by a machine that was already computing garbage is internally
+// consistent; without this check a resumed solve would inherit the wrong
+// frontier and certify-before-cache would only catch the damage after the
+// remaining levels were wasted on it. Every cell's recurrence reads only
+// strict subsets, which have strictly smaller popcount and therefore also
+// live inside the frontier; checking in increasing numeric order visits
+// them first, so each cell is recomputed from values already proven equal
+// to the recurrence from C(∅)=0. Cost is O(N·2^K) — the same order as the
 // resumed solve itself.
 func validateFrontier(p *core.Problem, f *core.Frontier) error {
-	size := 1 << uint(p.K)
-	psum := make([]uint64, size)
-	for s := 1; s < size; s++ {
-		low := s & -s
-		psum[s] = core.SatAdd(psum[s&(s-1)], p.Weights[bits.TrailingZeros(uint(low))])
-	}
-	want := make([]uint64, size)
-	for s := 1; s < size; s++ {
+	for s := 1; s < len(f.C); s++ {
 		if bits.OnesCount(uint(s)) > f.Level {
 			continue
 		}
-		best, bestIdx := core.Inf, int32(-1)
-		for i, a := range p.Actions {
-			inter := core.Set(s) & a.Set
-			diff := core.Set(s) &^ a.Set
-			cost := core.SatMul(a.Cost, psum[s])
-			switch {
-			case a.Treatment && inter == 0, !a.Treatment && (inter == 0 || diff == 0):
-				cost = core.Inf // action does not make progress on S
-			case a.Treatment:
-				cost = core.SatAdd(cost, want[diff])
-			default:
-				cost = core.SatAdd(cost, core.SatAdd(want[inter], want[diff]))
-			}
-			if cost < best {
-				best, bestIdx = cost, int32(i)
-			}
-		}
-		want[s] = best
-		if f.C[s] != best {
-			return fmt.Errorf("%w: frontier C(%#x) = %d, recurrence gives %d", ErrCorrupt, s, f.C[s], best)
-		}
-		if f.Choice != nil && f.Choice[s] != bestIdx {
-			return fmt.Errorf("%w: frontier choice for %#x is %d, recurrence gives %d", ErrCorrupt, s, f.Choice[s], bestIdx)
+		if want, _ := core.Cell(p, f.C, core.Set(s)); f.C[s] != want {
+			return fmt.Errorf("%w: frontier C(%#x) = %d, recurrence gives %d", ErrCorrupt, s, f.C[s], want)
 		}
 	}
 	return nil

@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"math/bits"
 	"os"
@@ -69,7 +71,7 @@ func TestWriterRoundTrip(t *testing.T) {
 		t.Fatalf("resumed cost %d, want %d", got.Cost, want.Cost)
 	}
 	for s := range want.C {
-		if got.C[s] != want.C[s] || got.Choice[s] != want.Choice[s] {
+		if got.C[s] != want.C[s] {
 			t.Fatalf("resumed table mismatch at subset %d", s)
 		}
 	}
@@ -88,6 +90,8 @@ func TestWriterRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCostOnlyFrontier: a frontier is C alone, 8 bytes per frontier subset
+// after the meta frame, and any engine's frontier restores the same C.
 func TestCostOnlyFrontier(t *testing.T) {
 	p := testProblem()
 	hash, _ := ProblemHash(p)
@@ -95,20 +99,93 @@ func TestCostOnlyFrontier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	costOnly := &core.Solution{C: sol.C} // bvm-style: no argmins
-	data, err := Encode(p, hash, "bvm", 9, 2, costOnly)
+	data, err := Encode(p, hash, "bvm", 9, 2, sol)
 	if err != nil {
 		t.Fatal(err)
+	}
+	meta, rest, err := NextFrame(data[8:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if costs, rest, err := NextFrame(rest); err != nil || len(rest) != 0 || len(costs) != 8*frontierCount(p.K, 2) {
+		t.Fatalf("image after meta: %d cost bytes, %d trailing, err %v; want exactly %d cost bytes",
+			len(costs), len(rest), err, 8*frontierCount(p.K, 2))
+	}
+	if len(data) != 8+8+len(meta)+8+8*frontierCount(p.K, 2) {
+		t.Fatalf("image is %d bytes", len(data))
 	}
 	snap, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Frontier.HasChoice() {
-		t.Fatal("cost-only encode produced choices")
-	}
 	if snap.Width != 9 || snap.Engine != "bvm" {
 		t.Fatalf("meta: %+v", snap)
+	}
+	for s := range sol.C {
+		if bits.OnesCount(uint(s)) <= 2 && snap.Frontier.C[s] != sol.C[s] {
+			t.Fatalf("restored C[%d] = %d, want %d", s, snap.Frontier.C[s], sol.C[s])
+		}
+	}
+}
+
+// legacyV1 rewrites a current image (checkpoint or plane: both are magic,
+// version, meta frame, cost frame) into the version-1 layout, which flagged
+// has_choice in the meta and appended an int32 argmin frame.
+func legacyV1(t testing.TB, img []byte, choices []int32) []byte {
+	t.Helper()
+	metaJSON, rest, err := NextFrame(img[8:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs, _, err := NextFrame(rest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(metaJSON, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["has_choice"] = true
+	if metaJSON, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	var cb []byte
+	for _, c := range choices {
+		cb = binary.LittleEndian.AppendUint32(cb, uint32(c))
+	}
+	out := binary.LittleEndian.AppendUint32(append([]byte(nil), img[:4]...), 1)
+	return AppendFrame(AppendFrame(AppendFrame(out, metaJSON), costs), cb)
+}
+
+// TestDecodeRejectsVersion1: a checkpoint in the old layout — version 1,
+// with its choices frame — fails Decode and Load with ErrCorrupt, so a
+// restarted server discards it and solves from scratch.
+func TestDecodeRejectsVersion1(t *testing.T) {
+	p := testProblem()
+	hash, _ := ProblemHash(p)
+	sol, err := core.Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := Encode(p, hash, "seq", 0, 2, sol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var choices []int32
+	forEachFrontierSubset(p.K, 2, func(s int) {
+		_, ch := core.Cell(p, sol.C, core.Set(s))
+		choices = append(choices, ch)
+	})
+	v1 := legacyV1(t, img, choices)
+	if snap, err := Decode(v1); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Decode(v1) err = %v (snap %v), want ErrCorrupt", err, snap)
+	}
+	path := filepath.Join(t.TempDir(), hash+Ext)
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if snap, err := Load(nil, path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Load(v1) err = %v (snap %v), want ErrCorrupt", err, snap)
 	}
 }
 
@@ -238,10 +315,7 @@ func TestDecodeRejectsTamperedFrontier(t *testing.T) {
 
 	encode := func(mutate func(*core.Solution)) []byte {
 		t.Helper()
-		bad := &core.Solution{
-			C:      append([]uint64(nil), sol.C...),
-			Choice: append([]int32(nil), sol.Choice...),
-		}
+		bad := &core.Solution{C: append([]uint64(nil), sol.C...)}
 		mutate(bad)
 		data, err := Encode(p, hash, "seq", 0, 3, bad)
 		if err != nil {
@@ -260,11 +334,6 @@ func TestDecodeRejectsTamperedFrontier(t *testing.T) {
 	check("cost-off-by-one", encode(func(b *core.Solution) { b.C[target]++ }))
 	check("cost-zeroed", encode(func(b *core.Solution) { b.C[target] = 0 }))
 	check("cost-inf", encode(func(b *core.Solution) { b.C[target] = core.Inf }))
-	// A wrong argmin with the right cost is still a lie: resuming from it
-	// would rebuild a wrong procedure tree.
-	check("choice-swapped", encode(func(b *core.Solution) {
-		b.Choice[target] = (b.Choice[target] + 1) % int32(len(p.Actions))
-	}))
 
 	// Sanity: the untampered image still decodes.
 	good, err := Encode(p, hash, "seq", 0, 3, sol)

@@ -11,8 +11,8 @@ import (
 // distributed solve plane (internal/cluster) exchanges level slices of the
 // DP lattice between a coordinator and its workers using the same defensive
 // CRC framing that checkpoint files use on disk. A Plane is one such slice —
-// a contiguous Gosper rank range of one popcount level's (C, Choice) values
-// — plus the checksums the receiver verifies it against: the FNV-1a running
+// a contiguous Gosper rank range of one popcount level's C values — plus
+// the checksums the receiver verifies it against: the FNV-1a running
 // checksum of the frozen frontier the sender computed from, and the FNV-1a
 // checksum of the sender's p(S) values over the slice. Like the file format,
 // every defect in a received image (framing, CRC, version, geometry) yields
@@ -54,8 +54,9 @@ func AppendFrame(dst, payload []byte) []byte { return appendFrame(dst, payload) 
 // defect yields an error wrapping ErrCorrupt.
 func NextFrame(data []byte) (payload, rest []byte, err error) { return nextFrame(data) }
 
-// Plane is one level slice on the wire: the (C, Choice) values of the
-// subsets with Gosper ranks [Lo, Hi) within level Level, in rank order.
+// Plane is one level slice on the wire: the C values of the subsets with
+// Gosper ranks [Lo, Hi) within level Level, in rank order — 8 bytes per
+// subset.
 type Plane struct {
 	Level int    // popcount level the values belong to
 	Lo    uint64 // first Gosper rank covered (inclusive)
@@ -71,8 +72,7 @@ type Plane struct {
 	// weights, so any divergence is corruption.
 	WeightSum uint64
 
-	C      []uint64 // len Hi-Lo
-	Choice []int32  // len Hi-Lo, or nil for cost-only planes
+	C []uint64 // len Hi-Lo
 }
 
 // planeMeta is the JSON header frame of an encoded plane.
@@ -82,12 +82,10 @@ type planeMeta struct {
 	Hi        uint64 `json:"hi"`
 	FrozenSum uint64 `json:"frozen_sum"`
 	WeightSum uint64 `json:"weight_sum"`
-	HasChoice bool   `json:"has_choice"`
 }
 
 // EncodePlane serializes one level slice with the checkpoint framing: magic,
-// version, then a JSON meta frame, a cost frame, and (when choices are
-// carried) a choice frame, each CRC32-C protected.
+// version, then a JSON meta frame and a cost frame, each CRC32-C protected.
 func EncodePlane(p *Plane) ([]byte, error) {
 	n := p.Hi - p.Lo
 	if p.Level < 0 || p.Lo > p.Hi || n > MaxPlaneCells {
@@ -96,13 +94,9 @@ func EncodePlane(p *Plane) ([]byte, error) {
 	if uint64(len(p.C)) != n {
 		return nil, fmt.Errorf("checkpoint: plane holds %d costs for %d ranks", len(p.C), n)
 	}
-	if p.Choice != nil && uint64(len(p.Choice)) != n {
-		return nil, fmt.Errorf("checkpoint: plane holds %d choices for %d ranks", len(p.Choice), n)
-	}
 	metaJSON, err := json.Marshal(&planeMeta{
 		Level: p.Level, Lo: p.Lo, Hi: p.Hi,
 		FrozenSum: p.FrozenSum, WeightSum: p.WeightSum,
-		HasChoice: p.Choice != nil,
 	})
 	if err != nil {
 		return nil, err
@@ -114,15 +108,7 @@ func EncodePlane(p *Plane) ([]byte, error) {
 	out := append([]byte(nil), planeMagic[:]...)
 	out = binary.LittleEndian.AppendUint32(out, Version)
 	out = appendFrame(out, metaJSON)
-	out = appendFrame(out, costs)
-	if p.Choice != nil {
-		choices := make([]byte, 0, 4*n)
-		for _, ch := range p.Choice {
-			choices = binary.LittleEndian.AppendUint32(choices, uint32(ch))
-		}
-		out = appendFrame(out, choices)
-	}
-	return out, nil
+	return appendFrame(out, costs), nil
 }
 
 // DecodePlane parses and validates a plane image. Every defect — magic,
@@ -163,20 +149,6 @@ func DecodePlane(data []byte) (*Plane, error) {
 	}
 	for i := range p.C {
 		p.C[i] = binary.LittleEndian.Uint64(costs[8*i:])
-	}
-	if m.HasChoice {
-		choices, r2, err := nextFrame(rest)
-		if err != nil {
-			return nil, err
-		}
-		rest = r2
-		if uint64(len(choices)) != 4*n {
-			return nil, fmt.Errorf("%w: plane choice frame holds %d bytes, want %d", ErrCorrupt, len(choices), 4*n)
-		}
-		p.Choice = make([]int32, n)
-		for i := range p.Choice {
-			p.Choice[i] = int32(binary.LittleEndian.Uint32(choices[4*i:]))
-		}
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes after plane", ErrCorrupt, len(rest))

@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// testPlane is a small but non-trivial slice: mixed finite/Inf costs, a
-// choice track, and nonzero checksums.
-func testPlane(withChoice bool) *Plane {
-	p := &Plane{
+// testPlane is a small but non-trivial slice: mixed finite/Inf costs and
+// nonzero checksums.
+func testPlane() *Plane {
+	return &Plane{
 		Level:     3,
 		Lo:        7,
 		Hi:        12,
@@ -18,16 +18,22 @@ func testPlane(withChoice bool) *Plane {
 		WeightSum: 0x0123456789abcdef,
 		C:         []uint64{41, ^uint64(0), 0, 7, 1 << 60},
 	}
-	if withChoice {
-		p.Choice = []int32{0, -1, 2, 1, 3}
+}
+
+// testPlaneV1 is testPlane in the version-1 wire layout, which also framed
+// one argmin per cell.
+func testPlaneV1(t testing.TB) []byte {
+	img, err := EncodePlane(testPlane())
+	if err != nil {
+		t.Fatal(err)
 	}
-	return p
+	return legacyV1(t, img, []int32{0, -1, 2, 1, 3})
 }
 
 func planesEqual(a, b *Plane) bool {
 	if a.Level != b.Level || a.Lo != b.Lo || a.Hi != b.Hi ||
 		a.FrozenSum != b.FrozenSum || a.WeightSum != b.WeightSum ||
-		len(a.C) != len(b.C) || len(a.Choice) != len(b.Choice) {
+		len(a.C) != len(b.C) {
 		return false
 	}
 	for i := range a.C {
@@ -35,28 +41,42 @@ func planesEqual(a, b *Plane) bool {
 			return false
 		}
 	}
-	for i := range a.Choice {
-		if a.Choice[i] != b.Choice[i] {
-			return false
-		}
-	}
 	return true
 }
 
 func TestPlaneRoundTrip(t *testing.T) {
-	for _, withChoice := range []bool{true, false} {
-		want := testPlane(withChoice)
-		img, err := EncodePlane(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodePlane(img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !planesEqual(want, got) {
-			t.Fatalf("choice=%v: round trip changed the plane: %+v -> %+v", withChoice, want, got)
-		}
+	want := testPlane()
+	img, err := EncodePlane(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodePlane(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !planesEqual(want, got) {
+		t.Fatalf("round trip changed the plane: %+v -> %+v", want, got)
+	}
+	// 8 bytes per cell on the wire: the image is the header, the meta
+	// frame, and one cost frame of exactly 8·(Hi−Lo) bytes.
+	meta, rest, err := NextFrame(img[8:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs, rest, err := NextFrame(rest)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("image is not exactly meta + costs: %d trailing bytes, err %v", len(rest), err)
+	}
+	if len(costs) != 8*len(want.C) || len(img) != 8+8+len(meta)+8+len(costs) {
+		t.Fatalf("cost frame %d bytes for %d cells", len(costs), len(want.C))
+	}
+}
+
+// TestDecodePlaneRejectsVersion1: a plane in the old layout — version 1,
+// with its argmin frame — is refused like any other incompatible image.
+func TestDecodePlaneRejectsVersion1(t *testing.T) {
+	if p, err := DecodePlane(testPlaneV1(t)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("version-1 plane: err = %v (plane %v), want ErrCorrupt", err, p)
 	}
 }
 
@@ -65,11 +85,10 @@ func TestEncodePlaneRejectsBadShape(t *testing.T) {
 		"negative level":  func(p *Plane) { p.Level = -1 },
 		"inverted range":  func(p *Plane) { p.Lo, p.Hi = p.Hi, p.Lo },
 		"short costs":     func(p *Plane) { p.C = p.C[:2] },
-		"short choices":   func(p *Plane) { p.Choice = p.Choice[:1] },
 		"oversized range": func(p *Plane) { p.Lo, p.Hi = 0, MaxPlaneCells+1 },
 	}
 	for name, mutate := range cases {
-		p := testPlane(true)
+		p := testPlane()
 		mutate(p)
 		if _, err := EncodePlane(p); err == nil {
 			t.Errorf("%s: encode accepted a malformed plane", name)
@@ -82,7 +101,7 @@ func TestEncodePlaneRejectsBadShape(t *testing.T) {
 // duplication must either fail with ErrCorrupt or decode to exactly the
 // original values. A wrong frontier is the one forbidden outcome.
 func TestDecodePlaneRejectsDamage(t *testing.T) {
-	want := testPlane(true)
+	want := testPlane()
 	img, err := EncodePlane(want)
 	if err != nil {
 		t.Fatal(err)
@@ -147,11 +166,11 @@ func TestScanCtxStopsAtBudget(t *testing.T) {
 // error wraps ErrCorrupt, and anything accepted survives a re-encode
 // round trip unchanged.
 func FuzzDecodePlane(f *testing.F) {
-	for _, withChoice := range []bool{true, false} {
-		img, err := EncodePlane(testPlane(withChoice))
-		if err != nil {
-			f.Fatal(err)
-		}
+	img, err := EncodePlane(testPlane())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, img := range [][]byte{img, testPlaneV1(f)} {
 		f.Add(img)
 		f.Add(img[:len(img)/2])
 		f.Add(append(append([]byte(nil), img...), img...))
@@ -180,7 +199,7 @@ func FuzzDecodePlane(f *testing.F) {
 // known-good image at a fuzzer-chosen bit and demand ErrCorrupt or the
 // exact original — never a third outcome.
 func FuzzDecodePlaneBitFlip(f *testing.F) {
-	want := testPlane(true)
+	want := testPlane()
 	img, err := EncodePlane(want)
 	if err != nil {
 		f.Fatal(err)

@@ -3,10 +3,10 @@
 // structure maps directly onto a coordinator/worker wire protocol — subsets
 // of one popcount level are independent and synchronize only at level
 // barriers — so the coordinator assigns contiguous Gosper rank ranges
-// ("slices") of each level to workers, collects the computed (C, Choice)
-// planes, and broadcasts the merged level back before advancing. Transport
-// reuses the CRC-framed internal/checkpoint encoding (checkpoint.Plane), so
-// the wire format inherits the file format's defensive decoding: every
+// ("slices") of each level to workers, collects the computed C planes, and
+// broadcasts the merged level back before advancing. Transport reuses the
+// CRC-framed internal/checkpoint encoding (checkpoint.Plane), so the wire
+// format inherits the file format's defensive decoding: every
 // framing defect lands in checkpoint.ErrCorrupt, never in a wrong frontier.
 //
 // The plane is fault-tolerant by construction, extending the chaos + certify
@@ -92,7 +92,7 @@ type Options struct {
 	Seed             int64         // audit sampling seed (deterministic per level slice)
 
 	Hash         string            // canonical instance hash; computed when empty
-	Frontier     *core.Frontier    // resume from a restored level frontier (requires choices)
+	Frontier     *core.Frontier    // resume from a restored level frontier
 	Checkpointer core.Checkpointer // fired at every merged level barrier j < K
 	Logger       *slog.Logger      // default slog.Default()
 }

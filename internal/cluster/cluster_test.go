@@ -101,9 +101,6 @@ func assertIdentical(t *testing.T, seq, got *core.Solution) {
 		if got.C[s] != seq.C[s] {
 			t.Fatalf("C[%d] = %d, sequential reference %d", s, got.C[s], seq.C[s])
 		}
-		if got.Choice[s] != seq.Choice[s] {
-			t.Fatalf("Choice[%d] = %d, sequential reference %d", s, got.Choice[s], seq.Choice[s])
-		}
 	}
 }
 
@@ -365,7 +362,7 @@ func TestResumeFromFrontier(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	f := &core.Frontier{Level: 2, C: seq.C, Choice: seq.Choice}
+	f := &core.Frontier{Level: 2, C: seq.C}
 	conns := startWorkers(t, []Machine{
 		NewHonestMachine("w0"), NewHonestMachine("w1"),
 	}, nil)
@@ -474,7 +471,6 @@ func TestHonestMachineProtocol(t *testing.T) {
 			Level: 1, Lo: 0, Hi: core.Binomial(p.K, 1),
 			FrozenSum: 12345, // not this worker's frontier
 			C:         make([]uint64, p.K),
-			Choice:    make([]int32, p.K),
 		}
 		img, err := checkpoint.EncodePlane(plane)
 		if err != nil {

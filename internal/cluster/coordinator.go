@@ -110,26 +110,19 @@ func Solve(ctx context.Context, p *core.Problem, conns []net.Conn, opts Options)
 	}
 
 	size := 1 << uint(p.K)
-	sol := &core.Solution{
-		C:      make([]uint64, size),
-		Choice: make([]int32, size),
-		PSum:   make([]uint64, size),
-	}
-	sol.Choice[0] = -1
+	sol := &core.Solution{C: make([]uint64, size)}
 	for s := 1; s < size; s++ {
-		sol.C[s], sol.Choice[s] = core.Inf, -1
-		low := s & -s
-		sol.PSum[s] = core.SatAdd(sol.PSum[s&(s-1)], p.Weights[bits.TrailingZeros(uint(low))])
+		sol.C[s] = core.Inf
 	}
 	start := 1
-	if f := opts.Frontier; f.HasChoice() {
+	if f := opts.Frontier; f != nil {
 		if err := f.Validate(p.K); err != nil {
 			closeAll()
 			return nil, zero, err
 		}
 		for s := range f.C {
 			if bits.OnesCount32(uint32(s)) <= f.Level {
-				sol.C[s], sol.Choice[s] = f.C[s], f.Choice[s]
+				sol.C[s] = f.C[s]
 			}
 		}
 		start = f.Level + 1
@@ -458,7 +451,7 @@ func (c *coord) levelEvent(ev event, level int, inflight map[uint64]*assignment,
 		}
 		v := uint32(core.NthSubset(a.s.lo, level))
 		for i := range plane.C {
-			c.sol.C[v], c.sol.Choice[v] = plane.C[i], plane.Choice[i]
+			c.sol.C[v] = plane.C[i]
 			lsb := v & -v
 			r := v + lsb
 			v = (r^v)>>2/lsb | r
@@ -474,9 +467,9 @@ func (c *coord) levelEvent(ev event, level int, inflight map[uint64]*assignment,
 
 // verifyPlane is the admission check a plane must pass before a single cell
 // reaches the merged tables: geometry, the frozen-frontier and weight
-// checksums, per-cell choice sanity and monotonicity against the already
-// final lower levels, and a seeded spot-audit that recomputes sampled cells
-// from the recurrence. Every violation is attributed to the sending worker.
+// checksums, per-cell monotonicity against the already final lower levels,
+// and a seeded spot-audit that recomputes sampled cells with core.Cell.
+// Every violation is attributed to the sending worker.
 func (c *coord) verifyPlane(w *remoteWorker, level int, lo, hi uint64, plane *checkpoint.Plane) *certify.Report {
 	rep := &certify.Report{}
 	add := func(viol certify.Violation) {
@@ -485,10 +478,10 @@ func (c *coord) verifyPlane(w *remoteWorker, level int, lo, hi uint64, plane *ch
 			rep.Violations = append(rep.Violations, viol)
 		}
 	}
-	if plane.Level != level || plane.Lo != lo || plane.Hi != hi || plane.Choice == nil {
+	if plane.Level != level || plane.Lo != lo || plane.Hi != hi {
 		add(certify.Violation{Kind: certify.BadShape, Action: -1,
-			Detail: fmt.Sprintf("plane level=%d ranks [%d,%d) choices=%v, want level=%d [%d,%d) with choices",
-				plane.Level, plane.Lo, plane.Hi, plane.Choice != nil, level, lo, hi)})
+			Detail: fmt.Sprintf("plane level=%d ranks [%d,%d), want level=%d [%d,%d)",
+				plane.Level, plane.Lo, plane.Hi, level, lo, hi)})
 		return rep
 	}
 	if plane.FrozenSum != c.frozen {
@@ -498,7 +491,7 @@ func (c *coord) verifyPlane(w *remoteWorker, level int, lo, hi uint64, plane *ch
 	wsum := checkpoint.FNVInit()
 	v := uint32(core.NthSubset(lo, level))
 	for i := lo; i < hi; i++ {
-		wsum = checkpoint.FNVAdd(wsum, c.sol.PSum[v])
+		wsum = checkpoint.FNVAdd(wsum, c.p.Weight(core.Set(v)))
 		lsb := v & -v
 		r := v + lsb
 		v = (r^v)>>2/lsb | r
@@ -514,11 +507,7 @@ func (c *coord) verifyPlane(w *remoteWorker, level int, lo, hi uint64, plane *ch
 			break
 		}
 		rep.Checked++
-		cv, ch := plane.C[i], plane.Choice[i]
-		if (cv == core.Inf) != (ch < 0) || int(ch) >= len(c.p.Actions) {
-			add(certify.Violation{Kind: certify.BadChoice, Set: core.Set(v), Action: int(ch), Got: cv,
-				Detail: "choice index out of range or inconsistent with an infinite cost"})
-		}
+		cv := plane.C[i]
 		for x := v; x != 0; x &= x - 1 {
 			e := x & -x
 			if c.sol.C[v&^e] > cv {
@@ -530,9 +519,8 @@ func (c *coord) verifyPlane(w *remoteWorker, level int, lo, hi uint64, plane *ch
 		}
 		if c.opts.AuditFraction >= 1 || rng.Float64() < c.opts.AuditFraction {
 			c.stats.AuditedCells++
-			best, bestIdx := cellBest(c.p, c.sol.C, c.sol.PSum[v], v)
-			if best != cv || bestIdx != ch {
-				add(certify.Violation{Kind: certify.BadCell, Set: core.Set(v), Action: int(ch), Got: cv, Want: best,
+			if best, _ := core.Cell(c.p, c.sol.C, core.Set(v)); best != cv {
+				add(certify.Violation{Kind: certify.BadCell, Set: core.Set(v), Action: -1, Got: cv, Want: best,
 					Detail: "audited cell disagrees with direct recomputation from the merged frontier"})
 			}
 		}
@@ -552,12 +540,10 @@ func (c *coord) broadcastMerged(level int) {
 		FrozenSum: c.frozen,
 		WeightSum: checkpoint.FNVInit(),
 		C:         make([]uint64, 0, total),
-		Choice:    make([]int32, 0, total),
 	}
 	forEachLevelSubset(c.p.K, level, func(s uint32) {
 		plane.C = append(plane.C, c.sol.C[s])
-		plane.Choice = append(plane.Choice, c.sol.Choice[s])
-		plane.WeightSum = checkpoint.FNVAdd(plane.WeightSum, c.sol.PSum[s])
+		plane.WeightSum = checkpoint.FNVAdd(plane.WeightSum, c.p.Weight(core.Set(s)))
 	})
 	img, err := checkpoint.EncodePlane(plane)
 	if err != nil {
@@ -694,34 +680,4 @@ func (c *coord) shutdown() {
 		_ = w.conn.Close()
 	}
 	c.wg.Wait()
-}
-
-// cellBest recomputes one DP cell from a final strict-subset frontier with
-// the exact sequential recurrence — same saturating arithmetic, same
-// lowest-index tie-breaking. Shared by the honest worker (computing planes)
-// and the coordinator (auditing them).
-func cellBest(p *core.Problem, c []uint64, psum uint64, s uint32) (uint64, int32) {
-	best, bestIdx := core.Inf, int32(-1)
-	for i, a := range p.Actions {
-		inter := core.Set(s) & a.Set
-		diff := core.Set(s) &^ a.Set
-		cost := core.SatMul(a.Cost, psum)
-		if a.Treatment {
-			if inter == 0 {
-				cost = core.Inf // treatment treats nothing: S−T_i = S
-			} else {
-				cost = core.SatAdd(cost, c[diff])
-			}
-		} else {
-			if inter == 0 || diff == 0 {
-				cost = core.Inf // test does not split S
-			} else {
-				cost = core.SatAdd(cost, core.SatAdd(c[inter], c[diff]))
-			}
-		}
-		if cost < best {
-			best, bestIdx = cost, int32(i)
-		}
-	}
-	return best, bestIdx
 }

@@ -42,9 +42,9 @@ var errDone = errors.New("cluster: session done")
 // HonestMachine is the correct worker: it mirrors the coordinator's frontier
 // — updated only from verified Merged broadcasts, never from its own slices,
 // so reassignment cannot make replicas diverge — and computes assigned level
-// slices with the exact sequential recurrence (same saturating arithmetic,
-// same lowest-index tie-breaking), which is what makes a distributed answer
-// bit-identical to the single-process reference.
+// slices with core.Cell, the recurrence every single-process engine runs,
+// which is what makes a distributed answer bit-identical to the
+// single-process reference.
 type HonestMachine struct {
 	id   string
 	p    *core.Problem
@@ -52,9 +52,8 @@ type HonestMachine struct {
 	size int
 
 	c      []uint64 // final for popcount <= level, Inf above
-	psum   []uint64
-	level  int    // last merged level
-	frozen uint64 // FNV-1a over C of all subsets with popcount <= level
+	level  int      // last merged level
+	frozen uint64   // FNV-1a over C of all subsets with popcount <= level
 }
 
 // NewHonestMachine returns an honest worker machine announcing the given ID.
@@ -106,11 +105,8 @@ func (m *HonestMachine) hello(body []byte) ([]Message, error) {
 	m.p, m.hash = p, hash
 	m.size = 1 << uint(p.K)
 	m.c = make([]uint64, m.size)
-	m.psum = make([]uint64, m.size)
 	for s := 1; s < m.size; s++ {
 		m.c[s] = core.Inf
-		low := s & -s
-		m.psum[s] = core.SatAdd(m.psum[s&(s-1)], p.Weights[bits.TrailingZeros(uint(low))])
 	}
 	m.level = 0
 	if len(h.Frontier) > 0 {
@@ -151,12 +147,11 @@ func (m *HonestMachine) assign(body []byte) ([]Message, error) {
 		FrozenSum: m.frozen,
 		WeightSum: checkpoint.FNVInit(),
 		C:         make([]uint64, n),
-		Choice:    make([]int32, n),
 	}
 	v := uint32(core.NthSubset(a.Lo, a.Level))
 	for i := uint64(0); i < n; i++ {
-		plane.C[i], plane.Choice[i] = cellBest(m.p, m.c, m.psum[v], v)
-		plane.WeightSum = checkpoint.FNVAdd(plane.WeightSum, m.psum[v])
+		plane.C[i], _ = core.Cell(m.p, m.c, core.Set(v))
+		plane.WeightSum = checkpoint.FNVAdd(plane.WeightSum, m.p.Weight(core.Set(v)))
 		c := v & -v
 		r := v + c
 		v = (r^v)>>2/c | r
@@ -188,9 +183,6 @@ func (m *HonestMachine) merged(body []byte) error {
 	if plane.FrozenSum != m.frozen {
 		return fmt.Errorf("cluster: worker %s: merged frontier checksum %x does not extend local %x — replicas diverged",
 			m.id, plane.FrozenSum, m.frozen)
-	}
-	if plane.Choice == nil {
-		return fmt.Errorf("cluster: worker %s: merged plane carries no choices", m.id)
 	}
 	i := 0
 	forEachLevelSubset(m.p.K, plane.Level, func(s uint32) {

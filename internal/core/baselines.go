@@ -1,82 +1,14 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/bits"
 )
 
-// This file holds the comparison solvers: an exhaustive enumerator that
-// proves optimality on tiny instances, and a greedy heuristic of the kind
+// This file holds the comparison solver: a greedy heuristic of the kind
 // the binary-testing literature (the paper's refs [1][2][6][7][11]) uses
 // when the exponential DP is out of reach. The experiment harness (E14)
 // quantifies the optimality gap of the greedy on the synthetic workloads.
-
-// SolveExhaustive computes C(U) by plain recursion with no memoization:
-// every subtree choice is re-enumerated, which is exactly a minimum over
-// all successful procedure trees. Exponential; intended for K <= 4 as an
-// independent oracle for Solve.
-func SolveExhaustive(p *Problem) (uint64, error) {
-	return SolveExhaustiveCtx(context.Background(), p)
-}
-
-// SolveExhaustiveCtx is SolveExhaustive with cancellation: the context is
-// polled every ctxStride recursive evaluations — the enumeration is the most
-// explosive solver in the package, so it above all must stay cancellable.
-func SolveExhaustiveCtx(ctx context.Context, p *Problem) (uint64, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
-	if p.K > 8 {
-		return 0, fmt.Errorf("core: exhaustive solver limited to K <= 8, got %d", p.K)
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	psum := make([]uint64, 1<<uint(p.K))
-	for s := 1; s < len(psum); s++ {
-		low := s & -s
-		psum[s] = satAdd(psum[s&(s-1)], p.Weights[bits.TrailingZeros(uint(low))])
-	}
-	var evals int
-	var ctxErr error
-	var rec func(s Set) uint64
-	rec = func(s Set) uint64 {
-		if s == 0 {
-			return 0
-		}
-		evals++
-		if evals&(ctxStride-1) == 0 && ctxErr == nil {
-			ctxErr = ctx.Err()
-		}
-		if ctxErr != nil {
-			return Inf // unwind; the result is discarded
-		}
-		best := Inf
-		for _, a := range p.Actions {
-			inter := s & a.Set
-			diff := s &^ a.Set
-			if inter == 0 || (!a.Treatment && diff == 0) {
-				continue
-			}
-			cost := satMul(a.Cost, psum[s])
-			if a.Treatment {
-				cost = satAdd(cost, rec(diff))
-			} else {
-				cost = satAdd(cost, satAdd(rec(inter), rec(diff)))
-			}
-			if cost < best {
-				best = cost
-			}
-		}
-		return best
-	}
-	got := rec(Universe(p.K))
-	if ctxErr != nil {
-		return 0, ctxErr
-	}
-	return got, nil
-}
 
 // GreedyTree builds a valid (generally sub-optimal) procedure tree with a
 // one-step cost-effectiveness rule: at candidate set S, every applicable

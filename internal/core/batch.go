@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/stripe"
 )
@@ -22,7 +21,7 @@ import (
 // operand in with the same cache line(s) — one enumeration's worth of misses
 // serves the whole group. Results are destrided into per-instance cost-only
 // Solutions, bit-identical to solving each instance alone (the arithmetic per
-// instance is exactly SolveLevelPair's, in the same order).
+// instance is exactly Cell's, in the same order).
 
 // SameLattice reports whether a and b share a subset lattice: equal K and
 // per-index equal (Set, Treatment). Costs, weights, and names are free.
@@ -47,11 +46,12 @@ func SolveBatch(ps []*Problem, workers int) ([]*Solution, error) {
 // SolveBatchCtx solves a group of same-lattice instances in one
 // level-synchronous sweep over the shared subset lattice, re-pricing every
 // subset for all instances at each enumeration step. Each returned Solution
-// is cost-only (C and Cost set, Choice/PSum nil — extract trees with
-// TreeFromCosts) and bit-identical to SolveLevelPairCtx on that instance
-// alone. `workers` controls level range splitting exactly as in
-// SolveParallelCtx; a nil pool selects the process-wide stripe pool. The
-// context is polled every ctxStride enumeration steps and at level barriers.
+// is cost-only like every other solver's and bit-identical to Solve on that
+// instance alone. `workers` sets how many Gosper ranges each level is split
+// into, as in SolveParallelPooledCtx, but <= 0 means 1: a batch runs on one
+// core unless asked otherwise. A nil pool selects the process-wide stripe
+// pool. The context is polled every ctxStride enumeration steps and at level
+// barriers. A group of one is an ordinary solve.
 func SolveBatchCtx(ctx context.Context, ps []*Problem, workers int, pool *stripe.Pool) ([]*Solution, error) {
 	if len(ps) == 0 {
 		return nil, fmt.Errorf("core: empty batch")
@@ -75,7 +75,7 @@ func SolveBatchCtx(ctx context.Context, ps []*Problem, workers int, pool *stripe
 	}
 	G := len(ps)
 	if G == 1 {
-		sol, err := SolveLevelPairCtx(ctx, ps[0])
+		sol, err := solve(ctx, ps[0], workers, pool, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -88,9 +88,6 @@ func SolveBatchCtx(ctx context.Context, ps []*Problem, workers int, pool *stripe
 	// Interleaved tables: cg[s*G+g] is C_g(S); costG[i*G+g] is instance g's
 	// cost for action i, so the inner re-pricing loop walks both unit-stride.
 	cg := make([]uint64, size*G)
-	for g := range ps {
-		cg[g] = 0 // C_g(∅); every other cell is written before being read
-	}
 	costG := make([]uint64, n*G)
 	for g, p := range ps {
 		for i, a := range p.Actions {
@@ -98,115 +95,52 @@ func SolveBatchCtx(ctx context.Context, ps []*Problem, workers int, pool *stripe
 		}
 	}
 	actions := ps[0].Actions // lattice structure: Set/Treatment per index
-
-	// stop/fail mirror SolveParallel's shutdown discipline: first failure
-	// (cancellation or a recovered worker panic) wins, in-flight ranges bail
-	// at their next stride poll.
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	var failErr error
-	fail := func(err error) {
-		stopOnce.Do(func() {
-			failErr = err
-			close(stop)
-		})
-	}
-	stopped := func() bool {
-		select {
-		case <-stop:
-			return true
-		default:
-			return false
-		}
+	// scratch[r] holds range r's p_g(S) and their mulLimit for the current
+	// subset.
+	scratch := make([][]uint64, workers)
+	for r := range scratch {
+		scratch[r] = make([]uint64, 2*G)
 	}
 
-	type gosperRange struct {
-		start uint32
-		count uint64
-	}
-	runRange := func(jb gosperRange) {
-		defer func() {
-			if r := recover(); r != nil {
-				fail(fmt.Errorf("core: SolveBatch worker panicked: %v", r))
-			}
-		}()
-		if stopped() {
-			return
+	d := &sweep{k: k, ranges: workers, pool: pool, visit: func(r int, s Set) {
+		// The row of S holds the running minima. Every read below is of a
+		// strict subset's row, finished at an earlier level.
+		best := cg[int(s)*G : int(s)*G+G]
+		psG, limG := scratch[r][:len(best)], scratch[r][G:G+len(best)]
+		for g, p := range ps {
+			psG[g] = psumOf(p.Weights, s)
+			limG[g] = mulLimit(psG[g])
+			best[g] = Inf
 		}
-		ps2 := make([]uint64, G)  // p_g(S) for the current subset
-		best := make([]uint64, G) // running minima
-		v := jb.start
-		for i := uint64(0); i < jb.count; i++ {
-			if i&(ctxStride-1) == ctxStride-1 {
-				if stopped() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
+		// Enumeration work — once per (subset, action)...
+		for ai := range actions {
+			a := &actions[ai]
+			inter := s & a.Set
+			diff := s &^ a.Set
+			if inter == 0 || (!a.Treatment && diff == 0) {
+				continue
 			}
-			s := Set(v)
-			for g, p := range ps {
-				ps2[g] = psumOf(p.Weights, s)
-				best[g] = Inf
-			}
-			// Enumeration work — once per (subset, action)...
-			for ai := range actions {
-				a := &actions[ai]
-				inter := s & a.Set
-				diff := s &^ a.Set
-				if inter == 0 || (!a.Treatment && diff == 0) {
-					continue
-				}
-				cRow := costG[ai*G:]
-				dRow := cg[int(diff)*G:]
-				// ...re-pricing work — the only per-instance part.
-				if a.Treatment {
-					for g := 0; g < G; g++ {
-						cost := satAdd(satMul(cRow[g], ps2[g]), dRow[g])
-						if cost < best[g] {
-							best[g] = cost
-						}
+			cRow := costG[ai*G : ai*G+len(best)]
+			dRow := cg[int(diff)*G : int(diff)*G+len(best)]
+			// ...re-pricing work — the only per-instance part.
+			if a.Treatment {
+				for g := range best {
+					if cost := satAdd(satMulLim(cRow[g], psG[g], limG[g]), dRow[g]); cost < best[g] {
+						best[g] = cost
 					}
-				} else {
-					iRow := cg[int(inter)*G:]
-					for g := 0; g < G; g++ {
-						cost := satAdd(satMul(cRow[g], ps2[g]), satAdd(iRow[g], dRow[g]))
-						if cost < best[g] {
-							best[g] = cost
-						}
+				}
+			} else {
+				iRow := cg[int(inter)*G : int(inter)*G+len(best)]
+				for g := range best {
+					if cost := satAdd(satMulLim(cRow[g], psG[g], limG[g]), satAdd(iRow[g], dRow[g])); cost < best[g] {
+						best[g] = cost
 					}
 				}
 			}
-			copy(cg[int(s)*G:int(s)*G+G], best)
-			// Gosper: next higher number with the same popcount.
-			c := v & -v
-			r := v + c
-			v = (r^v)>>2/c | r
 		}
-	}
-
-	ranges := make([]gosperRange, 0, workers)
-	for level := 1; level <= k; level++ {
-		total := binomial(k, level)
-		chunk := (total + uint64(workers) - 1) / uint64(workers)
-		ranges = ranges[:0]
-		for lo := uint64(0); lo < total; lo += chunk {
-			cnt := min(chunk, total-lo)
-			ranges = append(ranges, gosperRange{start: nthSubset(lo, level), count: cnt})
-		}
-		if !stopped() {
-			// The level barrier: level j+1 reads level j's CG values only
-			// after every range (and every instance) of level j has merged.
-			pool.Run(len(ranges), func(i int) { runRange(ranges[i]) })
-		}
-		if stopped() {
-			return nil, failErr
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	}}
+	if err := d.run(ctx, 1); err != nil {
+		return nil, err
 	}
 
 	// Destride into per-instance cost-only solutions on pooled tables.

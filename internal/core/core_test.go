@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -128,7 +129,8 @@ func TestSolveHandComputed(t *testing.T) {
 	if sol.C[0] != 0 {
 		t.Fatal("C(empty) != 0")
 	}
-	chosen := p.Actions[sol.Choice[0b11]]
+	_, root := Cell(p, sol.C, 0b11)
+	chosen := p.Actions[root]
 	if !chosen.Treatment || chosen.Set.Size() != 1 {
 		t.Fatalf("optimal root should be a singleton treatment, got %+v", chosen)
 	}
@@ -216,8 +218,8 @@ func TestSelfReferenceExclusion(t *testing.T) {
 	if sol.Cost != 30 {
 		t.Fatalf("Cost = %d, want 30 (treatment only)", sol.Cost)
 	}
-	if sol.Choice[0b11] != 1 {
-		t.Fatalf("Choice = %d, want the treatment", sol.Choice[0b11])
+	if _, ch := Cell(p, sol.C, 0b11); ch != 1 {
+		t.Fatalf("Choice = %d, want the treatment", ch)
 	}
 }
 
@@ -501,6 +503,27 @@ func TestSaturatingArithmetic(t *testing.T) {
 	}
 	if SatMul(3, 4) != 12 || SatAdd(3, 4) != 7 {
 		t.Error("plain arithmetic broken")
+	}
+}
+
+// TestSatMulSaturatesExactly pins satMul (and the hoisted-bound satMulLim
+// the sweeps use) to the 128-bit product clamped at Inf, across zero, one,
+// Inf, and the overflow boundary.
+func TestSatMulSaturatesExactly(t *testing.T) {
+	vals := []uint64{0, 1, 2, 3, 7, 1 << 18, 1<<32 - 1, 1 << 32, 1<<32 + 1, Inf / 3, Inf/2 - 1, Inf / 2, Inf/2 + 1, Inf - 1, Inf}
+	for _, a := range vals {
+		for _, b := range vals {
+			want := Inf
+			if hi, lo := bits.Mul64(a, b); hi == 0 {
+				want = lo
+			}
+			if got := satMul(a, b); got != want {
+				t.Errorf("satMul(%d, %d) = %d, want %d", a, b, got, want)
+			}
+			if got := satMulLim(a, b, mulLimit(b)); got != want {
+				t.Errorf("satMulLim(%d, %d) = %d, want %d", a, b, got, want)
+			}
+		}
 	}
 }
 

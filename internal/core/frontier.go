@@ -1,42 +1,36 @@
 package core
 
-import (
-	"context"
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // This file is the solver side of the durable-checkpoint subsystem
 // (internal/checkpoint holds the on-disk format, internal/serve the service
 // integration). The backward-induction sweep is naturally checkpointable at
 // level barriers: once every subset of popcount <= j is final, the entire
-// resumable state of the solve is the (C, Choice) frontier plus the cursor j
-// — everything else (PSum, per-engine machine planes) is deterministically
-// recomputable from the problem. Checkpointer receives those frontiers;
-// Frontier carries a restored one back into a solve.
+// resumable state of the solve is the C frontier plus the cursor j —
+// everything else (p(S), argmins, per-engine machine planes) is
+// deterministically recomputable from the problem and that frontier.
+// Checkpointer receives those frontiers; Frontier carries a restored one
+// back into a solve.
 
 // Checkpointer receives level-frontier snapshots of a DP sweep. Engines call
 // CheckpointLevel after every completed level barrier j < K with a Solution
-// whose C (and, for argmin-tracking engines, Choice) entries are final for
-// every subset of popcount <= j; entries above the frontier are untrusted.
-// The Solution is the engine's live table — implementations must copy what
-// they keep and must not mutate it. Returning an error aborts the solve with
-// that error (wrap persistence failures in a swallowing adapter if the solve
-// should outlive them).
+// whose C entries are final for every subset of popcount <= j; entries above
+// the frontier are untrusted. The Solution is the engine's live table —
+// implementations must copy what they keep and must not mutate it. Returning
+// an error aborts the solve with that error (wrap persistence failures in a
+// swallowing adapter if the solve should outlive them).
 type Checkpointer interface {
 	CheckpointLevel(level int, sol *Solution) error
 }
 
-// Frontier is a restored level frontier: C (and optionally Choice) are full
-// 2^K tables whose entries are final for every subset of popcount <= Level.
-// Entries above the frontier carry no information and are recomputed by the
-// resuming engine. Choice may be nil for cost-only frontiers (the bvm engine
-// reports costs but no argmins); such frontiers can seed only engines that do
-// not need stored choices.
+// Frontier is a restored level frontier: C is a full 2^K table whose entries
+// are final for every subset of popcount <= Level. Entries above the
+// frontier carry no information and are recomputed by the resuming engine.
+// Any engine resumes from any frontier: an engine that needs argmins for the
+// restored levels recomputes them with Cell.
 type Frontier struct {
-	Level  int
-	C      []uint64
-	Choice []int32
+	Level int
+	C     []uint64
 }
 
 // Validate checks the frontier's geometry against a universe of k objects.
@@ -50,124 +44,11 @@ func (f *Frontier) Validate(k int) error {
 	if f.Level < 0 || f.Level > k {
 		return fmt.Errorf("core: frontier level %d outside [0,%d]", f.Level, k)
 	}
-	size := 1 << uint(k)
-	if len(f.C) != size {
+	if size := 1 << uint(k); len(f.C) != size {
 		return fmt.Errorf("core: frontier has %d costs for a %d-object universe", len(f.C), k)
-	}
-	if f.Choice != nil && len(f.Choice) != size {
-		return fmt.Errorf("core: frontier has %d choices for a %d-object universe", len(f.Choice), k)
 	}
 	if f.C[0] != 0 {
 		return fmt.Errorf("core: frontier C(∅) = %d, want 0", f.C[0])
 	}
 	return nil
-}
-
-// HasChoice reports whether the frontier carries argmins and can therefore
-// seed a choice-producing resume.
-func (f *Frontier) HasChoice() bool { return f != nil && f.Choice != nil }
-
-// completedOps returns the Ops count a sequential sweep accrues over all
-// non-empty subsets of popcount <= level, so a resumed solve reports the same
-// final Ops as an uninterrupted one.
-func completedOps(k, level, actions int) int64 {
-	var subsets uint64
-	for l := 1; l <= level; l++ {
-		subsets += binomial(k, l)
-	}
-	return int64(subsets) * int64(actions+1)
-}
-
-// SolveCheckpointedCtx runs the sequential DP level by level (popcount
-// order), optionally resuming from a frontier and firing ck at every
-// completed level barrier j < K. Results — Cost, C, Choice, and the final
-// Ops count — are bit-identical to Solve: both orders evaluate every subset
-// from already-final proper subsets with the same recurrence and the same
-// lowest-index tie-breaking. A nil frontier starts from scratch; a nil ck
-// records no checkpoints. Resuming requires a frontier with choices, so the
-// rebuilt Solution can still yield the optimal procedure tree.
-func SolveCheckpointedCtx(ctx context.Context, p *Problem, f *Frontier, ck Checkpointer) (*Solution, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	size := 1 << uint(p.K)
-	sol := &Solution{
-		C:      make([]uint64, size),
-		Choice: make([]int32, size),
-		PSum:   make([]uint64, size),
-	}
-	for s := 1; s < size; s++ {
-		low := s & -s
-		sol.PSum[s] = satAdd(sol.PSum[s&(s-1)], p.Weights[bits.TrailingZeros(uint(low))])
-	}
-	sol.Choice[0] = -1
-	start := 1
-	if f != nil {
-		if err := f.Validate(p.K); err != nil {
-			return nil, err
-		}
-		if !f.HasChoice() {
-			return nil, fmt.Errorf("core: cost-only frontier cannot seed a choice-producing resume")
-		}
-		copy(sol.C, f.C)
-		copy(sol.Choice, f.Choice)
-		sol.C[0], sol.Choice[0] = 0, -1
-		start = f.Level + 1
-		sol.Ops = completedOps(p.K, f.Level, len(p.Actions))
-	}
-	var visited int64
-	for level := start; level <= p.K; level++ {
-		v := uint32(1)<<uint(level) - 1
-		for v < uint32(size) {
-			if visited&(ctxStride-1) == ctxStride-1 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			visited++
-			s := Set(v)
-			best, bestIdx := Inf, int32(-1)
-			for i, a := range p.Actions {
-				inter := s & a.Set
-				diff := s &^ a.Set
-				cost := satMul(a.Cost, sol.PSum[s])
-				if a.Treatment {
-					if inter == 0 {
-						cost = Inf // treatment treats nothing: S−T_i = S
-					} else {
-						cost = satAdd(cost, sol.C[diff])
-					}
-				} else {
-					if inter == 0 || diff == 0 {
-						cost = Inf // test does not split S
-					} else {
-						cost = satAdd(cost, satAdd(sol.C[inter], sol.C[diff]))
-					}
-				}
-				sol.Ops++
-				if cost < best {
-					best, bestIdx = cost, int32(i)
-				}
-			}
-			sol.Ops++
-			sol.C[s], sol.Choice[s] = best, bestIdx
-			// Gosper: next higher number with the same popcount.
-			c := v & -v
-			r := v + c
-			v = (r^v)>>2/c | r
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if ck != nil && level < p.K {
-			if err := ck.CheckpointLevel(level, sol); err != nil {
-				return nil, fmt.Errorf("core: checkpoint at level %d: %w", level, err)
-			}
-		}
-	}
-	sol.Cost = sol.C[size-1]
-	return sol, nil
 }

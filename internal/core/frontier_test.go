@@ -18,9 +18,6 @@ var errCkFail = errors.New("checkpointer failed")
 
 func (c *captureCk) CheckpointLevel(level int, sol *Solution) error {
 	f := &Frontier{Level: level, C: append([]uint64(nil), sol.C...)}
-	if sol.Choice != nil {
-		f.Choice = append([]int32(nil), sol.Choice...)
-	}
 	c.frontiers = append(c.frontiers, f)
 	if c.failAt != 0 && level == c.failAt {
 		return errCkFail
@@ -36,9 +33,6 @@ func sameSolution(t *testing.T, want, got *Solution, label string) {
 	for s := range want.C {
 		if got.C[s] != want.C[s] {
 			t.Fatalf("%s: C[%d] = %d, want %d", label, s, got.C[s], want.C[s])
-		}
-		if got.Choice[s] != want.Choice[s] {
-			t.Fatalf("%s: Choice[%d] = %d, want %d", label, s, got.Choice[s], want.Choice[s])
 		}
 	}
 	if got.Ops != want.Ops {
@@ -86,18 +80,11 @@ func TestResumeAtEveryLevel(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameSolution(t, want, seq, "seq resume")
-		par, err := SolveParallelCheckpointedCtx(context.Background(), p, 3, f, nil)
+		par, err := SolveParallelPooledCtx(context.Background(), p, 3, nil, f, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if par.Cost != want.Cost {
-			t.Fatalf("parallel resume at level %d: cost %d, want %d", f.Level, par.Cost, want.Cost)
-		}
-		for s := range want.C {
-			if par.C[s] != want.C[s] || par.Choice[s] != want.Choice[s] {
-				t.Fatalf("parallel resume at level %d: table mismatch at %d", f.Level, s)
-			}
-		}
+		sameSolution(t, want, par, "parallel resume")
 	}
 }
 
@@ -108,7 +95,7 @@ func TestParallelCheckpointsMatchSequential(t *testing.T) {
 	if _, err := SolveCheckpointedCtx(context.Background(), p, nil, seqCk); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SolveParallelCheckpointedCtx(context.Background(), p, 2, nil, parCk); err != nil {
+	if _, err := SolveParallelPooledCtx(context.Background(), p, 2, nil, nil, parCk); err != nil {
 		t.Fatal(err)
 	}
 	if len(seqCk.frontiers) != len(parCk.frontiers) {
@@ -125,7 +112,7 @@ func TestParallelCheckpointsMatchSequential(t *testing.T) {
 			if popcountInt(s) > sf.Level {
 				continue
 			}
-			if sf.C[s] != pf.C[s] || sf.Choice[s] != pf.Choice[s] {
+			if sf.C[s] != pf.C[s] {
 				t.Fatalf("checkpoint level %d: frontier mismatch at subset %d", sf.Level, s)
 			}
 		}
@@ -149,7 +136,7 @@ func TestCheckpointerErrorAbortsSolve(t *testing.T) {
 			return err
 		},
 		"parallel": func(ck Checkpointer) error {
-			_, err := SolveParallelCheckpointedCtx(context.Background(), p, 2, nil, ck)
+			_, err := SolveParallelPooledCtx(context.Background(), p, 2, nil, nil, ck)
 			return err
 		},
 	} {
@@ -162,7 +149,7 @@ func TestCheckpointerErrorAbortsSolve(t *testing.T) {
 
 func TestFrontierValidate(t *testing.T) {
 	size := 1 << 4
-	good := &Frontier{Level: 2, C: make([]uint64, size), Choice: make([]int32, size)}
+	good := &Frontier{Level: 2, C: make([]uint64, size)}
 	if err := good.Validate(4); err != nil {
 		t.Fatalf("valid frontier rejected: %v", err)
 	}
@@ -171,7 +158,6 @@ func TestFrontierValidate(t *testing.T) {
 		{Level: -1, C: make([]uint64, size)},
 		{Level: 5, C: make([]uint64, size)},
 		{Level: 2, C: make([]uint64, size-1)},
-		{Level: 2, C: make([]uint64, size), Choice: make([]int32, 3)},
 	}
 	for i, f := range cases {
 		if err := f.Validate(4); err == nil {
@@ -183,10 +169,9 @@ func TestFrontierValidate(t *testing.T) {
 	if err := bad.Validate(4); err == nil {
 		t.Error("nonzero C(∅) accepted")
 	}
-	costOnly := &Frontier{Level: 1, C: make([]uint64, size)}
 	rng := rand.New(rand.NewSource(1))
 	p := randomProblem(rng, 4, 3)
-	if _, err := SolveCheckpointedCtx(context.Background(), p, costOnly, nil); err == nil {
-		t.Error("cost-only frontier accepted by a choice-producing resume")
+	if _, err := SolveCheckpointedCtx(context.Background(), p, &Frontier{Level: 1, C: make([]uint64, size/2)}, nil); err == nil {
+		t.Error("resume accepted a frontier for the wrong universe")
 	}
 }

@@ -7,51 +7,53 @@ import (
 	"testing"
 )
 
-// TestSolveLevelPairMatchesSolve pins the cost-only level-pair sweep
-// bit-identical to the classic three-table sweep: full C plane, Cost, Ops,
-// every reconstructed Choice entry, and the extracted tree.
+// Solve's sweep is the level-pair layout: one cost plane, p(S) recomputed
+// per cell, levels in Gosper order so the plane being written and the
+// treatment-heavy reads C[S−T_i] stay in neighboring levels. These tests pin
+// it to the classic three-table sweep kept in oracle_test.go.
+
+// TestSolveLevelPairMatchesSolve pins the level-pair sweep bit-identical to
+// the classic sweep: full C plane, Cost, every argmin Cell reconstructs, and
+// the extracted tree.
 func TestSolveLevelPairMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 30; trial++ {
 		k := rng.Intn(8) + 2
 		p := randomProblem(rng, k, rng.Intn(6)+1)
-		want, err := Solve(p)
+		wantC, wantChoice := classicSolve(p)
+		got, err := Solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SolveLevelPair(p)
-		if err != nil {
-			t.Fatal(err)
+		if got.Cost != wantC[len(wantC)-1] {
+			t.Fatalf("trial %d: level-pair C(U)=%d, classic %d", trial, got.Cost, wantC[len(wantC)-1])
 		}
-		if got.Cost != want.Cost {
-			t.Fatalf("trial %d: level-pair C(U)=%d, Solve %d", trial, got.Cost, want.Cost)
-		}
-		if got.Ops != want.Ops {
-			t.Fatalf("trial %d: Ops %d != %d", trial, got.Ops, want.Ops)
+		if want := int64(len(wantC)-1) * int64(len(p.Actions)+1); got.Ops != want {
+			t.Fatalf("trial %d: Ops %d != %d", trial, got.Ops, want)
 		}
 		for s := range got.C {
-			if got.C[s] != want.C[s] {
-				t.Fatalf("trial %d: C[%b] level-pair %d, Solve %d", trial, s, got.C[s], want.C[s])
+			if got.C[s] != wantC[s] {
+				t.Fatalf("trial %d: C[%b] level-pair %d, classic %d", trial, s, got.C[s], wantC[s])
 			}
 		}
-		if got.Choice != nil || got.PSum != nil {
-			t.Fatalf("trial %d: cost-only sweep materialized Choice/PSum", trial)
+		if got.Choice != nil {
+			t.Fatalf("trial %d: sweep materialized a Choice plane", trial)
 		}
-		for s := range want.Choice {
-			if rc := ChoiceFor(p, got.C, Set(s)); rc != want.Choice[s] {
-				t.Fatalf("trial %d: ChoiceFor(%b)=%d, Solve Choice %d", trial, s, rc, want.Choice[s])
+		for s := 1; s < len(wantChoice); s++ {
+			if _, rc := Cell(p, got.C, Set(s)); rc != wantChoice[s] {
+				t.Fatalf("trial %d: Cell(%b) choice %d, classic %d", trial, s, rc, wantChoice[s])
 			}
 		}
-		wantTree, err := want.Tree(p)
+		if !got.Adequate() {
+			got.Release()
+			continue
+		}
+		gotTree, err := got.Tree(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotTree, err := TreeFromCosts(p, got.C)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotTree, wantTree) {
-			t.Fatalf("trial %d: reconstructed tree differs from Choice-table tree", trial)
+		if want := classicTree(p, wantChoice, Universe(k)); !reflect.DeepEqual(gotTree, want) {
+			t.Fatalf("trial %d: reconstructed tree differs from the classic choice-table tree", trial)
 		}
 		// The reconstructed tree is a valid optimal procedure by the
 		// DP-ignorant oracle too.
@@ -59,19 +61,18 @@ func TestSolveLevelPairMatchesSolve(t *testing.T) {
 			t.Fatalf("trial %d: TreeCost=%d err=%v, want %d", trial, tc, err, got.Cost)
 		}
 		got.Release()
-		want.Release()
 	}
 }
 
 // TestSolveLevelPairInadequate: no catch-all treatment, C(U) must be Inf and
-// tree extraction must refuse.
+// tree and policy extraction must refuse.
 func TestSolveLevelPairInadequate(t *testing.T) {
 	p := &Problem{
 		K:       3,
 		Weights: []uint64{1, 1, 1},
 		Actions: []Action{{Set: SetOf(0), Cost: 1, Treatment: true}},
 	}
-	sol, err := SolveLevelPair(p)
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +81,12 @@ func TestSolveLevelPairInadequate(t *testing.T) {
 	}
 	if _, err := TreeFromCosts(p, sol.C); err == nil {
 		t.Fatal("TreeFromCosts accepted an inadequate instance")
+	}
+	if _, err := sol.Tree(p); err == nil {
+		t.Fatal("Tree accepted an inadequate instance")
+	}
+	if _, err := TreeFromCosts(p, sol.C[:4]); err == nil {
+		t.Fatal("TreeFromCosts accepted a plane of the wrong size")
 	}
 }
 
@@ -90,34 +97,35 @@ func TestSolveLevelPairCancellation(t *testing.T) {
 	p := randomProblem(rng, 12, 6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SolveLevelPairCtx(ctx, p); err == nil {
+	if _, err := SolveCtx(ctx, p); err == nil {
 		t.Fatal("cancelled context did not stop the sweep")
 	}
 }
 
-// TestPsumOfMatchesTable: on-the-fly p(S) equals the PSum table for every
-// subset, including saturating weights.
+// TestPsumOfMatchesTable: on-the-fly p(S) equals the classic low-bit
+// recursive PSum table for every subset, including saturating weights.
 func TestPsumOfMatchesTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 5; trial++ {
 		k := rng.Intn(10) + 1
 		p := randomProblem(rng, k, 1)
-		sol, err := Solve(p)
-		if err != nil {
-			t.Fatal(err)
+		psum := make([]uint64, 1<<uint(k))
+		for s := 1; s < len(psum); s++ {
+			low := s & -s
+			psum[s] = satAdd(psum[s&(s-1)], p.Weights[trailing(low)])
 		}
-		for s := range sol.PSum {
-			if got := psumOf(p.Weights, Set(s)); got != sol.PSum[s] {
-				t.Fatalf("trial %d: psumOf(%b)=%d, PSum table %d", trial, s, got, sol.PSum[s])
+		for s := range psum {
+			if got := psumOf(p.Weights, Set(s)); got != psum[s] {
+				t.Fatalf("trial %d: psumOf(%b)=%d, PSum table %d", trial, s, got, psum[s])
 			}
 		}
 	}
 	// Saturating regime (weights beyond what Validate admits, exercising
-	// satAdd's order independence directly): high-to-low recomputation must
-	// equal the table's low-bit-recursive association order.
+	// satAdd's order independence directly): recomputation must equal the
+	// table's low-bit-recursive association order.
 	weights := []uint64{Inf - 1, 3, Inf / 2, 7, Inf - 2, 1}
 	for s := 0; s < 1<<6; s++ {
-		// Reference: fold low-to-high like the table construction.
+		// Reference: fold in the table construction's order.
 		var fold func(v int) uint64
 		fold = func(v int) uint64 {
 			if v == 0 {
@@ -141,72 +149,56 @@ func trailing(v int) int {
 	return n
 }
 
-// TestSolutionReleaseReuse: released tables are recycled and the solvers
+// TestSolutionReleaseReuse: released planes are recycled and the solvers
 // produce identical answers on dirty pooled memory.
 func TestSolutionReleaseReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	k := 8
 	p1 := randomProblem(rng, k, 5)
 	p2 := randomProblem(rng, k, 5)
-	first, err := Solve(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Poison then release: the next same-size solve must not be affected by
-	// leftover contents.
-	for i := range first.C {
-		first.C[i] = Inf - 1
-	}
-	for i := range first.PSum {
-		first.PSum[i] = Inf - 1
-	}
-	for i := range first.Choice {
-		first.Choice[i] = 77
-	}
-	first.Release()
-	if first.C != nil || first.Choice != nil || first.PSum != nil {
-		t.Fatal("Release did not clear table fields")
-	}
-
-	fresh, err := Solve(p2.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reused, err := Solve(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reused.Cost != fresh.Cost {
-		t.Fatalf("pooled-solve cost %d != fresh %d", reused.Cost, fresh.Cost)
-	}
-	for s := range fresh.C {
-		if reused.C[s] != fresh.C[s] || reused.Choice[s] != fresh.Choice[s] || reused.PSum[s] != fresh.PSum[s] {
-			t.Fatalf("pooled solve differs from fresh at set %b", s)
+	fresh, _ := classicSolve(p2)
+	for name, run := range map[string]func() (*Solution, error){
+		"seq": func() (*Solution, error) { return Solve(p2) },
+		"parallel": func() (*Solution, error) {
+			return SolveParallelPooledCtx(context.Background(), p2, 3, nil, nil, nil)
+		},
+		"batch": func() (*Solution, error) {
+			sols, err := SolveBatch([]*Problem{p2, p2.Clone()}, 2)
+			if err != nil {
+				return nil, err
+			}
+			sols[1].Release()
+			return sols[0], nil
+		},
+	} {
+		// Poison then release: the next same-size solve must not be
+		// affected by leftover contents.
+		first, err := Solve(p1)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for i := range first.C {
+			first.C[i] = Inf - 1
+		}
+		first.Release()
+		if first.C != nil {
+			t.Fatal("Release did not clear the plane")
+		}
+		reused, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := range fresh {
+			if reused.C[s] != fresh[s] {
+				t.Fatalf("%s: pooled solve differs from fresh at set %b", name, s)
+			}
+		}
+		reused.Release()
 	}
-
-	// Same discipline for the parallel and level-pair sweeps.
-	reused.Release()
-	par, err := SolveParallel(p2.Clone(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Cost != fresh.Cost {
-		t.Fatalf("parallel pooled-solve cost %d != fresh %d", par.Cost, fresh.Cost)
-	}
-	par.Release()
-	lp, err := SolveLevelPair(p2.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lp.Cost != fresh.Cost {
-		t.Fatalf("level-pair pooled-solve cost %d != fresh %d", lp.Cost, fresh.Cost)
-	}
-	lp.Release()
 }
 
-// FuzzSolveLevelPair cross-checks the level-pair sweep against Solve on
-// arbitrary instances.
+// FuzzSolveLevelPair cross-checks the level-pair sweep against the classic
+// sweep on arbitrary instances.
 func FuzzSolveLevelPair(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(3))
 	f.Add(int64(42), uint8(9), uint8(1))
@@ -219,22 +211,19 @@ func FuzzSolveLevelPair(f *testing.F) {
 			// Sometimes drop the catch-all so inadequate instances fuzz too.
 			p.Actions = p.Actions[:len(p.Actions)-1]
 		}
-		want, err := Solve(p)
+		got, err := Solve(p)
 		if err != nil {
 			t.Skip()
 		}
-		got, err := SolveLevelPair(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		wantC, wantChoice := classicSolve(p)
 		for s := range got.C {
-			if got.C[s] != want.C[s] {
-				t.Fatalf("C[%b]: level-pair %d, Solve %d", s, got.C[s], want.C[s])
+			if got.C[s] != wantC[s] {
+				t.Fatalf("C[%b]: level-pair %d, classic %d", s, got.C[s], wantC[s])
 			}
 		}
-		for s := range want.Choice {
-			if rc := ChoiceFor(p, got.C, Set(s)); rc != want.Choice[s] {
-				t.Fatalf("ChoiceFor(%b)=%d, Solve Choice %d", s, rc, want.Choice[s])
+		for s := 1; s < len(wantChoice); s++ {
+			if _, rc := Cell(p, got.C, Set(s)); rc != wantChoice[s] {
+				t.Fatalf("Cell(%b) choice %d, classic %d", s, rc, wantChoice[s])
 			}
 		}
 	})

@@ -32,8 +32,9 @@ type wireAction struct {
 }
 
 // NewPolicy builds a policy from a solved instance, pruned to the states
-// reachable from the full universe under the solution's choices. Fails on
-// inadequate instances.
+// reachable from the full universe under optimal play; each state's action
+// is recomputed from the cost plane with Cell. Fails on inadequate
+// instances.
 func NewPolicy(p *Problem, sol *Solution) (*Policy, error) {
 	if !sol.Adequate() {
 		return nil, fmt.Errorf("core: inadequate instance has no policy")
@@ -47,7 +48,7 @@ func NewPolicy(p *Problem, sol *Solution) (*Policy, error) {
 		if _, done := pol.choices[s]; done {
 			return nil
 		}
-		idx := sol.Choice[s]
+		_, idx := Cell(p, sol.C, s)
 		if idx < 0 {
 			return fmt.Errorf("core: no choice recorded for reachable set %v", s)
 		}

@@ -22,7 +22,8 @@ func TestPolicyReachablePruning(t *testing.T) {
 		t.Fatal("no action at the universe")
 	}
 	// The stored choice matches the solution.
-	if idx, _ := pol.ActionAt(Universe(p.K)); int32(idx) != sol.Choice[Universe(p.K)] {
+	idx, _ := pol.ActionAt(Universe(p.K))
+	if _, want := Cell(p, sol.C, Universe(p.K)); int32(idx) != want {
 		t.Fatal("root choice mismatch")
 	}
 	if _, ok := pol.ActionAt(0); ok {

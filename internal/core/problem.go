@@ -126,6 +126,9 @@ func (p *Problem) TotalWeight() uint64 {
 	return t
 }
 
+// Weight returns p(S), the total weight of the objects in s.
+func (p *Problem) Weight(s Set) uint64 { return psumOf(p.Weights, s) }
+
 // maxInput bounds weights and costs so that t_i·p(S) cannot overflow uint64
 // even at K = MaxK: maxInput^2 · 2^MaxK < 2^64.
 const maxInput = 1 << 18
@@ -183,14 +186,24 @@ func satAdd(a, b uint64) uint64 {
 	return s
 }
 
-func satMul(a, b uint64) uint64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	if a == Inf || b == Inf || a > Inf/b {
+func satMul(a, b uint64) uint64 { return satMulLim(a, b, mulLimit(b)) }
+
+// mulLimit is the saturation bound of products with b: the integer t·b
+// exceeds Inf exactly when t > mulLimit(b).
+func mulLimit(b uint64) uint64 {
+	if b == 0 {
 		return Inf
 	}
-	return a * b
+	return Inf / b
+}
+
+// satMulLim is satMul(t, b) given lim = mulLimit(b): loops that multiply
+// many t by one b hoist the division out.
+func satMulLim(t, b, lim uint64) uint64 {
+	if t > lim {
+		return Inf
+	}
+	return t * b
 }
 
 // SatAdd exposes the package's saturating addition, so other engines (the

@@ -4,106 +4,167 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"runtime"
+
+	"repro/internal/stripe"
 )
 
-// Solution is the output of the sequential DP solver.
+// Solution is the output of the exact DP solvers.
 type Solution struct {
 	// Cost is C(U), the minimum expected cost; Inf means the instance is
 	// inadequate (no successful procedure exists).
 	Cost uint64
-	// C[s] is the minimum cost for candidate set s, for all 2^K subsets.
+	// C[s] is the minimum cost for candidate set s, for all 2^K subsets. It
+	// is the only table the solvers keep: an argmin is one Cell call away
+	// (Tree, NewPolicy and Explain reconstruct the ones they visit).
 	C []uint64
-	// Choice[s] is the index of a minimizing action for set s, or -1 when
-	// s is empty or C[s] is infinite.
+	// Choice is always nil. The solvers keep no argmin table; the field
+	// remains only so that code compiled against the earlier three-table
+	// Solution (the perfbench module passes it to certify.Check, which
+	// treats nil as "no choices to audit") still builds.
 	Choice []int32
-	// PSum[s] is p(s), the total weight of set s.
-	PSum []uint64
 	// Ops counts elementary operations (one per (S, action) evaluation plus
 	// one per subset for the final minimum), the T_1 of the paper's speedup
 	// S = T_1/T_p.
 	Ops int64
 }
 
+// Cell evaluates the recurrence at one nonempty set s against a cost plane
+// c whose entries are final for every proper subset of s:
+//
+//	M[S,i] = t_i·p(S) + C(S∩T_i) + C(S−T_i)   (test)
+//	M[S,i] = t_i·p(S) + C(S−T_i)              (treatment)
+//	C(S)   = min_i M[S,i]
+//
+// An action that would not shrink S (a test with S∩T_i ∈ {∅, S}, a
+// treatment with S∩T_i = ∅) is excluded, as the paper's infinity
+// initialization excludes it. p(S) is recomputed with psumOf, the
+// saturation bound of t_i·p(S) is divided out once per set rather than once
+// per action, and ties go to the lowest action index (strict <). It returns
+// (Inf, -1) when no action applies or every applicable one prices at Inf.
+// Every exact solver, the frontier and plane verifiers, the machine engines'
+// ABFT mirrors, and tree extraction evaluate the recurrence through this one
+// function.
+func Cell(p *Problem, c []uint64, s Set) (cost uint64, choice int32) {
+	ps := psumOf(p.Weights, s)
+	lim := mulLimit(ps)
+	cost, choice = Inf, -1
+	for i := range p.Actions {
+		a := &p.Actions[i]
+		inter := s & a.Set
+		diff := s &^ a.Set
+		if inter == 0 || (!a.Treatment && diff == 0) {
+			continue // would not shrink S: excluded
+		}
+		m := satMulLim(a.Cost, ps, lim)
+		if a.Treatment {
+			m = satAdd(m, c[diff])
+		} else {
+			m = satAdd(m, satAdd(c[inter], c[diff]))
+		}
+		if m < cost {
+			cost, choice = m, int32(i)
+		}
+	}
+	return cost, choice
+}
+
+// psumOf recomputes p(S), the total weight of S. Saturating addition is
+// min(Σ, Inf) in any association order, so the value is the same however
+// the elements are summed.
+func psumOf(weights []uint64, s Set) uint64 {
+	var sum uint64
+	for v := uint32(s); v != 0; v &= v - 1 {
+		sum = satAdd(sum, weights[bits.TrailingZeros32(v)])
+	}
+	return sum
+}
+
 // Solve runs the backward-induction dynamic program (the paper's sequential
-// baseline, after Garey): subsets in increasing numeric order — every proper
-// subset precedes its supersets — with each M[S,i] evaluated from already
-// final C values. Self-referential action applications (a test with
-// S∩T_i = ∅ or S−T_i = ∅, a treatment with S∩T_i = ∅) read the
-// still-infinite C[S] and drop out of the minimum exactly as in the paper's
-// infinity-initialization argument. Time O(N·2^K), space O(2^K).
+// baseline, after Garey) level by level in popcount order: every C(S) at
+// level j reads only strictly smaller sets, which earlier levels finished.
+// Time O(N·2^K), space one 2^K cost plane.
 func Solve(p *Problem) (*Solution, error) {
 	return SolveCtx(context.Background(), p)
 }
 
 // SolveCtx is Solve with cancellation: the context is polled every ctxStride
-// subsets, so a deadline or client disconnect stops the O(N·2^K) sweep
-// promptly. On cancellation the context's error is returned and the partial
-// table is discarded.
+// subsets and at every level barrier, so a deadline or client disconnect
+// stops the O(N·2^K) sweep promptly. On cancellation the context's error is
+// returned and the partial table is discarded.
 func SolveCtx(ctx context.Context, p *Problem) (*Solution, error) {
+	return solve(ctx, p, 1, nil, nil, nil)
+}
+
+// SolveCheckpointedCtx is SolveCtx with durable-solve plumbing: a non-nil
+// frontier restores C for every level <= f.Level and restarts the sweep at
+// f.Level+1, and a non-nil ck fires at every completed level barrier j < K
+// (all sets of the level are final, none of the next level started). Cost, C
+// and Ops are bit-identical to an uninterrupted Solve.
+func SolveCheckpointedCtx(ctx context.Context, p *Problem, f *Frontier, ck Checkpointer) (*Solution, error) {
+	return solve(ctx, p, 1, nil, f, ck)
+}
+
+// SolveParallelPooledCtx is SolveCheckpointedCtx with each level split into
+// `workers` Gosper rank ranges run on a stripe pool — the natural way to run
+// the backward induction on shared-memory hardware (the paper's machine is
+// internal/parttsolve). `workers` <= 0 selects GOMAXPROCS; it sets the unit
+// of load balancing, not how many goroutines exist, so concurrent solves
+// share one bounded worker set. A nil pool selects the process-wide one. A
+// panic in any range is recovered and returned as an error. Results are
+// bit-identical to Solve for every worker count.
+func SolveParallelPooledCtx(ctx context.Context, p *Problem, workers int, pool *stripe.Pool, f *Frontier, ck Checkpointer) (*Solution, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if pool == nil {
+		pool = stripe.Shared()
+	}
+	return solve(ctx, p, workers, pool, f, ck)
+}
+
+// solve is the one G=1 sweep behind every exact entry point: a pooled cost
+// plane, optionally seeded from a frontier, filled by Cell under the level
+// driver.
+func solve(ctx context.Context, p *Problem, ranges int, pool *stripe.Pool, f *Frontier, ck Checkpointer) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	from := 1
+	if f != nil {
+		if err := f.Validate(p.K); err != nil {
+			return nil, err
+		}
+		from = f.Level + 1
+	}
 	size := 1 << uint(p.K)
-	sol := &Solution{
-		C:      getU64(p.K),
-		Choice: getI32(p.K),
-		PSum:   getU64(p.K),
+	sol := &Solution{C: getU64(p.K), Ops: int64(size-1) * int64(len(p.Actions)+1)}
+	c := sol.C
+	if f != nil {
+		copy(c, f.C)
 	}
-	// Pooled tables come back dirty; index 0 is the only cell read before
-	// being assigned, so it is reset here and every other cell is written by
-	// the sweep before any read.
-	sol.C[0], sol.PSum[0], sol.Choice[0] = 0, 0, -1
-	for s := 1; s < size; s++ {
-		if s&(ctxStride-1) == 0 {
-			// The setup scan is O(2^K) too: poll so an abandoned request
-			// stops here, not after the scan completes.
-			if err := ctx.Err(); err != nil {
-				sol.Release()
-				return nil, err
+	// The pooled plane comes back dirty. C(∅) is the only cell read before
+	// the sweep writes it; every other cell is written at its own level,
+	// before any superset reads it.
+	c[0] = 0
+	d := &sweep{k: p.K, ranges: ranges, pool: pool,
+		visit: func(_ int, s Set) { c[s], _ = Cell(p, c, s) }}
+	if ck != nil {
+		d.barrier = func(level int) error {
+			if err := ck.CheckpointLevel(level, sol); err != nil {
+				return fmt.Errorf("core: checkpoint at level %d: %w", level, err)
 			}
+			return nil
 		}
-		low := s & -s
-		sol.PSum[s] = satAdd(sol.PSum[s&(s-1)], p.Weights[bits.TrailingZeros(uint(low))])
 	}
-	for s := 1; s < size; s++ {
-		if s&(ctxStride-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				sol.Release()
-				return nil, err
-			}
-		}
-		best, bestIdx := Inf, int32(-1)
-		for i, a := range p.Actions {
-			inter := Set(s) & a.Set
-			diff := Set(s) &^ a.Set
-			// Read C for the pieces; a self-reference (piece == s) sees the
-			// not-yet-assigned slot, which is semantically Inf.
-			cost := satMul(a.Cost, sol.PSum[s])
-			if a.Treatment {
-				if inter == 0 {
-					cost = Inf // treatment treats nothing: S−T_i = S
-				} else {
-					cost = satAdd(cost, sol.C[diff])
-				}
-			} else {
-				if inter == 0 || diff == 0 {
-					cost = Inf // test does not split S
-				} else {
-					cost = satAdd(cost, satAdd(sol.C[inter], sol.C[diff]))
-				}
-			}
-			sol.Ops++
-			if cost < best {
-				best, bestIdx = cost, int32(i)
-			}
-		}
-		sol.Ops++
-		sol.C[s], sol.Choice[s] = best, bestIdx
+	if err := d.run(ctx, from); err != nil {
+		sol.Release()
+		return nil, err
 	}
-	sol.Cost = sol.C[size-1]
+	sol.Cost = c[size-1]
 	return sol, nil
 }
 

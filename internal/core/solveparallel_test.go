@@ -20,7 +20,7 @@ func TestSolveParallelMatchesSolve(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 3, 0} {
-			par, err := SolveParallel(p, workers)
+			par, err := SolveParallelPooledCtx(context.Background(), p, workers, nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -32,17 +32,13 @@ func TestSolveParallelMatchesSolve(t *testing.T) {
 				if par.C[s] != seq.C[s] {
 					t.Fatalf("trial %d: C[%b] differs", trial, s)
 				}
-				if par.Choice[s] != seq.Choice[s] {
-					t.Fatalf("trial %d: Choice[%b] differs (%d vs %d)",
-						trial, s, par.Choice[s], seq.Choice[s])
-				}
 			}
 		}
 	}
 }
 
 func TestSolveParallelValidates(t *testing.T) {
-	if _, err := SolveParallel(&Problem{K: 0}, 2); err == nil {
+	if _, err := SolveParallelPooledCtx(context.Background(), &Problem{K: 0}, 2, nil, nil, nil); err == nil {
 		t.Fatal("invalid problem accepted")
 	}
 }
@@ -158,7 +154,7 @@ func TestSolveParallelMoreWorkersThanRanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SolveParallel(p, 64) // C(4,2) = 6 is the widest level
+	par, err := SolveParallelPooledCtx(context.Background(), p, 64, nil, nil, nil) // C(4,2) = 6 is the widest level
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,14 +162,14 @@ func TestSolveParallelMoreWorkersThanRanges(t *testing.T) {
 		t.Fatalf("cost %d, want %d", par.Cost, seq.Cost)
 	}
 	for s := range seq.C {
-		if par.C[s] != seq.C[s] || par.Choice[s] != seq.Choice[s] {
+		if par.C[s] != seq.C[s] {
 			t.Fatalf("state %b differs", s)
 		}
 	}
 }
 
 // TestSolveParallelCtxCancellation drives a deadline into the middle of a
-// large sweep: SolveParallelCtx must return context.DeadlineExceeded promptly
+// large sweep: the parallel engine must return context.DeadlineExceeded promptly
 // (the stride polls bail out) rather than finishing the O(N·2^K) scan.
 func TestSolveParallelCtxCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
@@ -182,14 +178,14 @@ func TestSolveParallelCtxCancellation(t *testing.T) {
 	// Pre-cancelled: rejected before any worker spins up.
 	pre, preCancel := context.WithCancel(context.Background())
 	preCancel()
-	if _, err := SolveParallelCtx(pre, p, 4); !errors.Is(err, context.Canceled) {
+	if _, err := SolveParallelPooledCtx(pre, p, 4, nil, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled: %v", err)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	sol, err := SolveParallelCtx(ctx, p, 4)
+	sol, err := SolveParallelPooledCtx(ctx, p, 4, nil, nil, nil)
 	elapsed := time.Since(start)
 	if sol != nil || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got (%v, %v), want DeadlineExceeded", sol, err)
@@ -212,18 +208,18 @@ func TestSolveParallelCtxCancellation(t *testing.T) {
 // before the recover fix).
 func TestSolveParallelWorkerPanicPropagates(t *testing.T) {
 	var fired atomic.Bool
-	solveParallelRangeHook = func(start Set) {
+	sweepRangeHook = func(start Set) {
 		if start.Size() == 2 && fired.CompareAndSwap(false, true) {
 			panic("injected fault") // blow up somewhere mid-DP, not level 1
 		}
 	}
-	defer func() { solveParallelRangeHook = nil }()
+	defer func() { sweepRangeHook = nil }()
 
 	rng := rand.New(rand.NewSource(65))
 	p := randomProblem(rng, 10, 8)
 	done := make(chan error, 1)
 	go func() {
-		_, err := SolveParallel(p, 4)
+		_, err := SolveParallelPooledCtx(context.Background(), p, 4, nil, nil, nil)
 		done <- err
 	}()
 	select {
@@ -297,7 +293,7 @@ func BenchmarkSolveParallelK16(b *testing.B) {
 	p := randomProblem(rand.New(rand.NewSource(62)), 16, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveParallel(p, 0); err != nil {
+		if _, err := SolveParallelPooledCtx(context.Background(), p, 0, nil, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

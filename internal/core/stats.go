@@ -89,28 +89,25 @@ type ActionEval struct {
 
 // Explain prices every action at candidate set s against a finished
 // solution — the paper's M[S,i] row made inspectable, for debugging and for
-// teaching why the optimal procedure does what it does.
+// teaching why the optimal procedure does what it does. Each row is Cell
+// over that one action; the optimal row is Cell's argmin over all of them.
 func Explain(p *Problem, sol *Solution, s Set) []ActionEval {
 	out := make([]ActionEval, len(p.Actions))
+	_, opt := Cell(p, sol.C, s)
 	for i, a := range p.Actions {
 		name := a.Name
 		if name == "" {
 			name = fmt.Sprintf("T%d", i+1)
 		}
-		ev := ActionEval{Action: i, Name: name, M: Inf}
-		inter := s & a.Set
-		diff := s &^ a.Set
-		if inter != 0 && (a.Treatment || diff != 0) {
-			ev.Applicable = true
-			cost := satMul(a.Cost, sol.PSum[s])
-			if a.Treatment {
-				ev.M = satAdd(cost, sol.C[diff])
-			} else {
-				ev.M = satAdd(cost, satAdd(sol.C[inter], sol.C[diff]))
-			}
+		one := Problem{K: p.K, Weights: p.Weights, Actions: p.Actions[i : i+1]}
+		m, _ := Cell(&one, sol.C, s)
+		out[i] = ActionEval{
+			Action:     i,
+			Name:       name,
+			Applicable: s&a.Set != 0 && (a.Treatment || s&^a.Set != 0),
+			M:          m,
+			Optimal:    opt == int32(i),
 		}
-		ev.Optimal = s != 0 && sol.Choice[s] == int32(i)
-		out[i] = ev
 	}
 	return out
 }

@@ -1,0 +1,166 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/stripe"
+)
+
+// ctxStride is how many subsets a solver processes between context polls: a
+// power of two large enough to keep the poll off the hot path and small
+// enough that cancellation lands within microseconds of the deadline.
+const ctxStride = 1 << 12
+
+// sweepRangeHook, when non-nil, is called at the start of every Gosper range
+// the level driver runs. Test-only: it lets the fault-injection
+// tests panic inside a worker and prove the sweep fails cleanly instead of
+// deadlocking.
+var sweepRangeHook func(start Set)
+
+// sweep is the level driver every DP sweep runs under. Subsets are visited
+// level by level in popcount order: every C(S) at level j depends only on
+// strictly smaller sets, so the sets of one level are independent. No level
+// is materialized: each is cut into equal rank ranges of the Gosper sequence
+// (numeric order within a popcount), whose starts come from combinadic
+// unranking, and each range streams through its sets with Gosper's hack.
+type sweep struct {
+	k      int
+	ranges int          // Gosper rank ranges per level
+	pool   *stripe.Pool // nil: ranges run inline, in order
+	// visit fills one subset's table entries; r is the index of the range
+	// it belongs to, so a visitor can keep per-range scratch.
+	visit func(r int, s Set)
+	// barrier, when non-nil, runs after each completed level j < K.
+	barrier func(level int) error
+
+	failed atomic.Bool // set by the first failure; ranges bail at their next poll
+	once   sync.Once
+	err    error
+}
+
+// gosperRange is one unit of work: count consecutive sets of one popcount
+// level, starting at start.
+type gosperRange struct {
+	start uint32
+	count uint64
+}
+
+func (d *sweep) fail(err error) {
+	d.once.Do(func() {
+		d.err = err
+		d.failed.Store(true)
+	})
+}
+
+// run sweeps levels from..K. It polls ctx every ctxStride subsets inside
+// each range and at every level barrier, recovers a panic in any range as an
+// error, and returns the first failure.
+func (d *sweep) run(ctx context.Context, from int) error {
+	rs := make([]gosperRange, 0, d.ranges)
+	for level := from; level <= d.k; level++ {
+		total := binomial(d.k, level)
+		chunk := (total + uint64(d.ranges) - 1) / uint64(d.ranges)
+		rs = rs[:0]
+		for lo := uint64(0); lo < total; lo += chunk {
+			rs = append(rs, gosperRange{start: nthSubset(lo, level), count: min(chunk, total-lo)})
+		}
+		if d.pool != nil {
+			// Run is the level barrier: level j+1 reads level j's values
+			// only after every range of level j has finished.
+			d.pool.Run(len(rs), func(i int) { d.walk(ctx, i, rs[i]) })
+		} else {
+			for i, r := range rs {
+				d.walk(ctx, i, r)
+			}
+		}
+		if d.failed.Load() {
+			return d.err
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if d.barrier != nil && level < d.k {
+			if err := d.barrier(level); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// walk visits every set of one range.
+func (d *sweep) walk(ctx context.Context, i int, rg gosperRange) {
+	defer func() {
+		if x := recover(); x != nil {
+			d.fail(fmt.Errorf("core: solver worker panicked: %v", x))
+		}
+	}()
+	if d.failed.Load() {
+		return
+	}
+	if h := sweepRangeHook; h != nil {
+		h(Set(rg.start))
+	}
+	v := rg.start
+	for n := uint64(0); n < rg.count; n++ {
+		if n&(ctxStride-1) == ctxStride-1 {
+			if d.failed.Load() {
+				return
+			}
+			if err := ctx.Err(); err != nil {
+				d.fail(err)
+				return
+			}
+		}
+		d.visit(i, Set(v))
+		// Gosper: next higher number with the same popcount.
+		c := v & -v
+		r := v + c
+		v = (r^v)>>2/c | r
+	}
+}
+
+// Binomial returns C(n, k) for the instance sizes the DP supports (n <= 32).
+// Exported for the distributed solve plane (internal/cluster), whose
+// coordinator and workers both partition levels into Gosper rank ranges.
+func Binomial(n, k int) uint64 { return binomial(n, k) }
+
+// NthSubset returns the subset of popcount j with rank predecessors in the
+// level's Gosper order — the combinadic unranking that lets a slice of a
+// level start anywhere without enumerating the level. Exported alongside
+// Binomial for internal/cluster.
+func NthSubset(rank uint64, j int) Set { return Set(nthSubset(rank, j)) }
+
+// binomial returns C(n, k) for the instance sizes the DP supports (n <= 32).
+func binomial(n, k int) uint64 {
+	if k < 0 || k > n {
+		return 0
+	}
+	c := uint64(1)
+	for i := 0; i < k; i++ {
+		c = c * uint64(n-i) / uint64(i+1)
+	}
+	return c
+}
+
+// nthSubset returns the subset of popcount j with `rank` predecessors in
+// increasing numeric order (equivalently, in the Gosper sequence): the
+// combinadic unranking that lets level ranges start anywhere without
+// enumerating the level. For fixed popcount, numeric order is colex order,
+// so the highest element e of the rank-m subset is the largest e with
+// C(e, j) <= m.
+func nthSubset(rank uint64, j int) uint32 {
+	var set uint32
+	for ; j > 0; j-- {
+		e := j - 1
+		for binomial(e+1, j) <= rank {
+			e++
+		}
+		set |= 1 << uint(e)
+		rank -= binomial(e, j)
+	}
+	return set
+}

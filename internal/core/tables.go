@@ -5,18 +5,18 @@ import (
 	"sync"
 )
 
-// DP table pooling: every solver allocates its 2^K tables through per-size
-// free lists so a serving process reaches a no-alloc steady state instead of
-// handing the GC three fresh 2^K slices per request. Tables come back dirty
-// and the solvers are written to tolerate that: each pass assigns every cell
-// it will later read (index 0 is reset explicitly), so no zeroing pass is
-// needed. SolveMemo is the deliberate exception — its `known` bitmap requires
-// zeroed memory — and keeps plain allocation.
+// DP table pooling: every solver allocates its 2^K cost plane through
+// per-size free lists so a serving process reaches a no-alloc steady state
+// instead of handing the GC a fresh 2^K slice per request. Planes come back
+// dirty and the solvers are written to tolerate that: each sweep assigns
+// every cell it will later read (index 0 is reset explicitly), so no zeroing
+// pass is needed. SolveMemo is the deliberate exception — its `known` bitmap
+// requires zeroed memory — and keeps plain allocation.
 //
 // Pooling is transparent to callers that never call Release: an unreleased
 // Solution is simply garbage-collected like before. Callers on the request
-// path (internal/serve) call Solution.Release once the tables have been
-// consumed (tree extracted, certification done) to recycle them.
+// path (internal/serve) call Solution.Release once the plane has been
+// consumed (tree extracted, certification done) to recycle it.
 
 // tableK returns the pool index for a table of the given length, or -1 when
 // the length is not a poolable 2^k size.
@@ -31,10 +31,7 @@ func tableK(n int) int {
 	return k
 }
 
-var (
-	u64Pools [MaxK + 1]sync.Pool
-	i32Pools [MaxK + 1]sync.Pool
-)
+var u64Pools [MaxK + 1]sync.Pool
 
 // getU64 returns a length-2^k uint64 table with arbitrary contents.
 func getU64(k int) []uint64 {
@@ -44,36 +41,19 @@ func getU64(k int) []uint64 {
 	return make([]uint64, 1<<uint(k))
 }
 
-// getI32 returns a length-2^k int32 table with arbitrary contents.
-func getI32(k int) []int32 {
-	if v := i32Pools[k].Get(); v != nil {
-		return *(v.(*[]int32))
-	}
-	return make([]int32, 1<<uint(k))
-}
-
 func putU64(t []uint64) {
 	if k := tableK(len(t)); k >= 0 {
 		u64Pools[k].Put(&t)
 	}
 }
 
-func putI32(t []int32) {
-	if k := tableK(len(t)); k >= 0 {
-		i32Pools[k].Put(&t)
-	}
-}
-
-// Release returns the solution's DP tables to the per-size pools and clears
-// the slice fields. The solution (and any alias of its tables, including a
-// Frontier built from them) must not be used afterwards. Safe on nil and on
-// solutions with partial table sets (cost-only sweeps have no Choice/PSum).
+// Release returns the solution's cost plane to the per-size pools and clears
+// it. The solution (and any alias of its plane, including a Frontier built
+// from it) must not be used afterwards. Safe on nil.
 func (s *Solution) Release() {
 	if s == nil {
 		return
 	}
 	putU64(s.C)
-	putI32(s.Choice)
-	putU64(s.PSum)
-	s.C, s.Choice, s.PSum = nil, nil, nil
+	s.C = nil
 }

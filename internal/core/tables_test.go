@@ -1,44 +1,59 @@
 package core
 
 import (
+	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
 // TestSolveSteadyStateAllocs pins the pooled steady state: once the per-size
 // pools are warm, a solve-release cycle performs only constant bookkeeping
-// allocations (the Solution struct and the pool's pointer boxes), never a
-// fresh 2^k table. The bound of 8 is deliberately loose against Go runtime
-// jitter while still catching any reintroduced table allocation, which would
-// add at least 3 allocs and ~100KB at k=12.
+// allocations (the Solution struct, the sweep's closures, the pool's pointer
+// boxes), never a fresh 2^k table. The object bound of 8 is deliberately
+// loose against Go runtime jitter while still catching a reintroduced table
+// allocation; the byte bound — less than one 2^k uint64 plane per cycle —
+// covers the two entry points ttserve calls, seq and parallel.
 func TestSolveSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	p := randomProblem(rng, 12, 8)
-	warm := func() {
-		sol, err := Solve(p)
-		if err != nil {
-			t.Fatal(err)
+	cycle := func(run func() (*Solution, error)) func() {
+		return func() {
+			sol, err := run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sol.Release()
 		}
-		sol.Release()
 	}
+	warm := cycle(func() (*Solution, error) { return Solve(p) })
 	warm()
 	warm()
-	avg := testing.AllocsPerRun(20, warm)
-	if avg > 8 {
+	if avg := testing.AllocsPerRun(20, warm); avg > 8 {
 		t.Fatalf("steady-state solve-release cycle allocates %.1f objects/op, want <= 8 (table pooling broken?)", avg)
 	}
 
-	lpWarm := func() {
-		sol, err := SolveLevelPair(p)
-		if err != nil {
-			t.Fatal(err)
+	plane := uint64(8) << uint(p.K)
+	for name, run := range map[string]func() (*Solution, error){
+		"seq": func() (*Solution, error) { return SolveCheckpointedCtx(context.Background(), p, nil, nil) },
+		"parallel": func() (*Solution, error) {
+			return SolveParallelPooledCtx(context.Background(), p, 2, nil, nil, nil)
+		},
+	} {
+		warm := cycle(run)
+		warm()
+		warm()
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			warm()
 		}
-		sol.Release()
-	}
-	lpWarm()
-	lpWarm()
-	if avg := testing.AllocsPerRun(20, lpWarm); avg > 8 {
-		t.Fatalf("steady-state level-pair cycle allocates %.1f objects/op, want <= 8", avg)
+		runtime.ReadMemStats(&after)
+		if perCycle := (after.TotalAlloc - before.TotalAlloc) / runs; perCycle >= plane {
+			t.Errorf("%s: steady-state solve-release cycle allocates %d B, want < %d B (one 2^%d plane)",
+				name, perCycle, plane, p.K)
+		}
 	}
 }
 
@@ -57,7 +72,7 @@ func TestTableKBounds(t *testing.T) {
 		}
 	}
 	// Releasing odd-length tables must not panic or poison the pools.
-	s := &Solution{C: make([]uint64, 3), Choice: make([]int32, 5), PSum: nil}
+	s := &Solution{C: make([]uint64, 3)}
 	s.Release()
 	var nilSol *Solution
 	nilSol.Release() // nil-safe

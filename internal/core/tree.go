@@ -19,37 +19,46 @@ type Node struct {
 	Neg    *Node
 }
 
-// Tree reconstructs an optimal procedure tree from the solver's choices.
-// It fails if the instance is inadequate.
+// Tree extracts an optimal procedure tree from the solution's cost plane;
+// see TreeFromCosts. It fails if the instance is inadequate.
 func (s *Solution) Tree(p *Problem) (*Node, error) {
 	if !s.Adequate() {
 		return nil, fmt.Errorf("core: inadequate instance has no procedure tree")
 	}
-	return s.buildNode(p, Universe(p.K))
+	return TreeFromCosts(p, s.C)
 }
 
-func (s *Solution) buildNode(p *Problem, set Set) (*Node, error) {
+// TreeFromCosts extracts an optimal procedure tree from a finished cost
+// plane, recomputing each visited node's argmin with Cell — at most 2K-1
+// cells, O(N·K) in all. Ties go to the lowest action index, as in every
+// sweep, so the tree is the same whichever engine filled the plane.
+func TreeFromCosts(p *Problem, c []uint64) (*Node, error) {
+	if len(c) != 1<<uint(p.K) {
+		return nil, fmt.Errorf("core: %d costs for a %d-object universe", len(c), p.K)
+	}
+	if c[len(c)-1] >= Inf {
+		return nil, fmt.Errorf("core: inadequate instance has no procedure tree")
+	}
+	return buildNode(p, c, Universe(p.K))
+}
+
+func buildNode(p *Problem, c []uint64, set Set) (*Node, error) {
 	if set == 0 {
 		return nil, nil
 	}
-	idx := s.Choice[set]
+	_, idx := Cell(p, c, set)
 	if idx < 0 {
-		return nil, fmt.Errorf("core: no action recorded for set %v", set)
+		return nil, fmt.Errorf("core: no action applies to set %v", set)
 	}
 	a := p.Actions[idx]
 	n := &Node{Action: int(idx), Set: set}
 	var err error
-	if a.Treatment {
-		n.Neg, err = s.buildNode(p, set&^a.Set)
-		if err != nil {
+	if !a.Treatment {
+		if n.Pos, err = buildNode(p, c, set&a.Set); err != nil {
 			return nil, err
 		}
-		return n, nil
 	}
-	if n.Pos, err = s.buildNode(p, set&a.Set); err != nil {
-		return nil, err
-	}
-	if n.Neg, err = s.buildNode(p, set&^a.Set); err != nil {
+	if n.Neg, err = buildNode(p, c, set&^a.Set); err != nil {
 		return nil, err
 	}
 	return n, nil

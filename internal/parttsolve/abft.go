@@ -32,7 +32,7 @@ var abftCorruptHook func(round int, state []Cell)
 
 // abft is the host-side trusted shadow of a verified parallel solve.
 type abft struct {
-	actions []core.Action // the real (unpadded) actions
+	p       *core.Problem // the real (unpadded) instance
 	paddedA []core.Action // the padded table the machine runs
 	psum    []uint64      // host p(S)
 	c       []uint64      // trusted mirror of C, final for popcount <= level
@@ -44,7 +44,7 @@ type abft struct {
 func newABFT(p *core.Problem, paddedA []core.Action, logN int) *abft {
 	size := 1 << uint(p.K)
 	a := &abft{
-		actions: p.Actions,
+		p:       p,
 		paddedA: paddedA,
 		psum:    make([]uint64, size),
 		c:       make([]uint64, size),
@@ -65,49 +65,27 @@ func newABFT(p *core.Problem, paddedA []core.Action, logN int) *abft {
 	return a
 }
 
-// seed absorbs a restored frontier into the mirror: resume trusts the
-// checkpoint layer's own validation (checkpoint.Decode re-derives every
-// frontier entry from the recurrence before handing it out).
-func (a *abft) seed(f *core.Frontier) {
+// seed absorbs a restored frontier and its recomputed argmins into the
+// mirror: resume trusts the checkpoint layer's own validation
+// (checkpoint.Decode re-derives every frontier entry from the recurrence
+// before handing it out).
+func (a *abft) seed(f *core.Frontier, choice []int32) {
 	for s := range a.c {
 		if bits.OnesCount(uint(s)) <= f.Level {
 			a.c[s] = f.C[s]
-			a.choice[s] = f.Choice[s]
+			a.choice[s] = choice[s]
 		}
 	}
 }
 
-// advance computes the true level-j values into the mirror from the
-// recurrence over the already-trusted lower levels — the host's half of the
-// barrier handshake, run before the machine's round is inspected.
+// advance computes the true level-j values into the mirror with core.Cell
+// over the already-trusted lower levels — the host's half of the barrier
+// handshake, run before the machine's round is inspected.
 func (a *abft) advance(j int) {
 	size := 1 << uint(a.k)
 	v := uint32(1)<<uint(j) - 1
 	for v < uint32(size) {
-		s := core.Set(v)
-		best, bestIdx := core.Inf, int32(-1)
-		for i, act := range a.actions {
-			inter := s & act.Set
-			diff := s &^ act.Set
-			cost := core.SatMul(act.Cost, a.psum[s])
-			if act.Treatment {
-				if inter == 0 {
-					cost = core.Inf
-				} else {
-					cost = core.SatAdd(cost, a.c[diff])
-				}
-			} else {
-				if inter == 0 || diff == 0 {
-					cost = core.Inf
-				} else {
-					cost = core.SatAdd(cost, core.SatAdd(a.c[inter], a.c[diff]))
-				}
-			}
-			if cost < best {
-				best, bestIdx = cost, int32(i)
-			}
-		}
-		a.c[v], a.choice[v] = best, bestIdx
+		a.c[v], a.choice[v] = core.Cell(a.p, a.c, core.Set(v))
 		c := v & -v
 		r := v + c
 		v = (r^v)>>2/c | r

@@ -32,7 +32,7 @@ func TestABFTHealthyBitIdentical(t *testing.T) {
 				t.Fatalf("%v: healthy run performed %d repairs", kind, res.Repairs)
 			}
 			for s := range want.C {
-				if res.C[s] != want.C[s] || res.Choice[s] != want.Choice[s] {
+				if res.C[s] != want.C[s] || res.Choice[s] != lowestArgmin(p, want.C, s) {
 					t.Fatalf("%v: plane mismatch at %v", kind, core.Set(s))
 				}
 			}
@@ -77,7 +77,7 @@ func TestABFTRepairsTransientCorruption(t *testing.T) {
 			t.Fatalf("%s: Repairs = %d, want 1", name, res.Repairs)
 		}
 		for s := range want.C {
-			if res.C[s] != want.C[s] || res.Choice[s] != want.Choice[s] {
+			if res.C[s] != want.C[s] || res.Choice[s] != lowestArgmin(p, want.C, s) {
 				t.Fatalf("%s: plane mismatch at %v after repair", name, core.Set(s))
 			}
 		}
@@ -149,12 +149,12 @@ func TestABFTVerifiedResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Build a level-2 frontier from the completed planes.
-	f := &core.Frontier{Level: 2, C: make([]uint64, len(full.C)), Choice: make([]int32, len(full.C))}
+	f := &core.Frontier{Level: 2, C: make([]uint64, len(full.C))}
 	for s := range full.C {
 		if popcount(s) <= 2 {
-			f.C[s], f.Choice[s] = full.C[s], full.Choice[s]
+			f.C[s] = full.C[s]
 		} else {
-			f.C[s], f.Choice[s] = core.Inf, -1
+			f.C[s] = core.Inf
 		}
 	}
 	res, err := SolveOpts(context.Background(), p, Lockstep, Options{Frontier: f, Verify: true})

@@ -135,7 +135,7 @@ func SolveCtx(ctx context.Context, p *core.Problem, kind EngineKind) (*Result, e
 
 // Options bundles the optional plumbing of a parallel solve.
 type Options struct {
-	// Frontier resumes from a restored level frontier (must carry choices).
+	// Frontier resumes from a restored level frontier.
 	Frontier *core.Frontier
 	// Checkpointer fires after every completed round j < K.
 	Checkpointer core.Checkpointer
@@ -151,11 +151,12 @@ type Options struct {
 // SolveCheckpointedCtx is SolveCtx with durable-solve plumbing. A non-nil
 // frontier skips rounds 1..f.Level by restoring the machine state those
 // rounds would have produced — the M and MI planes for every completed group
-// and the #S = f.Level group mark; everything else (p(S), TP, the R/Q
-// scratch) is recomputed, so the restored machine is indistinguishable from
-// one that ran the skipped rounds. A non-nil ck fires after every round
-// j < k with the (C, Choice) planes extracted from the machine. Results are
-// bit-identical to an uninterrupted run.
+// (MI recomputed from the frontier's C with core.Cell) and the #S = f.Level
+// group mark; everything else (p(S), TP, the R/Q scratch) is recomputed, so
+// the restored machine is indistinguishable from one that ran the skipped
+// rounds. A non-nil ck fires after every round j < k with the C plane
+// extracted from the machine. Results are bit-identical to an uninterrupted
+// run.
 func SolveCheckpointedCtx(ctx context.Context, p *core.Problem, kind EngineKind, f *core.Frontier, ck core.Checkpointer) (*Result, error) {
 	return SolveOpts(ctx, p, kind, Options{Frontier: f, Checkpointer: ck})
 }
@@ -173,9 +174,6 @@ func SolveOpts(ctx context.Context, p *core.Problem, kind EngineKind, opt Option
 	if f != nil {
 		if err := f.Validate(k); err != nil {
 			return nil, err
-		}
-		if !f.HasChoice() {
-			return nil, fmt.Errorf("parttsolve: cost-only frontier cannot seed a choice-producing resume")
 		}
 	}
 	logN := 1
@@ -265,17 +263,27 @@ func SolveOpts(ctx context.Context, p *core.Problem, kind EngineKind, opt Option
 	})
 
 	startRound := 1
+	var fChoice []int32
 	if f != nil {
 		// Restore the machine to its state after round f.Level: every PE of a
 		// completed group (#S <= f.Level) holds C(S) and its argmin — the
 		// min-reduce of step (5) is an all-reduce over the action dimensions,
 		// so the whole group agrees — and the group mark is the #S = f.Level
-		// predicate the next first-kind propagation advances from.
+		// predicate the next first-kind propagation advances from. The
+		// argmins are the lowest-index minimizers the skipped rounds would
+		// have left, recomputed from the frontier.
+		fChoice = make([]int32, len(f.C))
+		for s := range fChoice {
+			fChoice[s] = -1
+			if s != 0 && popcount(s) <= f.Level {
+				_, fChoice[s] = core.Cell(p, f.C, core.Set(s))
+			}
+		}
 		local(eng, res, func(addr int, c *Cell) {
 			s := addr >> uint(logN)
 			pc := popcount(s)
 			if pc <= f.Level {
-				c.M, c.MI = f.C[s], f.Choice[s]
+				c.M, c.MI = f.C[s], fChoice[s]
 			}
 			c.Mark = pc == f.Level
 		})
@@ -286,7 +294,7 @@ func SolveOpts(ctx context.Context, p *core.Problem, kind EngineKind, opt Option
 	if opt.Verify {
 		ab = newABFT(p, actions, logN)
 		if f != nil {
-			ab.seed(f)
+			ab.seed(f, fChoice)
 		}
 	}
 
@@ -418,14 +426,14 @@ func SolveOpts(ctx context.Context, p *core.Problem, kind EngineKind, opt Option
 			}
 		}
 		if ck != nil && j < k {
-			if err := ck.CheckpointLevel(j, extractPlanes(eng, k, logN)); err != nil {
+			c, _ := extractPlanes(eng, k, logN)
+			if err := ck.CheckpointLevel(j, &core.Solution{C: c}); err != nil {
 				return nil, fmt.Errorf("parttsolve: checkpoint at level %d: %w", j, err)
 			}
 		}
 	}
 
-	sol := extractPlanes(eng, k, logN)
-	res.C, res.Choice = sol.C, sol.Choice
+	res.C, res.Choice = extractPlanes(eng, k, logN)
 	res.Cost = res.C[len(res.C)-1]
 	if cccEng != nil {
 		res.CCCSteps = cccEng.Steps()
@@ -437,20 +445,18 @@ func SolveOpts(ctx context.Context, p *core.Problem, kind EngineKind, opt Option
 // holds C(S) in M and the achieving action in MI after the round that
 // activated S (and on every later round — completed groups are never
 // rewritten).
-func extractPlanes(eng Engine, k, logN int) *core.Solution {
+func extractPlanes(eng Engine, k, logN int) (c []uint64, choice []int32) {
 	state := eng.State()
-	sol := &core.Solution{
-		C:      make([]uint64, 1<<uint(k)),
-		Choice: make([]int32, 1<<uint(k)),
-	}
-	for s := range sol.C {
-		sol.C[s] = state[s<<uint(logN)].M
-		sol.Choice[s] = state[s<<uint(logN)].MI
-		if s == 0 || sol.C[s] == core.Inf {
-			sol.Choice[s] = -1
+	c = make([]uint64, 1<<uint(k))
+	choice = make([]int32, 1<<uint(k))
+	for s := range c {
+		c[s] = state[s<<uint(logN)].M
+		choice[s] = state[s<<uint(logN)].MI
+		if s == 0 || c[s] == core.Inf {
+			choice[s] = -1
 		}
 	}
-	return sol
+	return c, choice
 }
 
 // local applies a per-PE update to the whole machine and counts one local

@@ -291,20 +291,15 @@ func TestChoicePlaneMatchesDP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for s := range seq.Choice {
-			want := seq.Choice[s]
-			if s == 0 || seq.C[s] == core.Inf {
-				want = -1
-			}
-			if par.Choice[s] != want {
-				t.Fatalf("trial %d: Choice[%b] = %d, want %d", trial, s, par.Choice[s], want)
+		for s := range seq.C {
+			if want := lowestArgmin(p, seq.C, s); par.Choice[s] != want {
+				t.Fatalf("trial %d: Choice[%b] = %d, want %d", trial, s, par.Choice[s], lowestArgmin(p, seq.C, s))
 			}
 		}
 		if par.Cost == core.Inf {
 			continue
 		}
-		rebuilt := &core.Solution{Cost: par.Cost, C: par.C, Choice: par.Choice}
-		tree, err := rebuilt.Tree(p)
+		tree, err := core.TreeFromCosts(p, par.C)
 		if err != nil {
 			t.Fatalf("trial %d: tree from parallel output: %v", trial, err)
 		}
@@ -316,4 +311,12 @@ func TestChoicePlaneMatchesDP(t *testing.T) {
 			t.Fatalf("trial %d: parallel-built tree costs %d, want %d", trial, got, par.Cost)
 		}
 	}
+}
+
+// lowestArgmin is the sequential reference argmin at s: the lowest-index
+// minimizer of the recurrence over the finished plane c, -1 for the empty
+// set or an infinite cost.
+func lowestArgmin(p *core.Problem, c []uint64, s int) int32 {
+	_, ch := core.Cell(p, c, core.Set(s))
+	return ch
 }

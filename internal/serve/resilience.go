@@ -181,13 +181,13 @@ func (s *Server) solveAttempt(ctx context.Context, hash string, canon *core.Prob
 		// worth durable state.
 		return s.solveApproxAttempt(ctx, hash, canon, mode, ap)
 	}
-	frontier := s.loadResume(hash, engine)
+	frontier := s.loadResume(hash)
 	ck, w := s.checkpointerFor(ctx, hash, canon, engine)
 	verify := mode != certify.ModeOff
 
 	var (
 		cost    uint64
-		choices []int32
+		choices []int32 // the machine engines' own argmins, certified when present
 		cplane  []uint64
 		relSol  *core.Solution // pooled DP tables, recycled once the answer is certified
 	)
@@ -198,14 +198,14 @@ func (s *Server) solveAttempt(ctx context.Context, hash string, canon *core.Prob
 		if err != nil {
 			return nil, err
 		}
-		cost, choices, cplane = sol.Cost, sol.Choice, sol.C
+		cost, cplane = sol.Cost, sol.C
 		relSol = sol
 	case "parallel":
 		sol, err := core.SolveParallelPooledCtx(ctx, canon, s.cfg.Workers, s.stripe, frontier, ck)
 		if err != nil {
 			return nil, err
 		}
-		cost, choices, cplane = sol.Cost, sol.Choice, sol.C
+		cost, cplane = sol.Cost, sol.C
 		relSol = sol
 	case "lockstep", "goroutine", "ccc":
 		res, err := parttsolve.SolveOpts(ctx, canon, engineKinds[engine],
@@ -226,7 +226,7 @@ func (s *Server) solveAttempt(ctx context.Context, hash string, canon *core.Prob
 		if err != nil {
 			return nil, err
 		}
-		cost, choices, cplane = sol.Cost, sol.Choice, sol.C
+		cost, cplane = sol.Cost, sol.C
 	default:
 		return nil, fmt.Errorf("serve: unknown engine %q", engine)
 	}
@@ -246,9 +246,10 @@ func (s *Server) solveAttempt(ctx context.Context, hash string, canon *core.Prob
 	}
 	ent = &cacheEntry{engine: engine, cost: cost, adequate: cost < core.Inf,
 		canon: canon, hash: hash, key: cacheKey(hash, mode, ap)}
-	if ent.adequate && choices != nil {
-		sol := &core.Solution{Cost: cost, Choice: choices}
-		tree, err := sol.Tree(canon)
+	if ent.adequate && engine != "bvm" {
+		// The bvm engine answers with costs alone; every other engine's
+		// tree is extracted from its C plane.
+		tree, err := core.TreeFromCosts(canon, cplane)
 		if err != nil {
 			return nil, err
 		}
@@ -277,11 +278,11 @@ func certifySeed(hash string) int64 {
 	return int64(s)
 }
 
-// loadResume returns a frontier for this instance if a compatible durable
+// loadResume returns a frontier for this instance if a valid durable
 // checkpoint exists: the hashes must match (guaranteed by the file name but
-// re-verified by Load) and a choice-producing engine needs stored argmins —
-// a cost-only frontier (written by bvm) only seeds another bvm run.
-func (s *Server) loadResume(hash, engine string) *core.Frontier {
+// re-verified by Load). A frontier is C alone, so whichever engine wrote it
+// seeds any engine's resume.
+func (s *Server) loadResume(hash string) *core.Frontier {
 	if s.cfg.CheckpointDir == "" {
 		return nil
 	}
@@ -290,9 +291,6 @@ func (s *Server) loadResume(hash, engine string) *core.Frontier {
 		return nil // missing or corrupt: solve from scratch
 	}
 	if snap.Hash != hash {
-		return nil
-	}
-	if engine != "bvm" && !snap.Frontier.HasChoice() {
 		return nil
 	}
 	return snap.Frontier

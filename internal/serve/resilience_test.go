@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -222,6 +223,77 @@ func TestCrashResume(t *testing.T) {
 	if s.metrics.CheckpointsResumed.Load() != 1 || s.metrics.CheckpointsDiscarded.Load() != 1 {
 		t.Fatalf("resume counters %d/%d, want 1/1",
 			s.metrics.CheckpointsResumed.Load(), s.metrics.CheckpointsDiscarded.Load())
+	}
+}
+
+// version1Checkpoint is a durable frontier in the version-1 layout an older
+// binary wrote: the same meta and cost frames, a has_choice flag, and a
+// trailing int32 argmin frame.
+func version1Checkpoint(t *testing.T, canon *core.Problem, hash string, level int) []byte {
+	t.Helper()
+	sol, err := core.Solve(canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := checkpoint.Encode(canon, hash, "seq", 0, level, sol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metaJSON, rest, err := checkpoint.NextFrame(img[8:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs, _, err := checkpoint.NextFrame(rest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(metaJSON, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["has_choice"] = true
+	if metaJSON, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	var choices []byte
+	for range len(costs) / 8 {
+		choices = binary.LittleEndian.AppendUint32(choices, 0)
+	}
+	out := binary.LittleEndian.AppendUint32(append([]byte(nil), img[:4]...), 1)
+	return checkpoint.AppendFrame(checkpoint.AppendFrame(checkpoint.AppendFrame(out, metaJSON), costs), choices)
+}
+
+// TestVersion1CheckpointSolvesFromScratch: a checkpoint left by the older
+// format is refused as corrupt — by the startup scan and by the per-solve
+// resume lookup alike — and the instance is solved from scratch with the
+// right answer.
+func TestVersion1CheckpointSolvesFromScratch(t *testing.T) {
+	canon := Canonicalize(workload.MedicalDiagnosis(13, 9))
+	hash, err := Hash(canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Solve(canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scan := range []bool{false, true} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, hash+checkpoint.Ext), version1Checkpoint(t, canon, hash, 4), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, ts := newTestServer(t, Config{CheckpointDir: dir})
+		if scan {
+			resumed, discarded, err := s.RecoverCheckpoints(context.Background())
+			if err != nil || resumed != 0 || discarded != 1 {
+				t.Fatalf("recovery resumed=%d discarded=%d err=%v, want 0/1", resumed, discarded, err)
+			}
+		}
+		sr, status := postSolve(t, ts, "?engine=seq", instanceJSON(t, canon))
+		if status != http.StatusOK || sr.Cached || sr.Cost == nil || *sr.Cost != want.Cost {
+			t.Fatalf("scan=%v: status %d cached %v cost %v, want a fresh solve costing %d",
+				scan, status, sr.Cached, sr.Cost, want.Cost)
+		}
 	}
 }
 
