@@ -38,6 +38,7 @@ lint: vet
 
 fuzz-short:
 	$(GO) test ./internal/bvm/ -fuzz FuzzParseProgramRoundTrip -fuzztime 30s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzKernelCell$$' -fuzztime 30s
 
 # Regenerate the bvmcheck golden reports after an intentional format change.
 golden:

@@ -62,7 +62,7 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 	maxTimeout := fs.Duration("max-timeout", 0, "ceiling on client-requested timeouts (0 = 60s)")
 	maxK := fs.Int("max-k", 0, "largest universe accepted; larger instances get 422 (0 = 20)")
 	maxActions := fs.Int("max-actions", 0, "most actions accepted (0 = 64)")
-	workers := fs.Int("workers", 0, "worker goroutines per parallel solve (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "Gosper ranges per level for engine=parallel solves and batch groups (0 = GOMAXPROCS)")
 	stripeWorkers := fs.Int("stripe-workers", 0, "dedicated stripe-pool workers for striped/batched sweeps (0 = share the process-wide pool)")
 	maxBatch := fs.Int("max-batch", 0, "most instances accepted per /v1/solve/batch request (0 = 16)")
 	policyBytes := fs.Int64("policy-bytes", 0, "byte budget across published route policies (0 = 64MiB, negative unbounded)")

@@ -56,9 +56,8 @@ var abftCorruptHook func(round int, m *bvm.Machine)
 
 // abft is the host-side trusted shadow of a verified BVM solve.
 type abft struct {
-	p       *core.Problem // the real (unpadded) instance
+	kn      *core.Kernel  // the real (unpadded) instance, compiled
 	paddedA []core.Action // the padded table streamed into the machine
-	psum    []uint64      // host p(S), uint64
 	c       []uint64      // trusted mirror of C, core.Inf semantics
 	k, logN int
 	width   int
@@ -66,22 +65,17 @@ type abft struct {
 	nReal   int
 }
 
-func newABFT(p *core.Problem, paddedA []core.Action, logN, width int, inf uint64) *abft {
+func newABFT(kn *core.Kernel, p *core.Problem, paddedA []core.Action, logN, width int, inf uint64) *abft {
 	size := 1 << uint(p.K)
 	a := &abft{
-		p:       p,
+		kn:      kn,
 		paddedA: paddedA,
-		psum:    make([]uint64, size),
 		c:       make([]uint64, size),
 		k:       p.K,
 		logN:    logN,
 		width:   width,
 		inf:     inf,
 		nReal:   len(p.Actions),
-	}
-	for s := 1; s < size; s++ {
-		low := s & -s
-		a.psum[s] = core.SatAdd(a.psum[s&(s-1)], p.Weights[bits.TrailingZeros(uint(low))])
 	}
 	for s := 1; s < size; s++ {
 		a.c[s] = core.Inf
@@ -109,13 +103,13 @@ func (a *abft) seed(f *core.Frontier) {
 	}
 }
 
-// advance computes the true level-j values into the mirror with core.Cell
+// advance computes the true level-j values into the mirror with the kernel
 // over the already-trusted lower levels, in host arithmetic.
 func (a *abft) advance(j int) {
 	size := 1 << uint(a.k)
 	v := uint32(1)<<uint(j) - 1
 	for v < uint32(size) {
-		a.c[v], _ = core.Cell(a.p, a.c, core.Set(v))
+		a.c[v], _ = a.kn.Cell(a.c, core.Set(v))
 		c := v & -v
 		r := v + c
 		v = (r^v)>>2/c | r
@@ -172,12 +166,13 @@ func (a *abft) verify(m *bvm.Machine, lay layout, j int) *certify.Report {
 				Kind: certify.BadStructure, Set: set, Action: i,
 				Detail: "mark register off the #S=j wavefront"})
 		}
-		if ps := m.Uint(lay.ps.Base, a.width, pe); ps != a.clamp(a.psum[s]) {
+		weight := a.kn.Weight(set)
+		if ps := m.Uint(lay.ps.Base, a.width, pe); ps != a.clamp(weight) {
 			r.Violations = append(r.Violations, certify.Violation{
-				Kind: certify.BadConservation, Set: set, Action: i, Got: ps, Want: a.clamp(a.psum[s]),
+				Kind: certify.BadConservation, Set: set, Action: i, Got: ps, Want: a.clamp(weight),
 				Detail: "machine p(S) plane disagrees with the host weights"})
 		}
-		wantTP := a.clamp(core.SatMul(a.paddedA[i].Cost, a.psum[s]))
+		wantTP := a.clamp(core.SatMul(a.paddedA[i].Cost, weight))
 		if tp := m.Uint(lay.tp.Base, a.width, pe); tp != wantTP {
 			r.Violations = append(r.Violations, certify.Violation{
 				Kind: certify.BadCell, Set: set, Action: i, Got: tp, Want: wantTP,
@@ -234,8 +229,9 @@ func (a *abft) repair(m *bvm.Machine, lay layout, q, j int) {
 			w = a.clamp(a.c[s])
 		}
 		m.SetUint(lay.m.Base, a.width, pe, w)
-		m.SetUint(lay.ps.Base, a.width, pe, a.clamp(a.psum[s]))
-		m.SetUint(lay.tp.Base, a.width, pe, a.clamp(core.SatMul(a.paddedA[i].Cost, a.psum[s])))
+		weight := a.kn.Weight(core.Set(s))
+		m.SetUint(lay.ps.Base, a.width, pe, a.clamp(weight))
+		m.SetUint(lay.tp.Base, a.width, pe, a.clamp(core.SatMul(a.paddedA[i].Cost, weight)))
 		m.SetUint(lay.cost.Base, a.width, pe, a.paddedA[i].Cost)
 	}
 	m.Poke(bvm.R(lay.mark), mark)

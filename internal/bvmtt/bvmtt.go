@@ -209,7 +209,8 @@ func SolveRecordedCtx(ctx context.Context, p *core.Problem, width int) (*Result,
 
 func solve(ctx context.Context, p *core.Problem, opt Options) (*Result, error) {
 	width, record, f, ck := opt.Width, opt.Record, opt.Frontier, opt.Checkpointer
-	if err := p.Validate(); err != nil {
+	kn, err := core.Compile(p)
+	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -363,7 +364,7 @@ func solve(ctx context.Context, p *core.Problem, opt Options) (*Result, error) {
 
 	var ab *abft
 	if opt.Verify {
-		ab = newABFT(p, actions, logN, width, inf)
+		ab = newABFT(kn, p, actions, logN, width, inf)
 		if f != nil {
 			ab.seed(f)
 		}

@@ -240,11 +240,15 @@ func collect(n *core.Node) []*core.Node {
 }
 
 // choicesOf is the argmin plane of a finished cost plane — what the machine
-// engines report alongside C — rebuilt with core.Cell.
+// engines report alongside C — rebuilt with the compiled core.Kernel.
 func choicesOf(p *core.Problem, c []uint64) []int32 {
+	kn, err := core.Compile(p)
+	if err != nil {
+		panic(err)
+	}
 	choice := make([]int32, len(c))
 	for s := range c {
-		_, choice[s] = core.Cell(p, c, core.Set(s))
+		_, choice[s] = kn.Cell(c, core.Set(s))
 	}
 	return choice
 }

@@ -88,6 +88,10 @@ func compare(t *testing.T, label string, p *core.Problem, want *core.Solution, c
 	if cost != want.Cost {
 		t.Fatalf("%s: cost %d, want %d", label, cost, want.Cost)
 	}
+	kn, err := core.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for s := range want.C {
 		if c[s] != want.C[s] {
 			t.Fatalf("%s: C[%d] = %d, want %d", label, s, c[s], want.C[s])
@@ -95,7 +99,7 @@ func compare(t *testing.T, label string, p *core.Problem, want *core.Solution, c
 		if choice == nil {
 			continue
 		}
-		if _, ch := core.Cell(p, want.C, core.Set(s)); choice[s] != ch {
+		if _, ch := kn.Cell(want.C, core.Set(s)); choice[s] != ch {
 			t.Fatalf("%s: Choice[%d] = %d, want %d", label, s, choice[s], ch)
 		}
 	}

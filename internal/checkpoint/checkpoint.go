@@ -261,7 +261,7 @@ func Decode(data []byte) (*Snapshot, error) {
 }
 
 // validateFrontier is the certify-on-resume check: it re-derives every
-// frontier cell from the DP recurrence (core.Cell) and compares it with the
+// frontier cell from the DP recurrence (core.Kernel) and compares it with the
 // stored value. The frame CRCs catch bit rot on disk, but a checkpoint
 // written by a machine that was already computing garbage is internally
 // consistent; without this check a resumed solve would inherit the wrong
@@ -273,11 +273,15 @@ func Decode(data []byte) (*Snapshot, error) {
 // to the recurrence from C(∅)=0. Cost is O(N·2^K) — the same order as the
 // resumed solve itself.
 func validateFrontier(p *core.Problem, f *core.Frontier) error {
+	kn, err := core.Compile(p)
+	if err != nil {
+		return fmt.Errorf("%w: embedded problem: %v", ErrCorrupt, err)
+	}
 	for s := 1; s < len(f.C); s++ {
 		if bits.OnesCount(uint(s)) > f.Level {
 			continue
 		}
-		if want, _ := core.Cell(p, f.C, core.Set(s)); f.C[s] != want {
+		if want, _ := kn.Cell(f.C, core.Set(s)); f.C[s] != want {
 			return fmt.Errorf("%w: frontier C(%#x) = %d, recurrence gives %d", ErrCorrupt, s, f.C[s], want)
 		}
 	}

@@ -171,9 +171,13 @@ func TestDecodeRejectsVersion1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	kn, err := core.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var choices []int32
 	forEachFrontierSubset(p.K, 2, func(s int) {
-		_, ch := core.Cell(p, sol.C, core.Set(s))
+		_, ch := kn.Cell(sol.C, core.Set(s))
 		choices = append(choices, ch)
 	})
 	v1 := legacyV1(t, img, choices)

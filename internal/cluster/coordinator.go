@@ -64,6 +64,7 @@ type assignment struct {
 type coord struct {
 	ctx  context.Context
 	p    *core.Problem
+	kn   *core.Kernel
 	opts Options
 	hash string
 	sol  *core.Solution
@@ -91,7 +92,8 @@ func Solve(ctx context.Context, p *core.Problem, conns []net.Conn, opts Options)
 	if len(conns) == 0 {
 		return nil, zero, ErrNoWorkers
 	}
-	if err := p.Validate(); err != nil {
+	kn, err := core.Compile(p)
+	if err != nil {
 		closeAll()
 		return nil, zero, err
 	}
@@ -131,6 +133,7 @@ func Solve(ctx context.Context, p *core.Problem, conns []net.Conn, opts Options)
 	c := &coord{
 		ctx:    ctx,
 		p:      p,
+		kn:     kn,
 		opts:   opts,
 		hash:   hash,
 		sol:    sol,
@@ -468,7 +471,7 @@ func (c *coord) levelEvent(ev event, level int, inflight map[uint64]*assignment,
 // verifyPlane is the admission check a plane must pass before a single cell
 // reaches the merged tables: geometry, the frozen-frontier and weight
 // checksums, per-cell monotonicity against the already final lower levels,
-// and a seeded spot-audit that recomputes sampled cells with core.Cell.
+// and a seeded spot-audit that recomputes sampled cells with core.Kernel.
 // Every violation is attributed to the sending worker.
 func (c *coord) verifyPlane(w *remoteWorker, level int, lo, hi uint64, plane *checkpoint.Plane) *certify.Report {
 	rep := &certify.Report{}
@@ -491,7 +494,7 @@ func (c *coord) verifyPlane(w *remoteWorker, level int, lo, hi uint64, plane *ch
 	wsum := checkpoint.FNVInit()
 	v := uint32(core.NthSubset(lo, level))
 	for i := lo; i < hi; i++ {
-		wsum = checkpoint.FNVAdd(wsum, c.p.Weight(core.Set(v)))
+		wsum = checkpoint.FNVAdd(wsum, c.kn.Weight(core.Set(v)))
 		lsb := v & -v
 		r := v + lsb
 		v = (r^v)>>2/lsb | r
@@ -519,7 +522,7 @@ func (c *coord) verifyPlane(w *remoteWorker, level int, lo, hi uint64, plane *ch
 		}
 		if c.opts.AuditFraction >= 1 || rng.Float64() < c.opts.AuditFraction {
 			c.stats.AuditedCells++
-			if best, _ := core.Cell(c.p, c.sol.C, core.Set(v)); best != cv {
+			if best, _ := c.kn.Cell(c.sol.C, core.Set(v)); best != cv {
 				add(certify.Violation{Kind: certify.BadCell, Set: core.Set(v), Action: -1, Got: cv, Want: best,
 					Detail: "audited cell disagrees with direct recomputation from the merged frontier"})
 			}
@@ -543,7 +546,7 @@ func (c *coord) broadcastMerged(level int) {
 	}
 	forEachLevelSubset(c.p.K, level, func(s uint32) {
 		plane.C = append(plane.C, c.sol.C[s])
-		plane.WeightSum = checkpoint.FNVAdd(plane.WeightSum, c.p.Weight(core.Set(s)))
+		plane.WeightSum = checkpoint.FNVAdd(plane.WeightSum, c.kn.Weight(core.Set(s)))
 	})
 	img, err := checkpoint.EncodePlane(plane)
 	if err != nil {

@@ -42,12 +42,13 @@ var errDone = errors.New("cluster: session done")
 // HonestMachine is the correct worker: it mirrors the coordinator's frontier
 // — updated only from verified Merged broadcasts, never from its own slices,
 // so reassignment cannot make replicas diverge — and computes assigned level
-// slices with core.Cell, the recurrence every single-process engine runs,
+// slices with core.Kernel, the recurrence every single-process engine runs,
 // which is what makes a distributed answer bit-identical to the
 // single-process reference.
 type HonestMachine struct {
 	id   string
 	p    *core.Problem
+	kn   *core.Kernel
 	hash string
 	size int
 
@@ -102,7 +103,11 @@ func (m *HonestMachine) hello(body []byte) ([]Message, error) {
 	if h.Hash != "" && h.Hash != hash {
 		return nil, fmt.Errorf("cluster: worker %s: hello hash %.12s does not match instance %.12s", m.id, h.Hash, hash)
 	}
-	m.p, m.hash = p, hash
+	kn, err := core.Compile(p)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: worker %s: hello problem: %w", m.id, err)
+	}
+	m.p, m.kn, m.hash = p, kn, hash
 	m.size = 1 << uint(p.K)
 	m.c = make([]uint64, m.size)
 	for s := 1; s < m.size; s++ {
@@ -150,8 +155,8 @@ func (m *HonestMachine) assign(body []byte) ([]Message, error) {
 	}
 	v := uint32(core.NthSubset(a.Lo, a.Level))
 	for i := uint64(0); i < n; i++ {
-		plane.C[i], _ = core.Cell(m.p, m.c, core.Set(v))
-		plane.WeightSum = checkpoint.FNVAdd(plane.WeightSum, m.p.Weight(core.Set(v)))
+		plane.C[i], _ = m.kn.Cell(m.c, core.Set(v))
+		plane.WeightSum = checkpoint.FNVAdd(plane.WeightSum, m.kn.Weight(core.Set(v)))
 		c := v & -v
 		r := v + c
 		v = (r^v)>>2/c | r

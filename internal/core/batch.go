@@ -21,7 +21,7 @@ import (
 // operand in with the same cache line(s) — one enumeration's worth of misses
 // serves the whole group. Results are destrided into per-instance cost-only
 // Solutions, bit-identical to solving each instance alone (the arithmetic per
-// instance is exactly Cell's, in the same order).
+// instance is exactly Kernel.Cell's, in the same order).
 
 // SameLattice reports whether a and b share a subset lattice: equal K and
 // per-index equal (Set, Treatment). Costs, weights, and names are free.
@@ -48,21 +48,28 @@ func SolveBatch(ps []*Problem, workers int) ([]*Solution, error) {
 // subset for all instances at each enumeration step. Each returned Solution
 // is cost-only like every other solver's and bit-identical to Solve on that
 // instance alone. `workers` sets how many Gosper ranges each level is split
-// into, as in SolveParallelPooledCtx, but <= 0 means 1: a batch runs on one
-// core unless asked otherwise. A nil pool selects the process-wide stripe
-// pool. The context is polled every ctxStride enumeration steps and at level
-// barriers. A group of one is an ordinary solve.
+// into. Unlike SolveParallelPooledCtx, which reads <= 0 as GOMAXPROCS, it
+// reads <= 0 as 1: a caller that wants the batch spread over every core
+// passes the width explicitly (ttserve resolves its Config.Workers to
+// GOMAXPROCS and passes that to both). A nil pool selects the process-wide
+// stripe pool. The context is polled every ctxStride enumeration steps and
+// at level barriers. A group of one is an ordinary solve.
 func SolveBatchCtx(ctx context.Context, ps []*Problem, workers int, pool *stripe.Pool) ([]*Solution, error) {
 	if len(ps) == 0 {
 		return nil, fmt.Errorf("core: empty batch")
 	}
+	// One kernel per instance: instance 0's records are the shared lattice,
+	// and every instance contributes its own weight tables.
+	kns := make([]Kernel, len(ps))
 	for g, p := range ps {
-		if err := p.Validate(); err != nil {
+		kn, err := compile(p)
+		if err != nil {
 			return nil, fmt.Errorf("core: batch instance %d: %w", g, err)
 		}
 		if !SameLattice(ps[0], p) {
 			return nil, fmt.Errorf("core: batch instance %d does not share instance 0's lattice", g)
 		}
+		kns[g] = kn
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -94,45 +101,44 @@ func SolveBatchCtx(ctx context.Context, ps []*Problem, workers int, pool *stripe
 			costG[i*G+g] = a.Cost
 		}
 	}
-	actions := ps[0].Actions // lattice structure: Set/Treatment per index
-	// scratch[r] holds range r's p_g(S) and their mulLimit for the current
-	// subset.
+	recs := kns[0].mem[kns[0].words:] // lattice structure: one record per action
+	// scratch[r] holds range r's p_g(S) for the current subset.
 	scratch := make([][]uint64, workers)
 	for r := range scratch {
-		scratch[r] = make([]uint64, 2*G)
+		scratch[r] = make([]uint64, G)
 	}
 
 	d := &sweep{k: k, ranges: workers, pool: pool, visit: func(r int, s Set) {
 		// The row of S holds the running minima. Every read below is of a
 		// strict subset's row, finished at an earlier level.
 		best := cg[int(s)*G : int(s)*G+G]
-		psG, limG := scratch[r][:len(best)], scratch[r][G:G+len(best)]
-		for g, p := range ps {
-			psG[g] = psumOf(p.Weights, s)
-			limG[g] = mulLimit(psG[g])
+		psG := scratch[r][:len(best)]
+		for g := range kns {
+			psG[g] = kns[g].Weight(s)
 			best[g] = Inf
 		}
 		// Enumeration work — once per (subset, action)...
-		for ai := range actions {
-			a := &actions[ai]
-			inter := s & a.Set
-			diff := s &^ a.Set
-			if inter == 0 || (!a.Treatment && diff == 0) {
+		for ai, rec := range recs {
+			inter := s & Set(rec)
+			diff := s &^ Set(rec)
+			treatment := rec&treatBit != 0
+			if inter == 0 || (!treatment && diff == 0) {
 				continue
 			}
 			cRow := costG[ai*G : ai*G+len(best)]
 			dRow := cg[int(diff)*G : int(diff)*G+len(best)]
-			// ...re-pricing work — the only per-instance part.
-			if a.Treatment {
+			// ...re-pricing work — the only per-instance part. The
+			// products are exact within Validate's bounds, as in Kernel.Cell.
+			if treatment {
 				for g := range best {
-					if cost := satAdd(satMulLim(cRow[g], psG[g], limG[g]), dRow[g]); cost < best[g] {
+					if cost := addSat(cRow[g]*psG[g], dRow[g]); cost < best[g] {
 						best[g] = cost
 					}
 				}
 			} else {
 				iRow := cg[int(inter)*G : int(inter)*G+len(best)]
 				for g := range best {
-					if cost := satAdd(satMulLim(cRow[g], psG[g], limG[g]), satAdd(iRow[g], dRow[g])); cost < best[g] {
+					if cost := addSat(cRow[g]*psG[g], addSat(iRow[g], dRow[g])); cost < best[g] {
 						best[g] = cost
 					}
 				}

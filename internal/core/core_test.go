@@ -129,7 +129,7 @@ func TestSolveHandComputed(t *testing.T) {
 	if sol.C[0] != 0 {
 		t.Fatal("C(empty) != 0")
 	}
-	_, root := Cell(p, sol.C, 0b11)
+	_, root := cellOf(p, sol.C, 0b11)
 	chosen := p.Actions[root]
 	if !chosen.Treatment || chosen.Set.Size() != 1 {
 		t.Fatalf("optimal root should be a singleton treatment, got %+v", chosen)
@@ -218,7 +218,7 @@ func TestSelfReferenceExclusion(t *testing.T) {
 	if sol.Cost != 30 {
 		t.Fatalf("Cost = %d, want 30 (treatment only)", sol.Cost)
 	}
-	if _, ch := Cell(p, sol.C, 0b11); ch != 1 {
+	if _, ch := cellOf(p, sol.C, 0b11); ch != 1 {
 		t.Fatalf("Choice = %d, want the treatment", ch)
 	}
 }
@@ -506,9 +506,8 @@ func TestSaturatingArithmetic(t *testing.T) {
 	}
 }
 
-// TestSatMulSaturatesExactly pins satMul (and the hoisted-bound satMulLim
-// the sweeps use) to the 128-bit product clamped at Inf, across zero, one,
-// Inf, and the overflow boundary.
+// TestSatMulSaturatesExactly pins satMul to the 128-bit product clamped at
+// Inf, across zero, one, Inf, and the overflow boundary.
 func TestSatMulSaturatesExactly(t *testing.T) {
 	vals := []uint64{0, 1, 2, 3, 7, 1 << 18, 1<<32 - 1, 1 << 32, 1<<32 + 1, Inf / 3, Inf/2 - 1, Inf / 2, Inf/2 + 1, Inf - 1, Inf}
 	for _, a := range vals {
@@ -519,9 +518,6 @@ func TestSatMulSaturatesExactly(t *testing.T) {
 			}
 			if got := satMul(a, b); got != want {
 				t.Errorf("satMul(%d, %d) = %d, want %d", a, b, got, want)
-			}
-			if got := satMulLim(a, b, mulLimit(b)); got != want {
-				t.Errorf("satMulLim(%d, %d) = %d, want %d", a, b, got, want)
 			}
 		}
 	}

@@ -27,7 +27,7 @@ type Checkpointer interface {
 // are final for every subset of popcount <= Level. Entries above the
 // frontier carry no information and are recomputed by the resuming engine.
 // Any engine resumes from any frontier: an engine that needs argmins for the
-// restored levels recomputes them with Cell.
+// restored levels recomputes them with Kernel.Cell.
 type Frontier struct {
 	Level int
 	C     []uint64

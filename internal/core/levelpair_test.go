@@ -40,7 +40,7 @@ func TestSolveLevelPairMatchesSolve(t *testing.T) {
 			t.Fatalf("trial %d: sweep materialized a Choice plane", trial)
 		}
 		for s := 1; s < len(wantChoice); s++ {
-			if _, rc := Cell(p, got.C, Set(s)); rc != wantChoice[s] {
+			if _, rc := cellOf(p, got.C, Set(s)); rc != wantChoice[s] {
 				t.Fatalf("trial %d: Cell(%b) choice %d, classic %d", trial, s, rc, wantChoice[s])
 			}
 		}
@@ -102,40 +102,27 @@ func TestSolveLevelPairCancellation(t *testing.T) {
 	}
 }
 
-// TestPsumOfMatchesTable: on-the-fly p(S) equals the classic low-bit
-// recursive PSum table for every subset, including saturating weights.
-func TestPsumOfMatchesTable(t *testing.T) {
+// TestKernelWeightMatchesTable: the kernel's per-byte tables give p(S)
+// equal to the classic low-bit recursive PSum table for every subset, at
+// sizes on both sides of each table boundary.
+func TestKernelWeightMatchesTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 5; trial++ {
-		k := rng.Intn(10) + 1
+	for _, k := range []int{1, 7, 8, 9, 12, 16, 17} {
 		p := randomProblem(rng, k, 1)
+		p.Weights[k-1] = maxInput
+		kn, err := Compile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
 		psum := make([]uint64, 1<<uint(k))
 		for s := 1; s < len(psum); s++ {
 			low := s & -s
 			psum[s] = satAdd(psum[s&(s-1)], p.Weights[trailing(low)])
 		}
 		for s := range psum {
-			if got := psumOf(p.Weights, Set(s)); got != psum[s] {
-				t.Fatalf("trial %d: psumOf(%b)=%d, PSum table %d", trial, s, got, psum[s])
+			if got := kn.Weight(Set(s)); got != psum[s] {
+				t.Fatalf("k=%d: Weight(%b)=%d, PSum table %d", k, s, got, psum[s])
 			}
-		}
-	}
-	// Saturating regime (weights beyond what Validate admits, exercising
-	// satAdd's order independence directly): recomputation must equal the
-	// table's low-bit-recursive association order.
-	weights := []uint64{Inf - 1, 3, Inf / 2, 7, Inf - 2, 1}
-	for s := 0; s < 1<<6; s++ {
-		// Reference: fold in the table construction's order.
-		var fold func(v int) uint64
-		fold = func(v int) uint64 {
-			if v == 0 {
-				return 0
-			}
-			low := v & -v
-			return satAdd(fold(v&(v-1)), weights[trailing(low)])
-		}
-		if got, want := psumOf(weights, Set(s)), fold(s); got != want {
-			t.Fatalf("saturating psumOf(%b)=%d, table order %d", s, got, want)
 		}
 	}
 }
@@ -222,7 +209,7 @@ func FuzzSolveLevelPair(f *testing.F) {
 			}
 		}
 		for s := 1; s < len(wantChoice); s++ {
-			if _, rc := Cell(p, got.C, Set(s)); rc != wantChoice[s] {
+			if _, rc := cellOf(p, got.C, Set(s)); rc != wantChoice[s] {
 				t.Fatalf("Cell(%b) choice %d, classic %d", s, rc, wantChoice[s])
 			}
 		}

@@ -33,11 +33,15 @@ type wireAction struct {
 
 // NewPolicy builds a policy from a solved instance, pruned to the states
 // reachable from the full universe under optimal play; each state's action
-// is recomputed from the cost plane with Cell. Fails on inadequate
-// instances.
+// is recomputed from the cost plane with the compiled kernel. Fails on
+// invalid or inadequate instances.
 func NewPolicy(p *Problem, sol *Solution) (*Policy, error) {
 	if !sol.Adequate() {
 		return nil, fmt.Errorf("core: inadequate instance has no policy")
+	}
+	kn, err := compile(p)
+	if err != nil {
+		return nil, err
 	}
 	pol := &Policy{K: p.K, Actions: append([]Action(nil), p.Actions...), choices: make(map[Set]int32)}
 	var walk func(s Set) error
@@ -48,7 +52,7 @@ func NewPolicy(p *Problem, sol *Solution) (*Policy, error) {
 		if _, done := pol.choices[s]; done {
 			return nil
 		}
-		_, idx := Cell(p, sol.C, s)
+		_, idx := kn.Cell(sol.C, s)
 		if idx < 0 {
 			return fmt.Errorf("core: no choice recorded for reachable set %v", s)
 		}

@@ -23,7 +23,7 @@ func TestPolicyReachablePruning(t *testing.T) {
 	}
 	// The stored choice matches the solution.
 	idx, _ := pol.ActionAt(Universe(p.K))
-	if _, want := Cell(p, sol.C, Universe(p.K)); int32(idx) != want {
+	if _, want := cellOf(p, sol.C, Universe(p.K)); int32(idx) != want {
 		t.Fatal("root choice mismatch")
 	}
 	if _, ok := pol.ActionAt(0); ok {

@@ -126,11 +126,10 @@ func (p *Problem) TotalWeight() uint64 {
 	return t
 }
 
-// Weight returns p(S), the total weight of the objects in s.
-func (p *Problem) Weight(s Set) uint64 { return psumOf(p.Weights, s) }
-
-// maxInput bounds weights and costs so that t_i·p(S) cannot overflow uint64
-// even at K = MaxK: maxInput^2 · 2^MaxK < 2^64.
+// maxInput bounds weights and costs so that t_i·p(S) <= maxInput·(MaxK·
+// maxInput) < 2^63 and every cost fits in 32 bits: the compiled kernel packs
+// costs into its action records and multiplies without a saturation guard
+// (TestKernelProductBound).
 const maxInput = 1 << 18
 
 // Validate checks structural well-formedness. It does not check adequacy
@@ -186,24 +185,13 @@ func satAdd(a, b uint64) uint64 {
 	return s
 }
 
-func satMul(a, b uint64) uint64 { return satMulLim(a, b, mulLimit(b)) }
-
-// mulLimit is the saturation bound of products with b: the integer t·b
-// exceeds Inf exactly when t > mulLimit(b).
-func mulLimit(b uint64) uint64 {
-	if b == 0 {
-		return Inf
+// satMul is min(a·b, Inf): the product saturates exactly when its 128-bit
+// value has a nonzero high word.
+func satMul(a, b uint64) uint64 {
+	if hi, lo := bits.Mul64(a, b); hi == 0 {
+		return lo
 	}
-	return Inf / b
-}
-
-// satMulLim is satMul(t, b) given lim = mulLimit(b): loops that multiply
-// many t by one b hoist the division out.
-func satMulLim(t, b, lim uint64) uint64 {
-	if t > lim {
-		return Inf
-	}
-	return t * b
+	return Inf
 }
 
 // SatAdd exposes the package's saturating addition, so other engines (the

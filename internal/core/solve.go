@@ -15,8 +15,8 @@ type Solution struct {
 	// inadequate (no successful procedure exists).
 	Cost uint64
 	// C[s] is the minimum cost for candidate set s, for all 2^K subsets. It
-	// is the only table the solvers keep: an argmin is one Cell call away
-	// (Tree, NewPolicy and Explain reconstruct the ones they visit).
+	// is the only table the solvers keep: an argmin is one Kernel.Cell call
+	// away (Tree, NewPolicy and Explain reconstruct the ones they visit).
 	C []uint64
 	// Choice is always nil. The solvers keep no argmin table; the field
 	// remains only so that code compiled against the earlier three-table
@@ -27,57 +27,6 @@ type Solution struct {
 	// one per subset for the final minimum), the T_1 of the paper's speedup
 	// S = T_1/T_p.
 	Ops int64
-}
-
-// Cell evaluates the recurrence at one nonempty set s against a cost plane
-// c whose entries are final for every proper subset of s:
-//
-//	M[S,i] = t_i·p(S) + C(S∩T_i) + C(S−T_i)   (test)
-//	M[S,i] = t_i·p(S) + C(S−T_i)              (treatment)
-//	C(S)   = min_i M[S,i]
-//
-// An action that would not shrink S (a test with S∩T_i ∈ {∅, S}, a
-// treatment with S∩T_i = ∅) is excluded, as the paper's infinity
-// initialization excludes it. p(S) is recomputed with psumOf, the
-// saturation bound of t_i·p(S) is divided out once per set rather than once
-// per action, and ties go to the lowest action index (strict <). It returns
-// (Inf, -1) when no action applies or every applicable one prices at Inf.
-// Every exact solver, the frontier and plane verifiers, the machine engines'
-// ABFT mirrors, and tree extraction evaluate the recurrence through this one
-// function.
-func Cell(p *Problem, c []uint64, s Set) (cost uint64, choice int32) {
-	ps := psumOf(p.Weights, s)
-	lim := mulLimit(ps)
-	cost, choice = Inf, -1
-	for i := range p.Actions {
-		a := &p.Actions[i]
-		inter := s & a.Set
-		diff := s &^ a.Set
-		if inter == 0 || (!a.Treatment && diff == 0) {
-			continue // would not shrink S: excluded
-		}
-		m := satMulLim(a.Cost, ps, lim)
-		if a.Treatment {
-			m = satAdd(m, c[diff])
-		} else {
-			m = satAdd(m, satAdd(c[inter], c[diff]))
-		}
-		if m < cost {
-			cost, choice = m, int32(i)
-		}
-	}
-	return cost, choice
-}
-
-// psumOf recomputes p(S), the total weight of S. Saturating addition is
-// min(Σ, Inf) in any association order, so the value is the same however
-// the elements are summed.
-func psumOf(weights []uint64, s Set) uint64 {
-	var sum uint64
-	for v := uint32(s); v != 0; v &= v - 1 {
-		sum = satAdd(sum, weights[bits.TrailingZeros32(v)])
-	}
-	return sum
 }
 
 // Solve runs the backward-induction dynamic program (the paper's sequential
@@ -123,11 +72,12 @@ func SolveParallelPooledCtx(ctx context.Context, p *Problem, workers int, pool *
 	return solve(ctx, p, workers, pool, f, ck)
 }
 
-// solve is the one G=1 sweep behind every exact entry point: a pooled cost
-// plane, optionally seeded from a frontier, filled by Cell under the level
-// driver.
+// solve is the one G=1 sweep behind every exact entry point: the problem
+// compiled once, and a pooled cost plane, optionally seeded from a frontier,
+// filled by Kernel.Cell under the level driver.
 func solve(ctx context.Context, p *Problem, ranges int, pool *stripe.Pool, f *Frontier, ck Checkpointer) (*Solution, error) {
-	if err := p.Validate(); err != nil {
+	kn, err := compile(p)
+	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -151,7 +101,7 @@ func solve(ctx context.Context, p *Problem, ranges int, pool *stripe.Pool, f *Fr
 	// before any superset reads it.
 	c[0] = 0
 	d := &sweep{k: p.K, ranges: ranges, pool: pool,
-		visit: func(_ int, s Set) { c[s], _ = Cell(p, c, s) }}
+		visit: func(_ int, s Set) { c[s], _ = kn.Cell(c, s) }}
 	if ck != nil {
 		d.barrier = func(level int) error {
 			if err := ck.CheckpointLevel(level, sol); err != nil {

@@ -89,18 +89,22 @@ type ActionEval struct {
 
 // Explain prices every action at candidate set s against a finished
 // solution — the paper's M[S,i] row made inspectable, for debugging and for
-// teaching why the optimal procedure does what it does. Each row is Cell
-// over that one action; the optimal row is Cell's argmin over all of them.
+// teaching why the optimal procedure does what it does. Each row is the
+// kernel's cell over that one action; the optimal row is Cell's argmin over
+// all of them. It returns nil for a problem that fails Validate.
 func Explain(p *Problem, sol *Solution, s Set) []ActionEval {
+	kn, err := compile(p)
+	if err != nil {
+		return nil
+	}
 	out := make([]ActionEval, len(p.Actions))
-	_, opt := Cell(p, sol.C, s)
+	_, opt := kn.Cell(sol.C, s)
 	for i, a := range p.Actions {
 		name := a.Name
 		if name == "" {
 			name = fmt.Sprintf("T%d", i+1)
 		}
-		one := Problem{K: p.K, Weights: p.Weights, Actions: p.Actions[i : i+1]}
-		m, _ := Cell(&one, sol.C, s)
+		m, _ := kn.cell(sol.C, s, i, i+1)
 		out[i] = ActionEval{
 			Action:     i,
 			Name:       name,

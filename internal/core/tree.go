@@ -29,9 +29,9 @@ func (s *Solution) Tree(p *Problem) (*Node, error) {
 }
 
 // TreeFromCosts extracts an optimal procedure tree from a finished cost
-// plane, recomputing each visited node's argmin with Cell — at most 2K-1
-// cells, O(N·K) in all. Ties go to the lowest action index, as in every
-// sweep, so the tree is the same whichever engine filled the plane.
+// plane, recomputing each visited node's argmin with the compiled kernel —
+// at most 2K-1 cells, O(N·K) in all. Ties go to the lowest action index, as
+// in every sweep, so the tree is the same whichever engine filled the plane.
 func TreeFromCosts(p *Problem, c []uint64) (*Node, error) {
 	if len(c) != 1<<uint(p.K) {
 		return nil, fmt.Errorf("core: %d costs for a %d-object universe", len(c), p.K)
@@ -39,14 +39,18 @@ func TreeFromCosts(p *Problem, c []uint64) (*Node, error) {
 	if c[len(c)-1] >= Inf {
 		return nil, fmt.Errorf("core: inadequate instance has no procedure tree")
 	}
-	return buildNode(p, c, Universe(p.K))
+	kn, err := compile(p)
+	if err != nil {
+		return nil, err
+	}
+	return buildNode(p, kn, c, Universe(p.K))
 }
 
-func buildNode(p *Problem, c []uint64, set Set) (*Node, error) {
+func buildNode(p *Problem, kn Kernel, c []uint64, set Set) (*Node, error) {
 	if set == 0 {
 		return nil, nil
 	}
-	_, idx := Cell(p, c, set)
+	_, idx := kn.Cell(c, set)
 	if idx < 0 {
 		return nil, fmt.Errorf("core: no action applies to set %v", set)
 	}
@@ -54,11 +58,11 @@ func buildNode(p *Problem, c []uint64, set Set) (*Node, error) {
 	n := &Node{Action: int(idx), Set: set}
 	var err error
 	if !a.Treatment {
-		if n.Pos, err = buildNode(p, c, set&a.Set); err != nil {
+		if n.Pos, err = buildNode(p, kn, c, set&a.Set); err != nil {
 			return nil, err
 		}
 	}
-	if n.Neg, err = buildNode(p, c, set&^a.Set); err != nil {
+	if n.Neg, err = buildNode(p, kn, c, set&^a.Set); err != nil {
 		return nil, err
 	}
 	return n, nil

@@ -32,29 +32,23 @@ var abftCorruptHook func(round int, state []Cell)
 
 // abft is the host-side trusted shadow of a verified parallel solve.
 type abft struct {
-	p       *core.Problem // the real (unpadded) instance
+	kn      *core.Kernel  // the real (unpadded) instance, compiled
 	paddedA []core.Action // the padded table the machine runs
-	psum    []uint64      // host p(S)
 	c       []uint64      // trusted mirror of C, final for popcount <= level
 	choice  []int32       // trusted mirror of Choice
 	k       int
 	logN    int
 }
 
-func newABFT(p *core.Problem, paddedA []core.Action, logN int) *abft {
+func newABFT(kn *core.Kernel, p *core.Problem, paddedA []core.Action, logN int) *abft {
 	size := 1 << uint(p.K)
 	a := &abft{
-		p:       p,
+		kn:      kn,
 		paddedA: paddedA,
-		psum:    make([]uint64, size),
 		c:       make([]uint64, size),
 		choice:  make([]int32, size),
 		k:       p.K,
 		logN:    logN,
-	}
-	for s := 1; s < size; s++ {
-		low := s & -s
-		a.psum[s] = core.SatAdd(a.psum[s&(s-1)], p.Weights[bits.TrailingZeros(uint(low))])
 	}
 	for s := 1; s < size; s++ {
 		a.c[s] = core.Inf
@@ -78,14 +72,14 @@ func (a *abft) seed(f *core.Frontier, choice []int32) {
 	}
 }
 
-// advance computes the true level-j values into the mirror with core.Cell
+// advance computes the true level-j values into the mirror with the kernel
 // over the already-trusted lower levels — the host's half of the barrier
 // handshake, run before the machine's round is inspected.
 func (a *abft) advance(j int) {
 	size := 1 << uint(a.k)
 	v := uint32(1)<<uint(j) - 1
 	for v < uint32(size) {
-		a.c[v], a.choice[v] = core.Cell(a.p, a.c, core.Set(v))
+		a.c[v], a.choice[v] = a.kn.Cell(a.c, core.Set(v))
 		c := v & -v
 		r := v + c
 		v = (r^v)>>2/c | r
@@ -108,12 +102,13 @@ func (a *abft) verify(state []Cell, j int) *certify.Report {
 				Kind: certify.BadStructure, Set: set, Action: i,
 				Detail: "group mark off the #S=j wavefront"})
 		}
-		if cell.PS != a.psum[s] {
+		weight := a.kn.Weight(set)
+		if cell.PS != weight {
 			r.Violations = append(r.Violations, certify.Violation{
-				Kind: certify.BadConservation, Set: set, Action: i, Got: cell.PS, Want: a.psum[s],
+				Kind: certify.BadConservation, Set: set, Action: i, Got: cell.PS, Want: weight,
 				Detail: "machine p(S) plane disagrees with the host weights"})
 		}
-		if wantTP := core.SatMul(a.paddedA[i].Cost, a.psum[s]); cell.TP != wantTP {
+		if wantTP := core.SatMul(a.paddedA[i].Cost, weight); cell.TP != wantTP {
 			r.Violations = append(r.Violations, certify.Violation{
 				Kind: certify.BadCell, Set: set, Action: i, Got: cell.TP, Want: wantTP,
 				Detail: "machine t_i·p(S) plane disagrees with the host recomputation"})

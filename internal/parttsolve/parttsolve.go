@@ -151,7 +151,7 @@ type Options struct {
 // SolveCheckpointedCtx is SolveCtx with durable-solve plumbing. A non-nil
 // frontier skips rounds 1..f.Level by restoring the machine state those
 // rounds would have produced — the M and MI planes for every completed group
-// (MI recomputed from the frontier's C with core.Cell) and the #S = f.Level
+// (MI recomputed from the frontier's C with core.Kernel) and the #S = f.Level
 // group mark; everything else (p(S), TP, the R/Q scratch) is recomputed, so
 // the restored machine is indistinguishable from one that ran the skipped
 // rounds. A non-nil ck fires after every round j < k with the C plane
@@ -164,7 +164,8 @@ func SolveCheckpointedCtx(ctx context.Context, p *core.Problem, kind EngineKind,
 // SolveOpts runs the parallel algorithm with the full option set.
 func SolveOpts(ctx context.Context, p *core.Problem, kind EngineKind, opt Options) (*Result, error) {
 	f, ck := opt.Frontier, opt.Checkpointer
-	if err := p.Validate(); err != nil {
+	kn, err := core.Compile(p)
+	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -276,7 +277,7 @@ func SolveOpts(ctx context.Context, p *core.Problem, kind EngineKind, opt Option
 		for s := range fChoice {
 			fChoice[s] = -1
 			if s != 0 && popcount(s) <= f.Level {
-				_, fChoice[s] = core.Cell(p, f.C, core.Set(s))
+				_, fChoice[s] = kn.Cell(f.C, core.Set(s))
 			}
 		}
 		local(eng, res, func(addr int, c *Cell) {
@@ -292,7 +293,7 @@ func SolveOpts(ctx context.Context, p *core.Problem, kind EngineKind, opt Option
 
 	var ab *abft
 	if opt.Verify {
-		ab = newABFT(p, actions, logN)
+		ab = newABFT(kn, p, actions, logN)
 		if f != nil {
 			ab.seed(f, fChoice)
 		}
@@ -398,8 +399,8 @@ func SolveOpts(ctx context.Context, p *core.Problem, kind EngineKind, opt Option
 			c.Mark = pc == j-1
 			c.Rcv = false
 			c.R, c.Q = 0, 0
-			c.PS = ab.psum[s]
-			c.TP = core.SatMul(actions[addr&iMask].Cost, ab.psum[s])
+			c.PS = ab.kn.Weight(core.Set(s))
+			c.TP = core.SatMul(actions[addr&iMask].Cost, c.PS)
 		})
 	}
 

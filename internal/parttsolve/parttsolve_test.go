@@ -317,6 +317,10 @@ func TestChoicePlaneMatchesDP(t *testing.T) {
 // minimizer of the recurrence over the finished plane c, -1 for the empty
 // set or an infinite cost.
 func lowestArgmin(p *core.Problem, c []uint64, s int) int32 {
-	_, ch := core.Cell(p, c, core.Set(s))
+	kn, err := core.Compile(p)
+	if err != nil {
+		panic(err)
+	}
+	_, ch := kn.Cell(c, core.Set(s))
 	return ch
 }

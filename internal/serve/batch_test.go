@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -202,6 +203,27 @@ func TestBatchStatsExposed(t *testing.T) {
 	}
 	if got := stats["batch_requests"]; got != int64(1) {
 		t.Fatalf("batch_requests = %v, want 1", got)
+	}
+}
+
+// TestWorkersDefaultResolved pins Config.Workers' documented default: an
+// unset width resolves to GOMAXPROCS once, in withDefaults, so the batch
+// sweep (which reads 0 as one range) and engine=parallel get the same width.
+// An explicit width is kept, and a batch solves under either.
+func TestWorkersDefaultResolved(t *testing.T) {
+	batch := sameLatticeVariants(rand.New(rand.NewSource(25)), workload.MedicalDiagnosis(4, 7), 3)
+	for _, tc := range []struct{ set, want int }{
+		{0, runtime.GOMAXPROCS(0)},
+		{-1, runtime.GOMAXPROCS(0)},
+		{3, 3},
+	} {
+		s, ts := newTestServer(t, Config{Workers: tc.set})
+		if s.cfg.Workers != tc.want {
+			t.Fatalf("Workers %d resolved to %d, want %d", tc.set, s.cfg.Workers, tc.want)
+		}
+		if _, code := postBatch(t, ts, "", batchJSON(t, batch)); code != http.StatusOK {
+			t.Fatalf("Workers %d: batch status %d", tc.set, code)
+		}
 	}
 }
 

@@ -67,7 +67,7 @@ type Config struct {
 	MaxBatch       int           // admission: most instances per /v1/solve/batch request (default 16)
 	PolicyBytes    int64         // byte budget for compiled route-plane policies (default 64 MiB; negative: unbounded)
 	RouteMaxBatch  int           // most sessions or cursors per /v1/route/batch request (default 4096)
-	Workers        int           // worker goroutines per parallel solve (default GOMAXPROCS)
+	Workers        int           // Gosper ranges per level for engine=parallel solves and batch groups alike (default GOMAXPROCS)
 	StripeWorkers  int           // dedicated stripe-pool workers for striped/batched sweeps (default 0: share the process-wide pool)
 	DefaultEngine  string        // engine when the request names none (default "seq")
 	CertifyMode    string        // answer certification: "off", "fast", "audit" (default "fast"); per-request certify= overrides
@@ -110,6 +110,12 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPending <= 0 {
 		c.MaxPending = 4 * c.MaxConcurrent
+	}
+	// Resolved here, not in the engines: core.SolveBatchCtx reads an unset
+	// width as one range, so an unresolved 0 would run batches on one core
+	// while engine=parallel used all of them.
+	if c.Workers <= 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 1024
