@@ -95,10 +95,12 @@ chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaosSmoke' -v ./cmd/ttserve
 
 # Live-fire certification drill: boots the real ttserve binary with
-# -certify=fast while chaos hooks corrupt one engine's answers and inject a
-# stuck-bit hardware fault into every BVM machine, then verifies zero wrong
-# answers escape — served or cached (see cmd/ttserve/certify_smoke_test.go
-# and docs/RESILIENCE.md).
+# -certify=fast while a chaos hook corrupts every parallel answer, then
+# verifies zero wrong answers escape: the reply comes from seq with the
+# reference cost, the re-ask is a cached hit with that cost, and
+# certify_fail >= 1 (see cmd/ttserve/certify_smoke_test.go and
+# docs/RESILIENCE.md). The BVM hardware-fault kernels are drilled in
+# internal/bvmtt/abft_test.go.
 certify-smoke:
 	$(GO) test -race -count=1 -run 'TestCertifySmoke' -v ./cmd/ttserve
 

@@ -1,6 +1,8 @@
 // Command ttserve runs the test-and-treatment solver as a long-lived HTTP
 // service (internal/serve): instances are POSTed in the instio JSON wire
-// format and solved by a selectable engine, with an order-normalized LRU
+// format and solved by a selectable engine (seq, parallel, or the cluster
+// plane; the paper's simulated machines run under ttsolve), every answer
+// certified before it is cached or served, with an order-normalized LRU
 // solution cache, singleflight collapsing of identical concurrent requests,
 // admission control (solver semaphore, bounded queue, K/action budget),
 // per-request deadlines that genuinely cancel the O(N·2^K) sweep, and
@@ -15,10 +17,10 @@
 //
 // Endpoints:
 //
-//	POST /v1/solve?engine=seq|parallel|lockstep|goroutine|ccc|bvm|cluster&certify=off|fast|audit&timeout_ms=...&tree=1&greedy=1&approx=off|RATIO|DEADLINE
-//	POST /v1/solve/batch?certify=...&timeout_ms=...&tree=1 — solve related instances together, amortizing shared-lattice enumeration (docs/SERVING.md)
+//	POST /v1/solve?engine=seq|parallel|cluster&timeout_ms=...&tree=1&approx=off|RATIO|DEADLINE
+//	POST /v1/solve/batch?timeout_ms=...&tree=1 — solve related instances together, amortizing shared-lattice enumeration (docs/SERVING.md)
 //	POST /v1/eval                     — price a stored policy under a weight vector
-//	POST /v1/policy                   — solve, certify, and publish a compiled route policy
+//	POST /v1/policy?engine=...        — solve, certify, and publish a compiled route policy
 //	GET  /v1/policies                 — list resident policy versions
 //	POST /v1/route, /v1/route/batch   — stateless per-session policy traversal via signed cursors
 //	GET  /healthz                     — liveness (503 while draining)
@@ -42,8 +44,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/bvm"
-	"repro/internal/bvmtt"
 	"repro/internal/chaos"
 	"repro/internal/serve"
 )
@@ -54,7 +54,7 @@ import (
 func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struct{}) error {
 	fs := flag.NewFlagSet("ttserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	engine := fs.String("engine", "seq", "default solver engine: seq, parallel, lockstep, goroutine, ccc, bvm, or cluster")
+	engine := fs.String("engine", "seq", "default solver engine: seq, parallel, or cluster")
 	maxConcurrent := fs.Int("max-concurrent", 0, "simultaneous solver runs (0 = GOMAXPROCS)")
 	maxPending := fs.Int("max-pending", 0, "queued+running solves before shedding with 503 (0 = 4x max-concurrent)")
 	cacheEntries := fs.Int("cache", 0, "LRU capacity in solved instances (0 = 1024, negative disables)")
@@ -80,7 +80,7 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 	breakerCooldown := fs.Duration("breaker-cooldown", 0, "open breaker's half-open probe delay (0 = 5s)")
 	retries := fs.Int("retries", 0, "extra attempts per engine before falling back (0 = 1, negative disables)")
 	noFallback := fs.Bool("no-fallback", false, "fail requests instead of degrading to the next engine in the chain")
-	certifyMode := fs.String("certify", "", "answer certification before caching/serving: off, fast, or audit (empty = fast); a failure counts as an engine fault")
+	certifyMode := fs.String("certify", "", "certification every answer passes before caching/serving: fast or audit (empty = fast); a failure counts as an engine fault")
 	approxDefault := fs.String("approx", "", "approx knob for requests that send none: off, a gap ratio >= 1, or a deadline like 200ms (empty = off)")
 	approxMaxK := fs.Int("approx-max-k", 0, "largest universe the approx plane accepts (0 = 26, the Set-type maximum)")
 	approxMaxActions := fs.Int("approx-max-actions", 0, "most actions the approx plane accepts (0 = 256)")
@@ -88,7 +88,6 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 	chaosLevelDelay := fs.Duration("chaos-level-delay", 0, "TESTING: artificial pause at every DP level barrier")
 	chaosFailEngine := fs.String("chaos-fail-engine", "", "TESTING: inject solve faults, as engine[:count] (count omitted = every attempt)")
 	chaosCorruptEngine := fs.String("chaos-corrupt-engine", "", "TESTING: silently corrupt finished answers, as engine[:count] (count omitted = every attempt)")
-	chaosBVMFault := fs.String("chaos-bvm-fault", "", "TESTING: inject a hardware fault kernel into every BVM machine: stuck-bit[:pe], stuck-e[:pe], or broken-lateral[:pe]")
 	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -101,13 +100,11 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 	if err != nil {
 		return fmt.Errorf("ttserve: %w", err)
 	}
-	if *chaosBVMFault != "" {
-		hook, err := parseBVMFault(*chaosBVMFault)
-		if err != nil {
-			return fmt.Errorf("ttserve: %w", err)
-		}
-		restore := bvmtt.SetMachineHook(hook)
-		defer restore()
+	if err := serve.CheckEngine(*engine); err != nil {
+		return fmt.Errorf("ttserve: -engine: %w", err)
+	}
+	if _, err := serve.ParseCertifyMode(*certifyMode); err != nil {
+		return fmt.Errorf("ttserve: -certify: %w", err)
 	}
 
 	fleet := splitWorkers(*clusterWorkers)
@@ -267,32 +264,6 @@ func parseChaosCorrupt(spec string) (func(string) bool, error) {
 		return nil, err
 	}
 	return chaos.CorruptFirst(engine, n), nil
-}
-
-// parseBVMFault turns "-chaos-bvm-fault kind[:pe]" into a machine hook that
-// injects one of internal/bvm's hardware fault kernels into every BVM the
-// server builds — the live-fire test of the ABFT layer: with -certify=fast
-// the faulted machine must repair or refuse, never answer wrong.
-func parseBVMFault(spec string) (func(*bvm.Machine), error) {
-	kind, peStr, hasPE := strings.Cut(spec, ":")
-	pe := 0
-	if hasPE {
-		v, err := strconv.Atoi(peStr)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad -chaos-bvm-fault PE %q", peStr)
-		}
-		pe = v
-	}
-	switch kind {
-	case "stuck-bit":
-		return func(m *bvm.Machine) { m.InjectStuckBit(bvm.R(0), pe%m.N(), true) }, nil
-	case "stuck-e":
-		return func(m *bvm.Machine) { m.InjectStuckBit(bvm.E, pe%m.N(), false) }, nil
-	case "broken-lateral":
-		return func(m *bvm.Machine) { m.InjectBrokenLateral(pe % m.N()) }, nil
-	default:
-		return nil, fmt.Errorf("unknown -chaos-bvm-fault kind %q (want stuck-bit, stuck-e, or broken-lateral)", kind)
-	}
 }
 
 func main() {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -86,6 +87,20 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-addr", "256.256.256.256:99999"}, io.Discard, nil, nil); err == nil {
 		t.Fatal("unlistenable address accepted")
+	}
+}
+
+// TestRunRejectsRetiredSettings: the settings the service no longer has fail
+// startup instead of booting a server that refuses every request.
+func TestRunRejectsRetiredSettings(t *testing.T) {
+	for _, args := range [][]string{
+		{"-certify", "off"},
+		{"-engine", "bvm"},
+	} {
+		err := run(append([]string{"-addr", "127.0.0.1:0"}, args...), io.Discard, nil, nil)
+		if err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("%v: err %v, want a startup error naming %s", args, err, args[0])
+		}
 	}
 }
 

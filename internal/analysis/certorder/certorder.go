@@ -3,9 +3,9 @@
 // until it has passed through the certify package. The check is a dominance
 // argument over each function's statement structure — every cache-insert and
 // solve-response-write site must be preceded on all paths by a certifying
-// call (a call that reaches certify.Check*, directly or through the
-// package-local call graph) or by an explicit certify.ModeOff/Off reference,
-// the documented opt-out annotation.
+// call (a call that reaches certify.Check*, Certify* or Verify*, directly or
+// through the package-local call graph). There is no opt-out: every served
+// answer is certified, exact and approximate alike.
 //
 // Without x/tools the repo has no SSA, so dominance is computed on the AST:
 // a forward walk through each function body that tracks a "certified" flag,
@@ -14,14 +14,6 @@
 // walk cannot prove dominated is reported even if some exotic control flow
 // would certify it dynamically — which is the right polarity for this
 // invariant: the PR 5 incident class is silently serving unverified answers.
-//
-// The bounded-suboptimality plane (PR 10) tightens the rule: inside any
-// function whose name mentions approx, the certify.ModeOff/Off annotation is
-// NOT an accepted opt-out — gap certification has no off switch, because an
-// approximate answer's quality claim is only knowledge at all once it has
-// been independently verified. Such functions must be dominated by a real
-// certifying call (certify.CertifyGap, certify.CheckInadequate, ...) before
-// any sink.
 package certorder
 
 import (
@@ -36,10 +28,8 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "certorder",
 	Doc: "every cache-insert and solve-response-write site in a package that " +
-		"imports certify must be dominated by a certify call or an explicit " +
-		"certify.Off annotation (certify-before-cache, PR 5); inside approx-path " +
-		"functions the Off annotation is not accepted — gap certification has no " +
-		"off switch (PR 10)",
+		"imports certify must be dominated by a certify call (certify-before-cache, " +
+		"PR 5); there is no opt-out annotation",
 	Run: run,
 }
 
@@ -49,10 +39,6 @@ var cacheTypeRE = regexp.MustCompile(`(?i)(cache|lru)`)
 // responseTypeRE matches the response struct whose write is the serve
 // boundary.
 var responseTypeRE = regexp.MustCompile(`SolveResponse$`)
-
-// approxFuncRE marks functions on the bounded-suboptimality path, where the
-// ModeOff opt-out is disallowed: approximate answers are certified always.
-var approxFuncRE = regexp.MustCompile(`(?i)approx`)
 
 func run(pass *analysis.Pass) error {
 	certifyPkg := importedCertify(pass)
@@ -76,8 +62,7 @@ func run(pass *analysis.Pass) error {
 			if recvIsCache(pass, fd) {
 				continue // the cache's own methods are below the boundary
 			}
-			w := &walker{pass: pass, certifyPkg: certifyPkg, certifying: certifying,
-				noOptOut: approxFuncRE.MatchString(fd.Name.Name)}
+			w := &walker{pass: pass, certifyPkg: certifyPkg, certifying: certifying}
 			w.block(fd.Body, false)
 		}
 	}
@@ -181,7 +166,6 @@ type walker struct {
 	pass       *analysis.Pass
 	certifyPkg *types.Package
 	certifying map[types.Object]bool
-	noOptOut   bool // approx-path function: ModeOff mentions do not certify
 }
 
 // block walks stmts sequentially, threading the certified flag, and returns
@@ -199,7 +183,7 @@ func (w *walker) stmt(s ast.Stmt, certified bool) bool {
 		if st.Init != nil {
 			certified = w.stmt(st.Init, certified)
 		}
-		condCertifies := w.exprCertifies(st.Cond, certified)
+		condCertifies := certified || w.certifies(st.Cond)
 		thenOut := w.block(st.Body, condCertifies)
 		elseOut := condCertifies
 		if st.Else != nil {
@@ -213,7 +197,7 @@ func (w *walker) stmt(s ast.Stmt, certified bool) bool {
 			certified = w.stmt(st.Init, certified)
 		}
 		if st.Cond != nil {
-			certified = w.exprCertifies(st.Cond, certified)
+			certified = certified || w.certifies(st.Cond)
 		}
 		w.block(st.Body, certified)
 		return certified // body may run zero times
@@ -263,7 +247,7 @@ func (w *walker) stmt(s ast.Stmt, certified bool) bool {
 			w.block(lit.Body, certified)
 		}
 		w.checkSinks(st, certified)
-		return certified || w.stmtCertifies(st)
+		return certified || w.certifies(st)
 	case *ast.LabeledStmt:
 		return w.stmt(st.Stmt, certified)
 	case *ast.ExprStmt:
@@ -275,7 +259,7 @@ func (w *walker) stmt(s ast.Stmt, certified bool) bool {
 			}
 		}
 		w.checkSinks(st, certified)
-		return certified || w.stmtCertifies(st)
+		return certified || w.certifies(st)
 	case *ast.GoStmt:
 		// A goroutine body is walked with the launch-time state; ordering
 		// against the launcher's later statements is not assumed.
@@ -284,44 +268,22 @@ func (w *walker) stmt(s ast.Stmt, certified bool) bool {
 			return certified
 		}
 		w.checkSinks(st, certified)
-		return certified || w.stmtCertifies(st)
+		return certified || w.certifies(st)
 	default:
 		w.checkSinks(s, certified)
-		return certified || w.stmtCertifies(s)
+		return certified || w.certifies(s)
 	}
 }
 
-// exprCertifies evaluates an expression for certifying calls or the explicit
-// ModeOff annotation and returns the updated flag.
-func (w *walker) exprCertifies(e ast.Expr, certified bool) bool {
-	if certified {
-		return true
-	}
+// certifies reports whether executing n certifies what follows it: it
+// contains a certifying call in executed position.
+func (w *walker) certifies(n ast.Node) bool {
 	found := false
-	analysis.CallsInExecutedCode(e, func(call *ast.CallExpr) {
+	analysis.CallsInExecutedCode(n, func(call *ast.CallExpr) {
 		if w.callCertifies(call) {
 			found = true
 		}
 	})
-	if !found && !w.noOptOut && mentionsModeOff(w.pass, e, w.certifyPkg) {
-		found = true
-	}
-	return found
-}
-
-// stmtCertifies reports whether executing s certifies subsequent statements:
-// it contains a certifying call in executed position, or the explicit
-// certify.ModeOff / certify.Off annotation.
-func (w *walker) stmtCertifies(s ast.Stmt) bool {
-	found := false
-	analysis.CallsInExecutedCode(s, func(call *ast.CallExpr) {
-		if w.callCertifies(call) {
-			found = true
-		}
-	})
-	if !found && !w.noOptOut && mentionsModeOff(w.pass, s, w.certifyPkg) {
-		found = true
-	}
 	return found
 }
 
@@ -332,24 +294,6 @@ func (w *walker) callCertifies(call *ast.CallExpr) bool {
 		return true
 	}
 	return w.certifying[analysis.CalleeObj(w.pass.TypesInfo, call)]
-}
-
-// mentionsModeOff detects the explicit opt-out: a reference to the certify
-// package's ModeOff or Off identifier.
-func mentionsModeOff(pass *analysis.Pass, n ast.Node, certifyPkg *types.Package) bool {
-	found := false
-	ast.Inspect(n, func(node ast.Node) bool {
-		id, ok := node.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := pass.ObjectOf(id)
-		if obj != nil && obj.Pkg() == certifyPkg && (obj.Name() == "ModeOff" || obj.Name() == "Off") {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 // checkSinks reports cache-insert and response-write sites inside s when the

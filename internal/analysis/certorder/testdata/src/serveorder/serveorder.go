@@ -84,11 +84,11 @@ func (s *server) bothBranches(e *entry, audit bool) {
 	s.cache.add(e)
 }
 
-// Near-miss negative: the explicit opt-out annotation — referencing
-// certify.ModeOff is the documented way to bypass the gate.
+// True positive: referencing certify.ModeOff is not certification — there
+// is no opt-out annotation.
 func (s *server) offMode(e *entry) {
 	if s.mode == certify.ModeOff {
-		s.cache.add(e)
+		s.cache.add(e) // want "cache insert is not dominated by a certify call"
 	}
 }
 
@@ -144,14 +144,14 @@ func (s *server) runSolve(e *entry, done chan struct{}) {
 	}
 }
 
-// PR 10 cases: inside approx-path functions (name mentions approx) the
-// ModeOff opt-out is disallowed — gap certification has no off switch.
+// Approx-path cases: gap certification follows the same rule as every
+// other path; a function's name plays no part.
 
-// True positive: the opt-out annotation that excuses offMode above does NOT
-// excuse an approx-path function.
-func (s *server) approxOffMode(e *entry) {
+// True positive: a response written under a ModeOff check, with no certify
+// call anywhere on the path.
+func (s *server) offModeResponse(e *entry) {
 	if s.mode == certify.ModeOff {
-		s.cache.add(e) // want "cache insert is not dominated by a certify call"
+		writeJSON(&SolveResponse{Cost: e.cost}) // want "written before any certify"
 	}
 }
 
@@ -185,7 +185,7 @@ func (s *server) solveApproxGoodOrder(e *entry, adequate bool) {
 }
 
 // Negative: gap certification through a package-local helper; the fixpoint
-// marks certifyApprox as certifying, and no ModeOff mention is involved.
+// marks certifyApprox as certifying.
 func (s *server) approxViaHelper(e *entry) error {
 	if err := s.certifyApprox(e); err != nil {
 		return err

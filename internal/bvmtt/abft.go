@@ -35,9 +35,8 @@ import (
 // answer.
 
 // machineHook, when non-nil, runs on every machine bvmtt builds, before any
-// instruction executes. ttserve's -chaos-bvm-fault flag and the chaos tests
-// use it to inject the fault kernels of internal/bvm/fault.go into real
-// solves.
+// instruction executes. The ABFT and chaos tests use it to inject the fault
+// kernels of internal/bvm/fault.go into real solves.
 var machineHook func(*bvm.Machine)
 
 // SetMachineHook installs (or, with nil, clears) the machine hook and

@@ -24,7 +24,7 @@ import (
 // enforces, so 422 bodies can tell the client which knob to turn. It
 // unwraps to errOversize for the existing errors.Is seams.
 type oversizeError struct {
-	budget string // "k", "actions", "machine-dim", "approx-k", "approx-actions"
+	budget string // "k", "actions", "batch", "route-batch", "approx-k", "approx-actions"
 	limit  int
 	got    int
 	msg    string
@@ -47,6 +47,8 @@ type oversizeBody struct {
 
 // rejectOversize is the single 422-for-size seam: every admission reject
 // goes through it so none can forget the counter or the structured body.
+// Callers with no approx path (batch, policy, eval, route) pass a nil p, so
+// the body carries no approx hint.
 func (s *Server) rejectOversize(w http.ResponseWriter, e *oversizeError, p *core.Problem) {
 	s.metrics.RejectOversize.Add(1)
 	body := &oversizeBody{Error: e.msg, Budget: e.budget, Limit: e.limit, Got: e.got}
@@ -73,26 +75,22 @@ func (s *Server) admitApprox(p *core.Problem) *oversizeError {
 	return nil
 }
 
-// cacheKey is the cache/singleflight key: canonical hash plus certify mode,
-// plus the approx knob when one is in force. Approx-enabled requests get
-// distinct slots from exact ones so a certified-gap answer (cached after an
-// oversize route or an exact-engine fault) is never served to a request
-// that demanded exactness — the same isolation the mode segment provides
-// for certification levels.
-func cacheKey(hash string, mode certify.Mode, ap approx.Spec) string {
-	key := hash + "|" + mode.String()
-	if ap.Enabled {
-		key += "|approx=" + ap.Raw
+// cacheKey is the one builder of cache and singleflight keys: the canonical
+// hash, plus the approx knob when one is in force. Approx-enabled requests
+// get distinct slots from exact ones so a certified-gap answer (cached after
+// an oversize route or an exact-engine fault) is never served to a request
+// that demanded exactness.
+func cacheKey(hash string, ap approx.Spec) string {
+	if !ap.Enabled {
+		return hash
 	}
-	return key
+	return hash + "|approx=" + ap.Raw
 }
 
-// solveApproxAttempt runs the approx engine once: anytime solve, then
-// mandatory gap certification — even in certify=off mode. Exact answers can
-// be spot-checked more cheaply than they were computed; an approximate
-// answer's quality claim is only knowledge at all once it has been
-// independently verified, so there is no off switch on this path.
-func (s *Server) solveApproxAttempt(ctx context.Context, hash string, canon *core.Problem, mode certify.Mode, ap approx.Spec) (*cacheEntry, error) {
+// solveApproxAttempt runs the approx engine once: anytime solve, then gap
+// certification. An approximate answer's quality claim is only knowledge at
+// all once it has been independently verified.
+func (s *Server) solveApproxAttempt(ctx context.Context, hash string, canon *core.Problem, ap approx.Spec) (*cacheEntry, error) {
 	res, err := approx.Solve(ctx, canon, approx.Options{
 		Deadline:    ap.Deadline,
 		TargetMilli: ap.TargetMilli,
@@ -112,7 +110,7 @@ func (s *Server) solveApproxAttempt(ctx context.Context, hash string, canon *cor
 	}
 	ent := &cacheEntry{
 		engine: "approx", hash: hash, canon: canon,
-		key:    cacheKey(hash, mode, ap),
+		key:    cacheKey(hash, ap),
 		approx: true, approxPolicy: res.Policy, approxExact: res.Exact,
 	}
 	if !res.Adequate {

@@ -15,9 +15,9 @@ import (
 	"repro/internal/workload"
 )
 
-func post422Body(t *testing.T, ts *httptest.Server, query string, body []byte) *oversizeBody {
+func post422Body(t *testing.T, ts *httptest.Server, target string, body []byte) *oversizeBody {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/v1/solve"+query, "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+target, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func post422Body(t *testing.T, ts *httptest.Server, query string, body []byte) *
 func TestOversize422StructuredBody(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxK: 6})
 	p := workload.Random(3, 8, 4, 4) // K=8 > MaxK=6, well inside approx caps
-	ob := post422Body(t, ts, "", instanceJSON(t, p))
+	ob := post422Body(t, ts, "/v1/solve", instanceJSON(t, p))
 	if ob.Budget != "k" || ob.Limit != 6 || ob.Got != 8 {
 		t.Fatalf("budget/limit/got = %q/%d/%d, want k/6/8", ob.Budget, ob.Limit, ob.Got)
 	}
@@ -52,7 +52,7 @@ func TestOversize422StructuredBody(t *testing.T) {
 
 	// Actions budget, same contract.
 	q := workload.Random(4, 5, 70, 10) // 85 actions > MaxActions default 64
-	ob = post422Body(t, ts, "", instanceJSON(t, q))
+	ob = post422Body(t, ts, "/v1/solve", instanceJSON(t, q))
 	if ob.Budget != "actions" || ob.ApproxHint != "approx=1" {
 		t.Fatalf("actions reject: budget %q hint %q", ob.Budget, ob.ApproxHint)
 	}
@@ -63,12 +63,40 @@ func TestOversize422StructuredBody(t *testing.T) {
 // would also reject is worse than silence.
 func TestOversize422NoHintWhenApproxCannotServe(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxK: 6, ApproxMaxK: 7})
-	ob := post422Body(t, ts, "", instanceJSON(t, workload.Random(3, 9, 4, 4)))
+	ob := post422Body(t, ts, "/v1/solve", instanceJSON(t, workload.Random(3, 9, 4, 4)))
 	if ob.Budget != "k" {
 		t.Fatalf("budget %q, want k", ob.Budget)
 	}
 	if ob.ApproxHint != "" {
 		t.Fatalf("approx_hint %q, want absent: approx caps also reject K=9", ob.ApproxHint)
+	}
+}
+
+// TestOversize422StructuredOnBatchAndPolicy: the batch and policy 422s go
+// through the same seam as /v1/solve — structured budget/limit/got, and no
+// approx hint, since neither endpoint has an approx path.
+func TestOversize422StructuredOnBatchAndPolicy(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxK: 6, MaxBatch: 2})
+	small := workload.MedicalDiagnosis(3, 4)
+	big := workload.Random(3, 8, 4, 4) // K=8 > MaxK=6
+	for _, tc := range []struct {
+		name, target string
+		body         []byte
+		budget       string
+		limit, got   int
+	}{
+		{"policy", "/v1/policy", instanceJSON(t, big), "k", 6, 8},
+		{"batch size", "/v1/solve/batch", batchJSON(t, []*core.Problem{small, small, small}), "batch", 2, 3},
+		{"batch member", "/v1/solve/batch", batchJSON(t, []*core.Problem{small, big}), "k", 6, 8},
+	} {
+		ob := post422Body(t, ts, tc.target, tc.body)
+		if ob.Budget != tc.budget || ob.Limit != tc.limit || ob.Got != tc.got {
+			t.Errorf("%s: budget/limit/got = %q/%d/%d, want %s/%d/%d",
+				tc.name, ob.Budget, ob.Limit, ob.Got, tc.budget, tc.limit, tc.got)
+		}
+		if ob.Error == "" || ob.ApproxHint != "" {
+			t.Errorf("%s: error %q approx_hint %q, want a message and no hint", tc.name, ob.Error, ob.ApproxHint)
+		}
 	}
 }
 

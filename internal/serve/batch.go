@@ -113,13 +113,8 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	mode := s.certifyMode
-	if cm := q.Get("certify"); cm != "" {
-		var err error
-		if mode, err = certify.ParseMode(cm); err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
+	if s.rejectRetiredParams(w, q) {
+		return
 	}
 	timeout := s.cfg.DefaultTimeout
 	if ms := q.Get("timeout_ms"); ms != "" {
@@ -139,22 +134,17 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
+	// The batch path is exact-only (shared-lattice re-pricing has no
+	// approximate variant), so its 422s carry no approx hint.
 	if len(ps) > s.cfg.MaxBatch {
-		s.metrics.RejectOversize.Add(1)
-		httpError(w, http.StatusUnprocessableEntity,
-			fmt.Sprintf("%v: %d instances > max batch %d", errOversize, len(ps), s.cfg.MaxBatch))
+		s.rejectOversize(w, &oversizeError{budget: "batch", limit: s.cfg.MaxBatch, got: len(ps),
+			msg: fmt.Sprintf("%v: %d instances > max batch %d", errOversize, len(ps), s.cfg.MaxBatch)}, nil)
 		return
 	}
 	for i, p := range ps {
-		if oerr := s.admit(p, "seq"); oerr != nil {
-			// Structured like the solo 422, naming the offending member.
-			// The batch path is exact-only (shared-lattice re-pricing has
-			// no approximate variant), so no approx hint is offered here.
-			s.metrics.RejectOversize.Add(1)
-			writeJSON(w, http.StatusUnprocessableEntity, &oversizeBody{
-				Error:  fmt.Sprintf("batch instance %d: %v", i, oerr),
-				Budget: oerr.budget, Limit: oerr.limit, Got: oerr.got,
-			})
+		if oerr := s.admit(p); oerr != nil {
+			oerr.msg = fmt.Sprintf("batch instance %d: %s", i, oerr.msg)
+			s.rejectOversize(w, oerr, nil)
 			return
 		}
 	}
@@ -163,7 +153,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 
 	items := make([]BatchItem, len(ps))
 	canons := make([]*core.Problem, len(ps))
-	resp := &BatchResponse{Instances: len(ps), CertifyMode: mode.String(), Items: items}
+	resp := &BatchResponse{Instances: len(ps), CertifyMode: s.certifyMode.String(), Items: items}
 
 	// Cache pass: canonicalize, hash, and serve hits without taking a slot.
 	misses := make([]int, 0, len(ps))
@@ -178,7 +168,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		canons[i] = canon
 		items[i] = BatchItem{InstanceHash: hash, Group: -1}
 		s.mu.Lock()
-		ent := s.cache.get(hash + "|" + mode.String())
+		ent := s.cache.get(cacheKey(hash, approx.Spec{}))
 		s.mu.Unlock()
 		if ent != nil {
 			s.metrics.CacheHits.Add(1)
@@ -216,7 +206,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Groups = len(groups)
 		for gi, idxs := range groups {
-			resp.Repriced += s.solveBatchGroup(ctx, gi, idxs, canons, items, mode, isTrue(q.Get("tree")))
+			resp.Repriced += s.solveBatchGroup(ctx, gi, idxs, canons, items, isTrue(q.Get("tree")))
 		}
 		for _, i := range misses {
 			if items[i].SolvedBy != "" && items[i].SolvedBy != "batch" {
@@ -234,7 +224,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 // could not deliver. It returns the number of instances that were priced by
 // riding the group's shared enumeration (group size − 1 on success, 0 when
 // the whole group fell back).
-func (s *Server) solveBatchGroup(ctx context.Context, gi int, idxs []int, canons []*core.Problem, items []BatchItem, mode certify.Mode, wantTree bool) (repriced int) {
+func (s *Server) solveBatchGroup(ctx context.Context, gi int, idxs []int, canons []*core.Problem, items []BatchItem, wantTree bool) (repriced int) {
 	group := make([]*core.Problem, len(idxs))
 	for j, i := range idxs {
 		group[j] = canons[i]
@@ -247,7 +237,7 @@ func (s *Server) solveBatchGroup(ctx context.Context, gi int, idxs []int, canons
 		s.log.Warn("batch group failed, falling back per instance", "group", gi, "size", len(idxs), "err", err)
 		s.metrics.EngineFailures.Add(1)
 		for _, i := range idxs {
-			s.solveBatchFallback(ctx, i, canons[i], items, mode, wantTree)
+			s.solveBatchFallback(ctx, i, canons[i], items, wantTree)
 		}
 		return 0
 	}
@@ -258,11 +248,11 @@ func (s *Server) solveBatchGroup(ctx context.Context, gi int, idxs []int, canons
 	}
 	for j, i := range idxs {
 		sol := sols[j]
-		ent, err := s.certifyBatchAnswer(canons[i], items[i].InstanceHash, sol, mode)
+		ent, err := s.certifyBatchAnswer(canons[i], items[i].InstanceHash, sol)
 		sol.Release()
 		if err != nil {
 			s.log.Warn("batch answer refused, falling back", "group", gi, "instance", i, "err", err)
-			s.solveBatchFallback(ctx, i, canons[i], items, mode, wantTree)
+			s.solveBatchFallback(ctx, i, canons[i], items, wantTree)
 			continue
 		}
 		s.mu.Lock()
@@ -278,9 +268,9 @@ func (s *Server) solveBatchGroup(ctx context.Context, gi int, idxs []int, canons
 // cache entry: tree reconstruction from the cost plane, then the same
 // engine-independent certifier gate every /v1/solve answer passes before it
 // can be cached. The caller releases sol.
-func (s *Server) certifyBatchAnswer(canon *core.Problem, hash string, sol *core.Solution, mode certify.Mode) (*cacheEntry, error) {
+func (s *Server) certifyBatchAnswer(canon *core.Problem, hash string, sol *core.Solution) (*cacheEntry, error) {
 	ent := &cacheEntry{engine: "batch", cost: sol.Cost, adequate: sol.Adequate(),
-		canon: canon, hash: hash, key: hash + "|" + mode.String()}
+		canon: canon, hash: hash, key: cacheKey(hash, approx.Spec{})}
 	if ent.adequate {
 		tree, err := core.TreeFromCosts(canon, sol.C)
 		if err != nil {
@@ -288,14 +278,12 @@ func (s *Server) certifyBatchAnswer(canon *core.Problem, hash string, sol *core.
 		}
 		ent.tree = tree
 	}
-	if mode != certify.ModeOff {
-		rep := certify.Check(canon, sol.Cost, ent.tree, sol.C, nil, mode, certifySeed(hash))
-		if !rep.OK() {
-			s.metrics.CertifyFail.Add(1)
-			return nil, fmt.Errorf("serve: batch answer refused: %w", rep.Err())
-		}
-		s.metrics.CertifyPass.Add(1)
+	rep := certify.Check(canon, sol.Cost, ent.tree, sol.C, nil, s.certifyMode, certifySeed(hash))
+	if !rep.OK() {
+		s.metrics.CertifyFail.Add(1)
+		return nil, fmt.Errorf("serve: batch answer refused: %w", rep.Err())
 	}
+	s.metrics.CertifyPass.Add(1)
 	ent.bytes = entryBytes(ent)
 	return ent, nil
 }
@@ -303,9 +291,9 @@ func (s *Server) certifyBatchAnswer(canon *core.Problem, hash string, sol *core.
 // solveBatchFallback solves one instance through the normal resilient chain
 // (engine "seq") after its group could not deliver a certified answer, and
 // records the outcome — success or error — on its batch item.
-func (s *Server) solveBatchFallback(ctx context.Context, i int, canon *core.Problem, items []BatchItem, mode certify.Mode, wantTree bool) {
+func (s *Server) solveBatchFallback(ctx context.Context, i int, canon *core.Problem, items []BatchItem, wantTree bool) {
 	s.metrics.BatchFallback.Add(1)
-	ent, err := s.solveResilient(ctx, items[i].InstanceHash, canon, "seq", mode, approx.Spec{Raw: "off"})
+	ent, err := s.solveResilient(ctx, items[i].InstanceHash, canon, "seq", approx.Spec{Raw: "off"})
 	if err != nil {
 		items[i].Error = err.Error()
 		return

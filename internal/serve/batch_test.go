@@ -251,26 +251,3 @@ func TestBatchInadequateMember(t *testing.T) {
 		t.Fatalf("inadequate member misreported: %+v", br.Items[1])
 	}
 }
-
-// TestBatchCertifyModesSeparateSlots: batch entries are keyed by hash|mode
-// like single solves — an off-mode batch answer is not served to a fast-mode
-// request.
-func TestBatchCertifyModesSeparateSlots(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	base := workload.MedicalDiagnosis(4, 6)
-	batch := sameLatticeVariants(rng, base, 2)
-	s, ts := newTestServer(t, Config{})
-	if _, code := postBatch(t, ts, "?certify=off", batchJSON(t, batch)); code != http.StatusOK {
-		t.Fatal("off-mode batch failed")
-	}
-	if got := s.metrics.CertifyPass.Load(); got != 0 {
-		t.Fatalf("off-mode batch certified %d answers", got)
-	}
-	br, _ := postBatch(t, ts, "?certify=audit", batchJSON(t, batch))
-	if br.CacheHits != 0 {
-		t.Fatal("audit-mode batch served off-mode cache entries")
-	}
-	if got := s.metrics.CertifyPass.Load(); got != int64(len(batch)) {
-		t.Fatalf("audit-mode batch certified %d answers, want %d", got, len(batch))
-	}
-}

@@ -9,13 +9,10 @@ import (
 // cacheEntry is one solved instance. It stores the canonical problem and the
 // (small, O(K²)-node) optimal procedure tree rather than the 2^K DP vectors,
 // so a full cache stays within a few megabytes even at the admission-control
-// size limit. Tree is nil when the solving engine reports costs but not
-// argmins (the bvm engine) or the instance is inadequate.
+// size limit. Tree is nil exactly when the instance is inadequate.
 type cacheEntry struct {
-	hash string
-	key  string // cache key: hash plus certify mode ("" means hash) — an
-	// uncertified answer must never be served to a request that asked for
-	// certification, so entries solved under different modes get distinct slots
+	hash     string
+	key      string // cacheKey(hash, approx spec)
 	engine   string // engine that originally solved the instance
 	cost     uint64 // C(U); core.Inf for inadequate instances
 	adequate bool
@@ -52,9 +49,8 @@ func entryBytes(e *cacheEntry) int64 {
 	return n
 }
 
-// lruCache is an LRU over solved instances, keyed by cache key (canonical
-// hash plus certify mode), bounded
-// by entry count and optionally by total estimated bytes. It is not safe for
+// lruCache is an LRU over solved instances, keyed by cacheKey, bounded by
+// entry count and optionally by total estimated bytes. It is not safe for
 // concurrent use; the server guards it with its mutex.
 type lruCache struct {
 	capacity   int
@@ -89,9 +85,6 @@ func (c *lruCache) get(key string) *cacheEntry {
 func (c *lruCache) add(e *cacheEntry) {
 	if c.capacity <= 0 {
 		return
-	}
-	if e.key == "" {
-		e.key = e.hash
 	}
 	if e.bytes == 0 {
 		e.bytes = entryBytes(e)

@@ -154,7 +154,7 @@ func TestRetryLatencyBounded(t *testing.T) {
 	}
 	budget += 2 * time.Second // compute + scheduling headroom
 	start := time.Now()
-	_, err = s.solveResilient(context.Background(), hash, canon, "seq", s.certifyMode, approx.Spec{Raw: "off"})
+	_, err = s.solveResilient(context.Background(), hash, canon, "seq", approx.Spec{Raw: "off"})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("permanently failing engine returned an answer")

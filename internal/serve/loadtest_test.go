@@ -75,7 +75,7 @@ func TestLoadConcurrentMixed(t *testing.T) {
 		ok504, okOK, ok422 atomic.Int64
 		wg                 sync.WaitGroup
 	)
-	engines := []string{"seq", "parallel", "seq", "parallel", "lockstep"}
+	engines := []string{"seq", "parallel"}
 	for r := 0; r < nRequests; r++ {
 		r := r
 		wg.Add(1)
@@ -110,9 +110,6 @@ func TestLoadConcurrentMixed(t *testing.T) {
 				i := r % nInstances
 				p := permuted(rng, instances[i])
 				engine := engines[r%len(engines)]
-				if engine == "lockstep" && p.K > 8 {
-					engine = "seq" // keep the simulated machine small under -race
-				}
 				sr, status := postSolveClient(t, client, url, "?engine="+engine, instanceJSONQuiet(p))
 				if status != http.StatusOK {
 					t.Errorf("req %d (%s): status %d", r, engine, status)

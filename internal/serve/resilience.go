@@ -9,32 +9,25 @@ import (
 	"time"
 
 	"repro/internal/approx"
-	"repro/internal/bvmtt"
 	"repro/internal/certify"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/parttsolve"
 )
 
 // fallbackChains orders the engines tried for each requested engine: the
-// exotic simulated machines degrade to the host-parallel DP, which degrades
-// to the plain sequential DP. Every chain ends in "seq" — the engine with no
-// machine to mis-simulate — so a request only fails when the DP itself
-// cannot run. All exact engines produce bit-identical costs, so a fallback
-// changes solved_by, never the answer. When the request enabled approx,
-// solveResilient appends "approx" as the terminal rung: with every exact
-// engine faulting, a certified-gap answer beats a 5xx — and it is the only
-// rung where solved_by changes the answer's meaning, which the response
-// labels via the gap fields.
+// distributed plane degrades to the host-parallel DP, which degrades to the
+// plain sequential DP. Every exact chain ends in "seq", so a request only
+// fails when the DP itself cannot run. All exact engines produce
+// bit-identical costs, so a fallback changes solved_by, never the answer.
+// When the request enabled approx, solveResilient appends "approx" as the
+// terminal rung: with every exact engine faulting, a certified-gap answer
+// beats a 5xx — and it is the only rung where solved_by changes the answer's
+// meaning, which the response labels via the gap fields.
 var fallbackChains = map[string][]string{
-	"seq":       {"seq"},
-	"parallel":  {"parallel", "seq"},
-	"lockstep":  {"lockstep", "parallel", "seq"},
-	"goroutine": {"goroutine", "parallel", "seq"},
-	"ccc":       {"ccc", "parallel", "seq"},
-	"bvm":       {"bvm", "parallel", "seq"},
-	"cluster":   {"cluster", "parallel", "seq"},
-	"approx":    {"approx"},
+	"seq":      {"seq"},
+	"parallel": {"parallel", "seq"},
+	"cluster":  {"cluster", "parallel", "seq"},
+	"approx":   {"approx"},
 }
 
 // breaker returns the engine's circuit breaker, or nil when breakers are
@@ -60,7 +53,7 @@ func (s *Server) breaker(engine string) *breaker {
 // engine panic, injected fault) counts against the engine's breaker, is
 // retried with jittered backoff, and finally falls through to the next
 // engine in the chain.
-func (s *Server) solveResilient(ctx context.Context, hash string, canon *core.Problem, engine string, mode certify.Mode, ap approx.Spec) (*cacheEntry, error) {
+func (s *Server) solveResilient(ctx context.Context, hash string, canon *core.Problem, engine string, ap approx.Spec) (*cacheEntry, error) {
 	chain := fallbackChains[engine]
 	if chain == nil {
 		return nil, fmt.Errorf("serve: unknown engine %q", engine)
@@ -93,7 +86,7 @@ func (s *Server) solveResilient(ctx context.Context, hash string, canon *core.Pr
 			}
 			s.metrics.Solves.Add(1)
 			start := time.Now()
-			ent, err := s.solveAttempt(ctx, hash, canon, eng, mode, ap)
+			ent, err := s.solveAttempt(ctx, hash, canon, eng, ap)
 			s.metrics.observe(eng, time.Since(start))
 			if err == nil {
 				if br != nil {
@@ -157,13 +150,12 @@ func isContextErr(err error) bool {
 // its checkpoint file: the durable frontier exists only while the answer
 // does not.
 //
-// Under any mode but off, the answer is certified before it is returned (and
-// therefore before runSolve can cache it): the simulated-machine engines run
-// with their ABFT layer on, and the finished answer — tree or cost table plus
-// reported C(U) — must pass the engine-independent certifier. A failed
-// certification is an engine fault like any other: it feeds the breaker,
-// is retried, and falls through to the next engine in the chain.
-func (s *Server) solveAttempt(ctx context.Context, hash string, canon *core.Problem, engine string, mode certify.Mode, ap approx.Spec) (ent *cacheEntry, err error) {
+// The answer is certified in the server's mode before it is returned (and
+// therefore before runSolve can cache it): the tree extracted from the cost
+// plane plus the reported C(U) must pass the engine-independent certifier. A
+// failed certification is an engine fault like any other: it feeds the
+// breaker, is retried, and falls through to the next engine in the chain.
+func (s *Server) solveAttempt(ctx context.Context, hash string, canon *core.Problem, engine string, ap approx.Spec) (ent *cacheEntry, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			ent, err = nil, fmt.Errorf("serve: %s engine panicked: %v", engine, r)
@@ -176,60 +168,29 @@ func (s *Server) solveAttempt(ctx context.Context, hash string, canon *core.Prob
 	}
 	if engine == "approx" {
 		// The anytime path has its own certification discipline (gap
-		// certificates, with no off mode) and no checkpoint/frontier
-		// machinery — its solves are repriceable in milliseconds, not
-		// worth durable state.
-		return s.solveApproxAttempt(ctx, hash, canon, mode, ap)
+		// certificates) and no checkpoint/frontier machinery — its solves
+		// are repriceable in milliseconds, not worth durable state.
+		return s.solveApproxAttempt(ctx, hash, canon, ap)
 	}
 	frontier := s.loadResume(hash)
 	ck, w := s.checkpointerFor(ctx, hash, canon, engine)
-	verify := mode != certify.ModeOff
 
-	var (
-		cost    uint64
-		choices []int32 // the machine engines' own argmins, certified when present
-		cplane  []uint64
-		relSol  *core.Solution // pooled DP tables, recycled once the answer is certified
-	)
-	defer func() { relSol.Release() }()
+	var sol *core.Solution
 	switch engine {
 	case "seq":
-		sol, err := core.SolveCheckpointedCtx(ctx, canon, frontier, ck)
-		if err != nil {
-			return nil, err
-		}
-		cost, cplane = sol.Cost, sol.C
-		relSol = sol
+		sol, err = core.SolveCheckpointedCtx(ctx, canon, frontier, ck)
 	case "parallel":
-		sol, err := core.SolveParallelPooledCtx(ctx, canon, s.cfg.Workers, s.stripe, frontier, ck)
-		if err != nil {
-			return nil, err
-		}
-		cost, cplane = sol.Cost, sol.C
-		relSol = sol
-	case "lockstep", "goroutine", "ccc":
-		res, err := parttsolve.SolveOpts(ctx, canon, engineKinds[engine],
-			parttsolve.Options{Frontier: frontier, Checkpointer: ck, Verify: verify})
-		if err != nil {
-			return nil, err
-		}
-		cost, choices, cplane = res.Cost, res.Choice, res.C
-	case "bvm":
-		res, err := bvmtt.SolveOpts(ctx, canon,
-			bvmtt.Options{Frontier: frontier, Checkpointer: ck, Verify: verify, Stripe: s.stripe})
-		if err != nil {
-			return nil, err
-		}
-		cost, cplane = res.Cost, res.C
+		sol, err = core.SolveParallelPooledCtx(ctx, canon, s.cfg.Workers, s.stripe, frontier, ck)
 	case "cluster":
-		sol, err := s.solveCluster(ctx, hash, canon, frontier, ck)
-		if err != nil {
-			return nil, err
-		}
-		cost, cplane = sol.Cost, sol.C
+		sol, err = s.solveCluster(ctx, hash, canon, frontier, ck)
 	default:
 		return nil, fmt.Errorf("serve: unknown engine %q", engine)
 	}
+	if err != nil {
+		return nil, err
+	}
+	defer sol.Release() // pooled DP tables, recycled once the answer is certified
+	cost := sol.Cost
 	if hook := s.cfg.ResultFault; hook != nil && hook(engine) {
 		// Chaos: a silent in-memory corruption of the finished answer — the
 		// exact failure the certifier exists to stop at the door.
@@ -245,24 +206,20 @@ func (s *Server) solveAttempt(ctx context.Context, hash string, canon *core.Prob
 		}
 	}
 	ent = &cacheEntry{engine: engine, cost: cost, adequate: cost < core.Inf,
-		canon: canon, hash: hash, key: cacheKey(hash, mode, ap)}
-	if ent.adequate && engine != "bvm" {
-		// The bvm engine answers with costs alone; every other engine's
-		// tree is extracted from its C plane.
-		tree, err := core.TreeFromCosts(canon, cplane)
+		canon: canon, hash: hash, key: cacheKey(hash, ap)}
+	if ent.adequate {
+		tree, err := core.TreeFromCosts(canon, sol.C)
 		if err != nil {
 			return nil, err
 		}
 		ent.tree = tree
 	}
-	if mode != certify.ModeOff {
-		rep := certify.Check(canon, cost, ent.tree, cplane, choices, mode, certifySeed(hash))
-		if !rep.OK() {
-			s.metrics.CertifyFail.Add(1)
-			return nil, fmt.Errorf("serve: %s answer refused: %w", engine, rep.Err())
-		}
-		s.metrics.CertifyPass.Add(1)
+	rep := certify.Check(canon, cost, ent.tree, sol.C, nil, s.certifyMode, certifySeed(hash))
+	if !rep.OK() {
+		s.metrics.CertifyFail.Add(1)
+		return nil, fmt.Errorf("serve: %s answer refused: %w", engine, rep.Err())
 	}
+	s.metrics.CertifyPass.Add(1)
 	ent.bytes = entryBytes(ent)
 	return ent, nil
 }
@@ -281,7 +238,8 @@ func certifySeed(hash string) int64 {
 // loadResume returns a frontier for this instance if a valid durable
 // checkpoint exists: the hashes must match (guaranteed by the file name but
 // re-verified by Load). A frontier is C alone, so whichever engine wrote it
-// seeds any engine's resume.
+// — including a simulated machine from an older binary — seeds any engine's
+// resume.
 func (s *Server) loadResume(hash string) *core.Frontier {
 	if s.cfg.CheckpointDir == "" {
 		return nil
@@ -304,12 +262,8 @@ func (s *Server) loadResume(hash string) *core.Frontier {
 func (s *Server) checkpointerFor(ctx context.Context, hash string, canon *core.Problem, engine string) (core.Checkpointer, *checkpoint.Writer) {
 	var w *checkpoint.Writer
 	if s.cfg.CheckpointDir != "" {
-		width := 0
-		if engine == "bvm" {
-			width = bvmtt.SuggestWidth(canon)
-		}
 		var err error
-		w, err = checkpoint.NewWriter(s.cfg.CheckpointFS, s.cfg.CheckpointDir, canon, hash, engine, width)
+		w, err = checkpoint.NewWriter(s.cfg.CheckpointFS, s.cfg.CheckpointDir, canon, hash, engine, 0)
 		if err != nil {
 			s.metrics.CheckpointErrors.Add(1)
 			s.log.Warn("checkpointing disabled for solve", "err", err)
@@ -404,11 +358,13 @@ func (s *Server) RecoverCheckpoints(ctx context.Context) (resumed, discarded int
 				"resumed", resumed, "pending", len(snaps)-resumed, "err", cerr)
 			break
 		}
+		// A snapshot written by a simulated machine (older binaries served
+		// them) resumes on the default engine: the frontier is C alone.
 		engine := snap.Engine
-		if !validEngine(engine) {
+		if CheckEngine(engine) != nil {
 			engine = s.cfg.DefaultEngine
 		}
-		ent, err := s.solveResilient(ctx, snap.Hash, snap.Problem, engine, s.certifyMode, approx.Spec{Raw: "off"})
+		ent, err := s.solveResilient(ctx, snap.Hash, snap.Problem, engine, approx.Spec{Raw: "off"})
 		if err != nil {
 			// Leave the file: the frontier is still good and the next start
 			// (or the next request for this instance) can try again.

@@ -22,12 +22,12 @@ import (
 
 var errInjected = errors.New("injected engine fault")
 
-// TestFallbackOnEngineFailure: a persistently failing bvm engine must not
-// fail the request — the chain degrades to parallel, the response reports
+// TestFallbackOnEngineFailure: a persistently failing parallel engine must
+// not fail the request — the chain degrades to seq, the response reports
 // both the asked-for and the solving engine, and the failures are counted.
 func TestFallbackOnEngineFailure(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		EngineFault: chaos.FailFirst("bvm", 1<<30, errInjected),
+		EngineFault: chaos.FailFirst("parallel", 1<<30, errInjected),
 		Retries:     -1, // no retries: the fallback itself is under test
 	})
 	p := workload.MedicalDiagnosis(3, 6)
@@ -35,12 +35,12 @@ func TestFallbackOnEngineFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, status := postSolve(t, ts, "?engine=bvm", instanceJSON(t, p))
+	sr, status := postSolve(t, ts, "?engine=parallel", instanceJSON(t, p))
 	if status != http.StatusOK {
 		t.Fatalf("status %d", status)
 	}
-	if sr.Engine != "bvm" || sr.SolvedBy != "parallel" {
-		t.Fatalf("engine %q solved_by %q, want bvm/parallel", sr.Engine, sr.SolvedBy)
+	if sr.Engine != "parallel" || sr.SolvedBy != "seq" {
+		t.Fatalf("engine %q solved_by %q, want parallel/seq", sr.Engine, sr.SolvedBy)
 	}
 	if sr.Cost == nil || *sr.Cost != want.Cost {
 		t.Fatalf("fallback cost %v, want %d", sr.Cost, want.Cost)
@@ -52,44 +52,45 @@ func TestFallbackOnEngineFailure(t *testing.T) {
 }
 
 // TestBreakerOpensAndRecovers drives the full breaker lifecycle: consecutive
-// bvm failures open its breaker (visible in stats), requests then skip bvm
-// without attempting it, and after the cooldown a half-open probe against the
+// parallel failures open its breaker (visible in stats), requests then skip
+// parallel without attempting it, and after the cooldown a half-open probe against the
 // healed engine closes it again.
 func TestBreakerOpensAndRecovers(t *testing.T) {
-	fail := chaos.FailFirst("bvm", 2, errInjected)
+	fail := chaos.FailFirst("parallel", 2, errInjected)
 	s, ts := newTestServer(t, Config{
 		EngineFault:      fail,
 		Retries:          -1,
 		BreakerThreshold: 2,
 		BreakerCooldown:  30 * time.Millisecond,
 	})
-	// Two distinct instances, two bvm failures: breaker opens.
+	// Two distinct instances, two parallel failures: breaker opens.
 	for seed := int64(0); seed < 2; seed++ {
-		if _, status := postSolve(t, ts, "?engine=bvm", instanceJSON(t, workload.MedicalDiagnosis(seed, 5))); status != http.StatusOK {
+		if _, status := postSolve(t, ts, "?engine=parallel", instanceJSON(t, workload.MedicalDiagnosis(seed, 5))); status != http.StatusOK {
 			t.Fatalf("request %d: status %d", seed, status)
 		}
 	}
-	br := s.breaker("bvm")
+	br := s.breaker("parallel")
 	if snap := br.snapshot(); snap["state"] != "open" || snap["opens"].(int64) != 1 {
 		t.Fatalf("after 2 failures: %v", snap)
 	}
-	// While open, bvm is skipped outright: solved_by degrades with no attempt.
+	// While open, parallel is skipped outright: solved_by degrades with no
+	// attempt.
 	attempts := s.metrics.Solves.Load()
-	sr, status := postSolve(t, ts, "?engine=bvm", instanceJSON(t, workload.MedicalDiagnosis(2, 5)))
-	if status != http.StatusOK || sr.SolvedBy != "parallel" {
+	sr, status := postSolve(t, ts, "?engine=parallel", instanceJSON(t, workload.MedicalDiagnosis(2, 5)))
+	if status != http.StatusOK || sr.SolvedBy != "seq" {
 		t.Fatalf("open-breaker request: status %d solved_by %q", status, sr.SolvedBy)
 	}
 	if s.metrics.BreakerRejects.Load() == 0 {
 		t.Fatal("open breaker did not reject")
 	}
 	if got := s.metrics.Solves.Load() - attempts; got != 1 {
-		t.Fatalf("%d attempts while breaker open, want 1 (parallel only)", got)
+		t.Fatalf("%d attempts while breaker open, want 1 (seq only)", got)
 	}
 	// After the cooldown the hook has healed (it failed only twice): the
 	// half-open probe succeeds and the breaker closes.
 	time.Sleep(50 * time.Millisecond)
-	sr, status = postSolve(t, ts, "?engine=bvm", instanceJSON(t, workload.MedicalDiagnosis(3, 5)))
-	if status != http.StatusOK || sr.SolvedBy != "bvm" {
+	sr, status = postSolve(t, ts, "?engine=parallel", instanceJSON(t, workload.MedicalDiagnosis(3, 5)))
+	if status != http.StatusOK || sr.SolvedBy != "parallel" {
 		t.Fatalf("post-cooldown request: status %d solved_by %q", status, sr.SolvedBy)
 	}
 	if snap := br.snapshot(); snap["state"] != "closed" {
@@ -120,11 +121,11 @@ func TestPanicIsolationAndRetry(t *testing.T) {
 // the request's failure.
 func TestDisableFallback(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		EngineFault:     chaos.FailFirst("bvm", 1<<30, errInjected),
+		EngineFault:     chaos.FailFirst("parallel", 1<<30, errInjected),
 		Retries:         -1,
 		DisableFallback: true,
 	})
-	_, status := postSolve(t, ts, "?engine=bvm", instanceJSON(t, workload.MedicalDiagnosis(3, 5)))
+	_, status := postSolve(t, ts, "?engine=parallel", instanceJSON(t, workload.MedicalDiagnosis(3, 5)))
 	if status != http.StatusInternalServerError {
 		t.Fatalf("status %d, want 500", status)
 	}
@@ -223,6 +224,40 @@ func TestCrashResume(t *testing.T) {
 	if s.metrics.CheckpointsResumed.Load() != 1 || s.metrics.CheckpointsDiscarded.Load() != 1 {
 		t.Fatalf("resume counters %d/%d, want 1/1",
 			s.metrics.CheckpointsResumed.Load(), s.metrics.CheckpointsDiscarded.Load())
+	}
+}
+
+// TestRecoverMachineCheckpointOnDefaultEngine: a snapshot an older binary
+// wrote while running a simulated machine (engine "bvm", a word width) names
+// an engine the service no longer runs; recovery resumes its frontier on
+// DefaultEngine and installs the certified answer in the cache.
+func TestRecoverMachineCheckpointOnDefaultEngine(t *testing.T) {
+	dir := t.TempDir()
+	canon := Canonicalize(workload.MedicalDiagnosis(14, 8))
+	hash, err := Hash(canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Solve(canon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := checkpoint.NewWriter(nil, dir, canon, hash, "bvm", 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.SolveCheckpointedCtx(context.Background(), canon, nil, &chaos.Kill{Inner: w, Level: 4}); !errors.Is(err, chaos.ErrKilled) {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{CheckpointDir: dir, DefaultEngine: "parallel"})
+	resumed, discarded, err := s.RecoverCheckpoints(context.Background())
+	if err != nil || resumed != 1 || discarded != 0 {
+		t.Fatalf("recovery resumed=%d discarded=%d err=%v, want 1/0", resumed, discarded, err)
+	}
+	sr, status := postSolve(t, ts, "", instanceJSON(t, canon))
+	if status != http.StatusOK || !sr.Cached || sr.SolvedBy != "parallel" || sr.Cost == nil || *sr.Cost != want.Cost {
+		t.Fatalf("recovered instance: status %d cached %v solved_by %q cost %v, want a cached parallel answer costing %d",
+			status, sr.Cached, sr.SolvedBy, sr.Cost, want.Cost)
 	}
 }
 
@@ -365,7 +400,7 @@ func TestShedRetryAfter(t *testing.T) {
 // TestCacheByteBudget: the LRU evicts by total estimated bytes, refuses
 // entries larger than the whole budget, and keeps its accounting exact.
 func TestCacheByteBudget(t *testing.T) {
-	mk := func(hash string, b int64) *cacheEntry { return &cacheEntry{hash: hash, bytes: b} }
+	mk := func(hash string, b int64) *cacheEntry { return &cacheEntry{hash: hash, key: hash, bytes: b} }
 	c := newLRU(100, 1000)
 	c.add(mk("a", 400))
 	c.add(mk("b", 400))
@@ -401,11 +436,11 @@ func TestCacheByteBudget(t *testing.T) {
 // TestStatsExposeResilience: /v1/stats carries the new gauges end to end.
 func TestStatsExposeResilience(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		EngineFault:      chaos.FailFirst("lockstep", 1<<30, errInjected),
+		EngineFault:      chaos.FailFirst("parallel", 1<<30, errInjected),
 		Retries:          -1,
 		BreakerThreshold: 1,
 	})
-	if _, status := postSolve(t, ts, "?engine=lockstep", instanceJSON(t, workload.MedicalDiagnosis(3, 5))); status != http.StatusOK {
+	if _, status := postSolve(t, ts, "?engine=parallel", instanceJSON(t, workload.MedicalDiagnosis(3, 5))); status != http.StatusOK {
 		t.Fatalf("status %d", status)
 	}
 	resp, err := http.Get(ts.URL + "/v1/stats")
@@ -426,9 +461,9 @@ func TestStatsExposeResilience(t *testing.T) {
 	if !ok {
 		t.Fatal("breakers not an object")
 	}
-	ls, ok := br["lockstep"].(map[string]any)
+	ls, ok := br["parallel"].(map[string]any)
 	if !ok || ls["state"] != "open" {
-		t.Fatalf("lockstep breaker not open in stats: %v", br)
+		t.Fatalf("parallel breaker not open in stats: %v", br)
 	}
 	if stats["cache_bytes"].(float64) <= 0 {
 		t.Fatal("cache_bytes not positive after a cached solve")

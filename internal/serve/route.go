@@ -62,26 +62,20 @@ func (s *Server) handlePolicyPublish(w http.ResponseWriter, r *http.Request) {
 	if engine == "" {
 		engine = s.cfg.DefaultEngine
 	}
-	if !validEngine(engine) {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown engine %q", engine))
+	if err := CheckEngine(engine); err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	mode := s.certifyMode
-	if cm := q.Get("certify"); cm != "" {
-		var err error
-		if mode, err = certify.ParseMode(cm); err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
+	if s.rejectRetiredParams(w, q) {
+		return
 	}
 	p, err := instio.Read(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if err := s.admit(p, engine); err != nil {
-		s.metrics.RejectOversize.Add(1)
-		httpError(w, http.StatusUnprocessableEntity, err.Error())
+	if oerr := s.admit(p); oerr != nil {
+		s.rejectOversize(w, oerr, nil)
 		return
 	}
 	canon := Canonicalize(p)
@@ -94,18 +88,13 @@ func (s *Server) handlePolicyPublish(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DefaultTimeout)
 	defer cancel()
 	start := time.Now()
-	ent, cached, _, err := s.solveShared(ctx, hash, canon, engine, mode, approx.Spec{Raw: "off"}, s.cfg.DefaultTimeout)
+	ent, cached, _, err := s.solveShared(ctx, hash, canon, engine, approx.Spec{Raw: "off"}, s.cfg.DefaultTimeout)
 	if err != nil {
 		s.solveError(w, err)
 		return
 	}
 	if !ent.adequate {
 		httpError(w, http.StatusUnprocessableEntity, "inadequate instance has no policy to publish")
-		return
-	}
-	if ent.tree == nil {
-		httpError(w, http.StatusUnprocessableEntity,
-			fmt.Sprintf("engine %q recorded no procedure tree; publish with a tree-producing engine", ent.engine))
 		return
 	}
 	// Compile-after-certify: even when the cached answer already passed a
@@ -138,7 +127,7 @@ func (s *Server) handlePolicyPublish(w http.ResponseWriter, r *http.Request) {
 		Cost:        art.Cost,
 		Nodes:       len(art.Nodes),
 		Bytes:       art.Bytes(),
-		CertifyMode: mode.String(),
+		CertifyMode: s.certifyMode.String(),
 		SolvedBy:    ent.engine,
 		Cached:      cached,
 		ElapsedMS:   float64(time.Since(start).Microseconds()) / 1000,
@@ -338,9 +327,8 @@ func (s *Server) handleRouteBatch(w http.ResponseWriter, r *http.Request) {
 		n = len(req.Cursors)
 	}
 	if n <= 0 || n > s.cfg.RouteMaxBatch {
-		s.metrics.RejectOversize.Add(1)
-		httpError(w, http.StatusUnprocessableEntity,
-			fmt.Sprintf("batch of %d sessions outside [1, %d]", n, s.cfg.RouteMaxBatch))
+		s.rejectOversize(w, &oversizeError{budget: "route-batch", limit: s.cfg.RouteMaxBatch, got: n,
+			msg: fmt.Sprintf("batch of %d sessions outside [1, %d]", n, s.cfg.RouteMaxBatch)}, nil)
 		return
 	}
 	resp := &RouteBatchResponse{

@@ -6,8 +6,8 @@
 // supplies the production shape for them:
 //
 //   - POST /v1/solve  — solve an instio-format instance with a selectable
-//     engine (seq, parallel, lockstep, goroutine, ccc, bvm), per-request
-//     deadline, and optional procedure-tree rendering;
+//     engine (seq, parallel, cluster), per-request deadline, an optional
+//     approx= knob, and optional procedure-tree rendering;
 //   - POST /v1/eval   — evaluate a stored policy against a weight vector
 //     (the misspecified-prior question served online);
 //   - GET  /healthz, /v1/stats, /debug/vars, /debug/pprof — liveness,
@@ -20,6 +20,12 @@
 // pending queue, and a K/action budget that 422s oversized instances before
 // they can allocate 2^K state); and context plumbing through every engine,
 // so deadlines and client disconnects actually stop the O(N·2^K) sweep.
+//
+// Every answer is certified before it is cached or returned, in the one
+// server-wide mode Config.CertifyMode sets (fast or audit); there is no
+// per-request certify= parameter and no off switch. The paper's simulated
+// machines (lockstep, goroutine, ccc, bvm) compute the same C(U) as the host
+// DP, only slower, so they are not served: ttsolve -engine runs them.
 package serve
 
 import (
@@ -32,6 +38,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync"
@@ -39,13 +46,10 @@ import (
 	"time"
 
 	"repro/internal/approx"
-	"repro/internal/bvmtt"
-	"repro/internal/ccc"
 	"repro/internal/certify"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/instio"
-	"repro/internal/parttsolve"
 	"repro/internal/policy"
 	"repro/internal/stripe"
 )
@@ -70,7 +74,7 @@ type Config struct {
 	Workers        int           // Gosper ranges per level for engine=parallel solves and batch groups alike (default GOMAXPROCS)
 	StripeWorkers  int           // dedicated stripe-pool workers for striped/batched sweeps (default 0: share the process-wide pool)
 	DefaultEngine  string        // engine when the request names none (default "seq")
-	CertifyMode    string        // answer certification: "off", "fast", "audit" (default "fast"); per-request certify= overrides
+	CertifyMode    string        // answer certification for every answer: "fast" or "audit" (default "fast")
 	Logger         *slog.Logger  // structured request log (default slog.Default())
 
 	// Bounded-suboptimality plane (approx.go, docs/RESILIENCE.md).
@@ -216,7 +220,7 @@ type Server struct {
 	log           *slog.Logger
 	mux           *http.ServeMux
 	metrics       *Metrics
-	certifyMode   certify.Mode // parsed Config.CertifyMode, the per-server default
+	certifyMode   certify.Mode // parsed Config.CertifyMode: every answer passes it
 	defaultApprox approx.Spec  // parsed Config.DefaultApprox, the per-server default
 
 	sem      chan struct{} // solver semaphore, capacity MaxConcurrent
@@ -244,7 +248,7 @@ type Server struct {
 // New builds a Server from cfg (zero value is a sensible default).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	mode, err := certify.ParseMode(cfg.CertifyMode)
+	mode, err := ParseCertifyMode(cfg.CertifyMode)
 	if err != nil {
 		cfg.Logger.Warn("invalid certify mode, using fast", "mode", cfg.CertifyMode)
 		mode = certify.ModeFast
@@ -352,12 +356,11 @@ type SolveResponse struct {
 	SolvedBy     string  `json:"solved_by"`           // engine that produced the solution
 	Cached       bool    `json:"cached"`              // served from the LRU without solving
 	Coalesced    bool    `json:"coalesced,omitempty"` // shared a concurrent identical solve
-	CertifyMode  string  `json:"certify_mode"`        // certification the answer passed: off, fast, audit
+	CertifyMode  string  `json:"certify_mode"`        // the server's certification mode, which the answer passed: fast or audit
 	Adequate     bool    `json:"adequate"`
 	Cost         *uint64 `json:"cost,omitempty"` // C(U); absent when inadequate
 	FirstAction  string  `json:"first_action,omitempty"`
 	Tree         string  `json:"tree,omitempty"`
-	Greedy       *uint64 `json:"greedy,omitempty"`
 	ElapsedMS    float64 `json:"elapsed_ms"`
 
 	// Bounded-suboptimality answers only (absent on the exact path): the
@@ -371,18 +374,43 @@ type SolveResponse struct {
 	ApproxExact  bool    `json:"approx_exact,omitempty"`  // branch-and-bound completed: proven optimal
 }
 
-var engineKinds = map[string]parttsolve.EngineKind{
-	"lockstep":  parttsolve.Lockstep,
-	"goroutine": parttsolve.Goroutine,
-	"ccc":       parttsolve.CCC,
+// CheckEngine reports whether engine is served. Anything else — notably the
+// paper's simulated machines, which compute the same C(U) as the host DP,
+// only slower — is refused with a pointer to the replacement.
+func CheckEngine(engine string) error {
+	switch engine {
+	case "seq", "parallel", "cluster":
+		return nil
+	}
+	return fmt.Errorf("engine %q is not served (seq, parallel, cluster): use engine=parallel; "+
+		"ttsolve -engine still runs the simulated machines (lockstep, goroutine, ccc, bvm)", engine)
 }
 
-func validEngine(e string) bool {
-	switch e {
-	case "seq", "parallel", "lockstep", "goroutine", "ccc", "bvm", "cluster":
-		return true
+// ParseCertifyMode parses a server certification mode: fast (also "") or
+// audit. Every served answer is certified, so there is no off.
+func ParseCertifyMode(name string) (certify.Mode, error) {
+	switch name {
+	case "fast", "":
+		return certify.ModeFast, nil
+	case "audit":
+		return certify.ModeAudit, nil
 	}
-	return false
+	return certify.ModeFast, fmt.Errorf("certify mode %q: want fast or audit (every answer is certified)", name)
+}
+
+// rejectRetiredParams answers 400 for query parameters the service no longer
+// takes, naming where their behaviour went, and reports whether it did.
+func (s *Server) rejectRetiredParams(w http.ResponseWriter, q url.Values) bool {
+	switch {
+	case q.Has("certify"):
+		httpError(w, http.StatusBadRequest, fmt.Sprintf(
+			"certify= is not a request parameter: every answer is certified in this server's %q mode (ttserve -certify)", s.certifyMode))
+	case q.Has("greedy"):
+		httpError(w, http.StatusBadRequest, "greedy= is not served: use ttsolve -greedy, or approx= for a certified heuristic answer")
+	default:
+		return false
+	}
+	return true
 }
 
 // rejectShed is the single load-shedding rejection seam: every 503 the
@@ -416,17 +444,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if engine == "" {
 		engine = s.cfg.DefaultEngine
 	}
-	if !validEngine(engine) {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown engine %q", engine))
+	if err := CheckEngine(engine); err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	mode := s.certifyMode
-	if cm := q.Get("certify"); cm != "" {
-		var err error
-		if mode, err = certify.ParseMode(cm); err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
+	if s.rejectRetiredParams(w, q) {
+		return
 	}
 	timeout := s.cfg.DefaultTimeout
 	if ms := q.Get("timeout_ms"); ms != "" {
@@ -451,7 +474,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	solveEngine := engine // the engine actually dispatched; resp.Engine echoes the request
-	if oerr := s.admit(p, engine); oerr != nil {
+	if oerr := s.admit(p); oerr != nil {
 		// Past the exact-DP budget. With approx enabled the instance routes
 		// to the anytime engine (its own, much looser, caps permitting)
 		// instead of failing; with approx off the 422 names the exceeded
@@ -473,7 +496,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	start := time.Now()
-	ent, cached, coalesced, err := s.solveShared(ctx, hash, canon, solveEngine, mode, ap, timeout)
+	ent, cached, coalesced, err := s.solveShared(ctx, hash, canon, solveEngine, ap, timeout)
 	if err != nil {
 		s.solveError(w, err)
 		return
@@ -486,7 +509,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		SolvedBy:     ent.engine,
 		Cached:       cached,
 		Coalesced:    coalesced,
-		CertifyMode:  mode.String(),
+		CertifyMode:  s.certifyMode.String(),
 		Adequate:     ent.adequate,
 		ElapsedMS:    float64(time.Since(start).Microseconds()) / 1000,
 	}
@@ -511,20 +534,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			resp.Tree = ent.tree.Render(ent.canon)
 		}
 	}
-	if isTrue(q.Get("greedy")) {
-		if g, err := core.GreedyCost(canon); err == nil {
-			resp.Greedy = &g
-		}
-	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// admit enforces the size budget: the global K/action caps plus the
-// engine-specific machine bounds, checked before any 2^K allocation so an
-// oversized instance costs the server nothing but the parse. The returned
-// rejection names the budget it enforces (for the structured 422 body) and
-// unwraps to errOversize.
-func (s *Server) admit(p *core.Problem, engine string) *oversizeError {
+// admit enforces the exact-DP size budget, checked before any 2^K
+// allocation so an oversized instance costs the server nothing but the
+// parse. The returned rejection names the budget it enforces (for the
+// structured 422 body) and unwraps to errOversize.
+func (s *Server) admit(p *core.Problem) *oversizeError {
 	if p.K > s.cfg.MaxK {
 		return &oversizeError{budget: "k", limit: s.cfg.MaxK, got: p.K,
 			msg: fmt.Sprintf("%v: %d objects > max %d", errOversize, p.K, s.cfg.MaxK)}
@@ -533,48 +550,16 @@ func (s *Server) admit(p *core.Problem, engine string) *oversizeError {
 		return &oversizeError{budget: "actions", limit: s.cfg.MaxActions, got: len(p.Actions),
 			msg: fmt.Sprintf("%v: %d actions > max %d", errOversize, len(p.Actions), s.cfg.MaxActions)}
 	}
-	dim := p.K + parttsolve.PaddedLogN(len(p.Actions))
-	machine := func(got int, msg string) *oversizeError {
-		return &oversizeError{budget: "machine-dim", limit: core.MaxK, got: got, msg: msg}
-	}
-	switch engine {
-	case "lockstep", "goroutine":
-		if dim > core.MaxK {
-			return machine(dim, fmt.Sprintf("%v: engine %s needs 2^%d simulated PEs", errOversize, engine, dim))
-		}
-	case "ccc":
-		top, err := ccc.ForPEs(1 << uint(dim))
-		if err != nil {
-			return machine(dim, fmt.Sprintf("%v: engine ccc: %v", errOversize, err))
-		}
-		if top.AddrBits > core.MaxK {
-			return machine(top.AddrBits, fmt.Sprintf("%v: engine ccc needs 2^%d simulated PEs", errOversize, top.AddrBits))
-		}
-	case "bvm":
-		if dim > bvmtt.MaxDim {
-			e := machine(dim, fmt.Sprintf("%v: engine bvm needs 2^%d PEs, bit-level cap is 2^%d", errOversize, dim, bvmtt.MaxDim))
-			e.limit = bvmtt.MaxDim
-			return e
-		}
-		if width := bvmtt.SuggestWidth(p); width > 32 {
-			e := machine(width, fmt.Sprintf("%v: engine bvm needs %d-bit words (max 32)", errOversize, width))
-			e.limit = 32
-			return e
-		}
-	}
 	return nil
 }
 
 // solveShared resolves one request to a cache entry: LRU hit, attach to an
-// identical in-flight solve, or start the solve. Cache and singleflight are
-// keyed by hash *and* certify mode, so an answer solved without
-// certification is never handed to a request that asked for it (and an
-// audit-mode answer is not diluted to an off-mode one). The solve runs under
-// its own context (derived from the server, bounded by timeout), so it
+// identical in-flight solve, or start the solve. Cache and singleflight share
+// one key, cacheKey(hash, ap). The solve runs under its own context (derived from the server, bounded by timeout), so it
 // survives any single client's disconnect while other waiters remain — and
 // stops as soon as the last waiter is gone.
-func (s *Server) solveShared(ctx context.Context, hash string, canon *core.Problem, engine string, mode certify.Mode, ap approx.Spec, timeout time.Duration) (ent *cacheEntry, cached, coalesced bool, err error) {
-	key := cacheKey(hash, mode, ap)
+func (s *Server) solveShared(ctx context.Context, hash string, canon *core.Problem, engine string, ap approx.Spec, timeout time.Duration) (ent *cacheEntry, cached, coalesced bool, err error) {
+	key := cacheKey(hash, ap)
 	for attempt := 0; ; attempt++ {
 		s.mu.Lock()
 		if e := s.cache.get(key); e != nil {
@@ -611,7 +596,7 @@ func (s *Server) solveShared(ctx context.Context, hash string, canon *core.Probl
 		c := &flightCall{done: make(chan struct{}), cancel: cancel, waiters: 1}
 		s.flights[key] = c
 		s.mu.Unlock()
-		go s.runSolve(solveCtx, hash, key, c, canon, engine, mode, ap)
+		go s.runSolve(solveCtx, hash, key, c, canon, engine, ap)
 		e, err := s.await(ctx, c)
 		return e, false, false, err
 	}
@@ -640,7 +625,7 @@ func (s *Server) await(ctx context.Context, c *flightCall) (*cacheEntry, error) 
 // publishes the result to every waiter and (on success) the cache. The solve
 // itself goes through the resilient path: fallback chain, retries, circuit
 // breakers, and durable checkpointing (resilience.go).
-func (s *Server) runSolve(ctx context.Context, hash, key string, c *flightCall, canon *core.Problem, engine string, mode certify.Mode, ap approx.Spec) {
+func (s *Server) runSolve(ctx context.Context, hash, key string, c *flightCall, canon *core.Problem, engine string, ap approx.Spec) {
 	defer c.cancel()
 	// A panicking solve must still publish to its waiters — as a failure —
 	// or they block on c.done forever. Successful answers are published in
@@ -671,7 +656,7 @@ func (s *Server) runSolve(ctx context.Context, hash, key string, c *flightCall, 
 			return
 		}
 		defer func() { <-s.sem }()
-		ent, err = s.solveResilient(ctx, hash, canon, engine, mode, ap)
+		ent, err = s.solveResilient(ctx, hash, canon, engine, ap)
 	}()
 	s.mu.Lock()
 	delete(s.flights, key)

@@ -103,9 +103,9 @@ func TestCanonicalHashIgnoresActionOrder(t *testing.T) {
 
 func TestLRUCacheEviction(t *testing.T) {
 	c := newLRU(2, 0)
-	a := &cacheEntry{hash: "a"}
-	b := &cacheEntry{hash: "b"}
-	d := &cacheEntry{hash: "d"}
+	a := &cacheEntry{hash: "a", key: "a"}
+	b := &cacheEntry{hash: "b", key: "b"}
+	d := &cacheEntry{hash: "d", key: "d"}
 	c.add(a)
 	c.add(b)
 	if c.get("a") == nil {
@@ -131,7 +131,8 @@ func TestSolveMatchesCoreAcrossEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := instanceJSON(t, p)
-	for _, engine := range []string{"seq", "parallel", "lockstep", "goroutine", "ccc", "bvm"} {
+	// cluster has no fleet here, so its chain answers from parallel.
+	for _, engine := range []string{"seq", "parallel", "cluster"} {
 		sr, status := postSolve(t, ts, "?engine="+engine, body)
 		if status != http.StatusOK {
 			t.Fatalf("engine %s: status %d", engine, status)
@@ -184,7 +185,12 @@ func TestSolveCacheHitAndPermutedRequests(t *testing.T) {
 func TestSolveTreeAndFirstAction(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	p := workload.BinaryTestingUniform(8, 40)
-	sr, status := postSolve(t, ts, "?tree=1&greedy=1", instanceJSON(t, p))
+	// greedy= is retired from the service (ttsolve -greedy prices it): the
+	// combined request is refused rather than silently dropping the knob.
+	if _, status := postSolve(t, ts, "?tree=1&greedy=1", instanceJSON(t, p)); status != http.StatusBadRequest {
+		t.Fatalf("tree=1&greedy=1: status %d, want 400", status)
+	}
+	sr, status := postSolve(t, ts, "?tree=1", instanceJSON(t, p))
 	if status != http.StatusOK {
 		t.Fatalf("status %d", status)
 	}
@@ -194,8 +200,46 @@ func TestSolveTreeAndFirstAction(t *testing.T) {
 	if sr.FirstAction == "" {
 		t.Fatal("first action missing")
 	}
-	if sr.Greedy == nil || *sr.Greedy < *sr.Cost {
-		t.Fatalf("greedy %v vs optimal %d", sr.Greedy, *sr.Cost)
+}
+
+// TestRetiredSurfaceNamesReplacement: every engine, mode and knob the
+// service no longer takes is a 400 whose body says where it went.
+func TestRetiredSurfaceNamesReplacement(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := instanceJSON(t, workload.MedicalDiagnosis(3, 4))
+	batch := batchJSON(t, []*core.Problem{workload.MedicalDiagnosis(3, 4)})
+	cases := []struct {
+		path, query string
+		body        []byte
+		want        []string
+	}{
+		{"/v1/solve", "?engine=lockstep", body, []string{"engine=parallel", "ttsolve -engine"}},
+		{"/v1/solve", "?engine=goroutine", body, []string{"engine=parallel", "ttsolve -engine"}},
+		{"/v1/solve", "?engine=ccc", body, []string{"engine=parallel", "ttsolve -engine"}},
+		{"/v1/solve", "?engine=bvm", body, []string{"engine=parallel", "ttsolve -engine"}},
+		{"/v1/policy", "?engine=bvm", body, []string{"engine=parallel", "ttsolve -engine"}},
+		{"/v1/solve", "?certify=off", body, []string{`\"fast\" mode`, "ttserve -certify"}},
+		{"/v1/solve", "?certify=audit", body, []string{`\"fast\" mode`, "ttserve -certify"}},
+		{"/v1/solve/batch", "?certify=off", batch, []string{`\"fast\" mode`, "ttserve -certify"}},
+		{"/v1/policy", "?certify=off", body, []string{`\"fast\" mode`, "ttserve -certify"}},
+		{"/v1/solve", "?greedy=1", body, []string{"ttsolve -greedy"}},
+	}
+	for _, tc := range cases {
+		resp, err := http.Post(ts.URL+tc.path+tc.query, "application/json", bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s%s: status %d, want 400", tc.path, tc.query, resp.StatusCode)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(string(msg), w) {
+				t.Errorf("%s%s: body %s does not name %q", tc.path, tc.query, msg, w)
+			}
+		}
 	}
 }
 
@@ -205,14 +249,8 @@ func TestSolveRejectsOversizedWith422(t *testing.T) {
 	if _, status := postSolve(t, ts, "", instanceJSON(t, p)); status != http.StatusUnprocessableEntity {
 		t.Fatalf("oversized instance: status %d, want 422", status)
 	}
-	// Engine-specific budget: a K=6 instance fits seq but not the 2^11-PE
-	// bit-level bvm cap once actions push the dimension over MaxDim.
-	q := workload.Random(4, 6, 40, 10) // 56 actions → logN=6 → dim=12 > 11
-	if _, status := postSolve(t, ts, "?engine=bvm", instanceJSON(t, q)); status != http.StatusUnprocessableEntity {
-		t.Fatalf("bvm-oversized instance: status %d, want 422", status)
-	}
-	if got := s.Metrics().RejectOversize.Load(); got != 2 {
-		t.Fatalf("reject_oversize = %d, want 2", got)
+	if got := s.Metrics().RejectOversize.Load(); got != 1 {
+		t.Fatalf("reject_oversize = %d, want 1", got)
 	}
 	if got := s.Metrics().Solves.Load(); got != 0 {
 		t.Fatalf("oversized instances reached a solver (%d runs)", got)
