@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint fuzz-short golden bench-json bench-smoke bench-diff perfbench-check serve-smoke chaos-smoke certify-smoke route-smoke cluster-smoke approx-smoke
+.PHONY: build test race vet lint fuzz-short golden bench-json bench-smoke bench-diff perfbench-check serve-smoke chaos-smoke certify-smoke route-smoke approx-smoke
 
 build:
 	$(GO) build ./...
@@ -103,16 +103,6 @@ chaos-smoke:
 # internal/bvmtt/abft_test.go.
 certify-smoke:
 	$(GO) test -race -count=1 -run 'TestCertifySmoke' -v ./cmd/ttserve
-
-# Distributed-solve drill: builds the real ttserve and ttworker binaries,
-# stands up a three-worker fleet with one persistently malicious member,
-# SIGKILLs another worker mid-solve, and verifies the coordinator reassigns
-# the dead worker's slices, attributes and rejects the malicious planes, and
-# still returns the certified answer bit-identical to the single-process
-# reference — then fails closed when the whole fleet is gone (see
-# cmd/ttserve/cluster_smoke_test.go and docs/CLUSTER.md).
-cluster-smoke:
-	$(GO) test -race -count=1 -run 'TestClusterSmoke' -v ./cmd/ttserve
 
 # Graceful-degradation smoke: boots the real ttserve binary with a tiny
 # exact K-cap, then verifies an over-budget instance is a structured 422

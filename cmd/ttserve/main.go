@@ -1,23 +1,23 @@
 // Command ttserve runs the test-and-treatment solver as a long-lived HTTP
 // service (internal/serve): instances are POSTed in the instio JSON wire
-// format and solved by a selectable engine (seq, parallel, or the cluster
-// plane; the paper's simulated machines run under ttsolve), every answer
-// certified before it is cached or served, with an order-normalized LRU
-// solution cache, singleflight collapsing of identical concurrent requests,
-// admission control (solver semaphore, bounded queue, K/action budget),
-// per-request deadlines that genuinely cancel the O(N·2^K) sweep, and
-// graceful drain on SIGINT/SIGTERM. Solves self-heal (retries, per-engine
-// circuit breakers, fallback chains) and, with -checkpoint-dir, write durable
-// mid-sweep checkpoints that a restarted process finishes from disk before
-// serving (docs/RESILIENCE.md).
+// format and solved in this process by a selectable engine (seq or parallel;
+// the paper's simulated machines run under ttsolve), every answer certified
+// before it is cached or served, with an order-normalized LRU solution
+// cache, singleflight collapsing of identical concurrent requests, admission
+// control (solver semaphore, bounded queue, K/action budget), per-request
+// deadlines that genuinely cancel the O(N·2^K) sweep, and graceful drain on
+// SIGINT/SIGTERM. A failed solve falls through the fixed chain parallel →
+// seq (→ approx when the request enabled it), each engine tried once, and,
+// with -checkpoint-dir, solves write durable mid-sweep checkpoints that a
+// restarted process finishes from disk before serving (docs/RESILIENCE.md).
 //
 // Usage:
 //
-//	ttserve [-addr :8080] [-engine seq] [-timeout 10s] [-checkpoint-dir /var/lib/ttserve] [-cluster host:port,...] ...
+//	ttserve [-addr :8080] [-engine seq] [-timeout 10s] [-checkpoint-dir /var/lib/ttserve] ...
 //
 // Endpoints:
 //
-//	POST /v1/solve?engine=seq|parallel|cluster&timeout_ms=...&tree=1&approx=off|RATIO|DEADLINE
+//	POST /v1/solve?engine=seq|parallel&timeout_ms=...&tree=1&approx=off|RATIO|DEADLINE
 //	POST /v1/solve/batch?timeout_ms=...&tree=1 — solve related instances together, amortizing shared-lattice enumeration (docs/SERVING.md)
 //	POST /v1/eval                     — price a stored policy under a weight vector
 //	POST /v1/policy?engine=...        — solve, certify, and publish a compiled route policy
@@ -54,7 +54,7 @@ import (
 func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struct{}) error {
 	fs := flag.NewFlagSet("ttserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	engine := fs.String("engine", "seq", "default solver engine: seq, parallel, or cluster")
+	engine := fs.String("engine", "seq", "default solver engine: seq or parallel")
 	maxConcurrent := fs.Int("max-concurrent", 0, "simultaneous solver runs (0 = GOMAXPROCS)")
 	maxPending := fs.Int("max-pending", 0, "queued+running solves before shedding with 503 (0 = 4x max-concurrent)")
 	cacheEntries := fs.Int("cache", 0, "LRU capacity in solved instances (0 = 1024, negative disables)")
@@ -71,15 +71,6 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 	cacheBytes := fs.Int64("cache-bytes", 0, "LRU byte budget across cached solutions (0 = entry count only)")
 	checkpointDir := fs.String("checkpoint-dir", "", "directory for durable mid-solve checkpoints; crashes resume from here (empty disables)")
 	recoverTimeout := fs.Duration("recover-timeout", 0, "budget for the startup checkpoint-recovery scan and resumes (0 = drain budget)")
-	clusterWorkers := fs.String("cluster", "", "comma-separated ttworker addresses enabling the cluster engine (host:port,...)")
-	clusterDeadline := fs.Duration("cluster-deadline", 0, "plane deadline before an assigned worker counts as a straggler (0 = 30s)")
-	clusterQuorum := fs.Int("cluster-quorum", 0, "minimum live workers for a distributed solve to keep going (0 = 1)")
-	clusterAudit := fs.Float64("cluster-audit", 0, "fraction of each received plane's cells the coordinator recomputes (0 = 0.125)")
-	clusterDialTimeout := fs.Duration("cluster-dial-timeout", 0, "per-worker dial budget when a solve assembles its fleet (0 = 2s)")
-	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive failures opening an engine's circuit breaker (0 = 3, negative disables)")
-	breakerCooldown := fs.Duration("breaker-cooldown", 0, "open breaker's half-open probe delay (0 = 5s)")
-	retries := fs.Int("retries", 0, "extra attempts per engine before falling back (0 = 1, negative disables)")
-	noFallback := fs.Bool("no-fallback", false, "fail requests instead of degrading to the next engine in the chain")
 	certifyMode := fs.String("certify", "", "certification every answer passes before caching/serving: fast or audit (empty = fast); a failure counts as an engine fault")
 	approxDefault := fs.String("approx", "", "approx knob for requests that send none: off, a gap ratio >= 1, or a deadline like 200ms (empty = off)")
 	approxMaxK := fs.Int("approx-max-k", 0, "largest universe the approx plane accepts (0 = 26, the Set-type maximum)")
@@ -106,11 +97,6 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 	if _, err := serve.ParseCertifyMode(*certifyMode); err != nil {
 		return fmt.Errorf("ttserve: -certify: %w", err)
 	}
-
-	fleet := splitWorkers(*clusterWorkers)
-	if *engine == "cluster" && len(fleet) == 0 {
-		return errors.New("ttserve: -engine cluster needs a worker fleet (-cluster host:port,...)")
-	}
 	// The recovery budget defaults to the drain budget: both bound "how long
 	// may this process do something other than serve".
 	if *recoverTimeout == 0 {
@@ -119,40 +105,31 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 
 	logger := slog.New(slog.NewTextHandler(stderr, nil))
 	srv := serve.New(serve.Config{
-		MaxConcurrent:      *maxConcurrent,
-		MaxPending:         *maxPending,
-		CacheEntries:       *cacheEntries,
-		CacheBytes:         *cacheBytes,
-		DefaultTimeout:     *timeout,
-		MaxTimeout:         *maxTimeout,
-		MaxK:               *maxK,
-		MaxActions:         *maxActions,
-		Workers:            *workers,
-		StripeWorkers:      *stripeWorkers,
-		MaxBatch:           *maxBatch,
-		PolicyBytes:        *policyBytes,
-		RouteMaxBatch:      *routeMaxBatch,
-		DefaultEngine:      *engine,
-		Logger:             logger,
-		BreakerThreshold:   *breakerThreshold,
-		BreakerCooldown:    *breakerCooldown,
-		Retries:            *retries,
-		DisableFallback:    *noFallback,
-		CheckpointDir:      *checkpointDir,
-		RecoverTimeout:     *recoverTimeout,
-		ClusterWorkers:     fleet,
-		ClusterDeadline:    *clusterDeadline,
-		ClusterQuorum:      *clusterQuorum,
-		ClusterAudit:       *clusterAudit,
-		ClusterDialTimeout: *clusterDialTimeout,
-		CertifyMode:        *certifyMode,
-		DefaultApprox:      *approxDefault,
-		ApproxMaxK:         *approxMaxK,
-		ApproxMaxActions:   *approxMaxActions,
-		ApproxNodes:        *approxNodes,
-		EngineFault:        engineFault,
-		ResultFault:        resultFault,
-		LevelDelay:         *chaosLevelDelay,
+		MaxConcurrent:    *maxConcurrent,
+		MaxPending:       *maxPending,
+		CacheEntries:     *cacheEntries,
+		CacheBytes:       *cacheBytes,
+		DefaultTimeout:   *timeout,
+		MaxTimeout:       *maxTimeout,
+		MaxK:             *maxK,
+		MaxActions:       *maxActions,
+		Workers:          *workers,
+		StripeWorkers:    *stripeWorkers,
+		MaxBatch:         *maxBatch,
+		PolicyBytes:      *policyBytes,
+		RouteMaxBatch:    *routeMaxBatch,
+		DefaultEngine:    *engine,
+		Logger:           logger,
+		CheckpointDir:    *checkpointDir,
+		RecoverTimeout:   *recoverTimeout,
+		CertifyMode:      *certifyMode,
+		DefaultApprox:    *approxDefault,
+		ApproxMaxK:       *approxMaxK,
+		ApproxMaxActions: *approxMaxActions,
+		ApproxNodes:      *approxNodes,
+		EngineFault:      engineFault,
+		ResultFault:      resultFault,
+		LevelDelay:       *chaosLevelDelay,
 	})
 
 	// Before accepting traffic, finish any solve a previous process died in
@@ -208,18 +185,6 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 	}
 	logger.Info("drained cleanly")
 	return nil
-}
-
-// splitWorkers parses the -cluster flag: comma-separated worker addresses,
-// whitespace tolerated, empties dropped.
-func splitWorkers(spec string) []string {
-	var out []string
-	for _, a := range strings.Split(spec, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // parseChaosSpec splits an "engine[:count]" chaos spec (count omitted =

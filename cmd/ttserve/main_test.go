@@ -96,6 +96,11 @@ func TestRunRejectsRetiredSettings(t *testing.T) {
 	for _, args := range [][]string{
 		{"-certify", "off"},
 		{"-engine", "bvm"},
+		{"-engine", "cluster"},
+		{"-cluster", "127.0.0.1:7001"},
+		{"-retries", "2"},
+		{"-breaker-threshold", "3"},
+		{"-no-fallback"},
 	} {
 		err := run(append([]string{"-addr", "127.0.0.1:0"}, args...), io.Discard, nil, nil)
 		if err == nil || !strings.Contains(err.Error(), args[0]) {

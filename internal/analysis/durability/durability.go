@@ -176,8 +176,7 @@ func latestTaint(ts []taint, pos token.Pos) bool {
 	return best.pos != token.NoPos && best.tainted
 }
 
-// codecFuncs is the checkpoint package's pure encode/decode surface — the
-// serializers the cluster wire protocol shares with the on-disk format.
+// codecFuncs is the checkpoint package's pure encode/decode surface.
 // Their errors mean corrupt bytes, a correctness signal that MUST propagate
 // (quarantine-over-trust, PR 5), not a failed durable write; only the
 // persistence surface (Writer, Scan, Load, FS) carries the best-effort
@@ -186,8 +185,6 @@ var codecFuncs = map[string]bool{
 	"ProblemHash": true,
 	"Encode":      true,
 	"Decode":      true,
-	"EncodePlane": true,
-	"DecodePlane": true,
 	"AppendFrame": true,
 	"NextFrame":   true,
 }

@@ -41,11 +41,11 @@ func Scan(dir string) ([]string, error) {
 	return nil, nil
 }
 
-// DecodePlane parses a wire-format plane image — codec surface, not
-// persistence: its errors signal corruption and must propagate.
-func DecodePlane(data []byte) ([]uint64, error) {
+// Decode parses a checkpoint image — codec surface, not persistence: its
+// errors signal corruption and must propagate.
+func Decode(data []byte) ([]uint64, error) {
 	if len(data) == 0 {
-		return nil, errors.New("checkpoint: corrupt plane")
+		return nil, errors.New("checkpoint: corrupt image")
 	}
 	return nil, nil
 }

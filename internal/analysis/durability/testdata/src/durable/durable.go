@@ -81,13 +81,14 @@ func counted(w *checkpoint.Writer, log func(string, error)) {
 }
 
 // Negative: codec errors are corruption signals, not durability failures —
-// a receiver that swallowed them would merge garbage. They may be returned.
-func receivePlane(data []byte) ([]uint64, error) {
-	plane, err := checkpoint.DecodePlane(data)
+// a reader that swallowed them would resume from garbage. They may be
+// returned.
+func readFrontier(data []byte) ([]uint64, error) {
+	frontier, err := checkpoint.Decode(data)
 	if err != nil {
-		return nil, fmt.Errorf("plane rejected: %w", err)
+		return nil, fmt.Errorf("frontier rejected: %w", err)
 	}
-	return plane, nil
+	return frontier, nil
 }
 
 // Negative: hashing is codec surface too.

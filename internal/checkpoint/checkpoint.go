@@ -41,9 +41,9 @@ import (
 	"repro/internal/instio"
 )
 
-// Version is the on-disk and wire format version; Load and DecodePlane
-// reject any other. Version 2 carries C only (8 bytes per subset); version 1
-// also carried an argmin frame, which every engine now recomputes.
+// Version is the on-disk format version; Load rejects any other. Version 2
+// carries C only (8 bytes per subset); version 1 also carried an argmin
+// frame, which every engine now recomputes.
 const Version = 2
 
 // Ext is the checkpoint file extension; Scan considers only these files.
@@ -127,14 +127,17 @@ func forEachFrontierSubset(k, level int, visit func(s int)) {
 	}
 }
 
-func appendFrame(dst, payload []byte) []byte {
+// AppendFrame appends one length+payload+CRC32-C frame to dst — the
+// framing unit of every checkpoint section.
+func AppendFrame(dst, payload []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = append(dst, payload...)
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
 }
 
-// nextFrame slices one frame off data, verifying length and CRC.
-func nextFrame(data []byte) (payload, rest []byte, err error) {
+// NextFrame slices one frame off data, verifying length and CRC. Every
+// defect yields an error wrapping ErrCorrupt.
+func NextFrame(data []byte) (payload, rest []byte, err error) {
 	if len(data) < 8 {
 		return nil, nil, fmt.Errorf("%w: truncated frame header", ErrCorrupt)
 	}
@@ -185,8 +188,8 @@ func Encode(p *core.Problem, hash, engine string, width, level int, sol *core.So
 	})
 	out := append([]byte(nil), magic[:]...)
 	out = binary.LittleEndian.AppendUint32(out, Version)
-	out = appendFrame(out, metaJSON)
-	return appendFrame(out, costs), nil
+	out = AppendFrame(out, metaJSON)
+	return AppendFrame(out, costs), nil
 }
 
 // Decode parses and validates a checkpoint image. Every defect — framing,
@@ -199,7 +202,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	if v := binary.LittleEndian.Uint32(data[4:]); v != Version {
 		return nil, fmt.Errorf("%w: format version %d, want %d", ErrCorrupt, v, Version)
 	}
-	metaJSON, rest, err := nextFrame(data[8:])
+	metaJSON, rest, err := NextFrame(data[8:])
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +230,7 @@ func Decode(data []byte) (*Snapshot, error) {
 			ErrCorrupt, m.Hash, hash)
 	}
 	cnt := frontierCount(m.K, m.Level)
-	costs, rest, err := nextFrame(rest)
+	costs, rest, err := NextFrame(rest)
 	if err != nil {
 		return nil, err
 	}

@@ -274,6 +274,34 @@ func TestScan(t *testing.T) {
 	}
 }
 
+func TestScanCtxStopsAtBudget(t *testing.T) {
+	p := testProblem()
+	hash, err := ProblemHash(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	w, err := NewWriter(nil, dir, p, hash, "seq", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solveTo(t, p, w)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	snaps, _, err := ScanCtx(ctx, nil, dir)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("expired ScanCtx err = %v, want context.Canceled", err)
+	}
+	if len(snaps) != 0 {
+		t.Fatalf("expired ScanCtx still loaded %d snapshots", len(snaps))
+	}
+	// With budget left the same directory scans normally.
+	snaps, discard, err := ScanCtx(context.Background(), nil, dir)
+	if err != nil || len(snaps) != 1 || len(discard) != 0 {
+		t.Fatalf("live ScanCtx = %d snaps, %d discard, err %v", len(snaps), len(discard), err)
+	}
+}
+
 func TestFrontierPacking(t *testing.T) {
 	if n := frontierCount(4, 0); n != 1 {
 		t.Fatalf("frontierCount(4,0) = %d", n)

@@ -183,8 +183,8 @@ func (b *fuzzBytes) cost() uint64 {
 
 // FuzzKernelCell compares the compiled kernel's (cost, choice) and p(S) with
 // refCell on fuzzer-built problems and arbitrary cost planes — including Inf
-// and near-Inf entries, which is what the frontier and cluster-plane
-// verifiers feed Cell from untrusted input. Weights may be zero and actions
+// and near-Inf entries, which is what the frontier verifier feeds Cell
+// from untrusted input. Weights may be zero and actions
 // may repeat or complement one another, so ties and exclusions are
 // exercised; universes reach past one weight table (K up to 10).
 func FuzzKernelCell(f *testing.F) {

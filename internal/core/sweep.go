@@ -123,17 +123,6 @@ func (d *sweep) walk(ctx context.Context, i int, rg gosperRange) {
 	}
 }
 
-// Binomial returns C(n, k) for the instance sizes the DP supports (n <= 32).
-// Exported for the distributed solve plane (internal/cluster), whose
-// coordinator and workers both partition levels into Gosper rank ranges.
-func Binomial(n, k int) uint64 { return binomial(n, k) }
-
-// NthSubset returns the subset of popcount j with rank predecessors in the
-// level's Gosper order — the combinadic unranking that lets a slice of a
-// level start anywhere without enumerating the level. Exported alongside
-// Binomial for internal/cluster.
-func NthSubset(rank uint64, j int) Set { return Set(nthSubset(rank, j)) }
-
 // binomial returns C(n, k) for the instance sizes the DP supports (n <= 32).
 func binomial(n, k int) uint64 {
 	if k < 0 || k > n {

@@ -217,7 +217,6 @@ func TestApproxCacheIsolation(t *testing.T) {
 func TestApproxFallbackRung(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		EngineFault: chaos.FailFirst("seq", 1<<30, errInjected),
-		Retries:     -1,
 	})
 	p := workload.MedicalDiagnosis(9, 7)
 	if _, status := postSolve(t, ts, "?engine=seq", instanceJSON(t, p)); status != http.StatusInternalServerError {
@@ -245,7 +244,6 @@ func TestApproxCorruptionRefused(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		MaxK:        6,
 		ResultFault: func(engine string) bool { return engine == "approx" },
-		Retries:     -1,
 	})
 	p := workload.Oversized(5, 9)
 	if _, status := postSolve(t, ts, "?approx=1.2", instanceJSON(t, p)); status != http.StatusInternalServerError {

@@ -52,7 +52,6 @@ func TestCertifyCorruptAnswerNeverServedOrCached(t *testing.T) {
 func TestCertifyAllEnginesCorruptFailsClosed(t *testing.T) {
 	p := workload.MedicalDiagnosis(4, 6)
 	s, ts := newTestServer(t, Config{
-		Retries:     -1,
 		ResultFault: func(string) bool { return true },
 	})
 	_, code := postSolve(t, ts, "?engine=parallel", instanceJSON(t, p))

@@ -79,9 +79,7 @@ type Metrics struct {
 
 	// Self-healing path (resilience.go).
 	EngineFailures atomic.Int64 // solve attempts that failed for non-context reasons
-	Retries        atomic.Int64 // backoff retries taken after a failed attempt
 	Fallbacks      atomic.Int64 // downgrades to the next engine in the chain
-	BreakerRejects atomic.Int64 // attempts skipped because a breaker was open
 
 	// Certification (resilience.go): every answer is checked by the
 	// engine-independent certifier before it is cached or returned.
@@ -108,14 +106,6 @@ type Metrics struct {
 	CheckpointErrors     atomic.Int64 // persistence failures (swallowed, solve continues)
 	CheckpointsResumed   atomic.Int64 // interrupted solves finished from disk at startup
 	CheckpointsDiscarded atomic.Int64 // corrupt/torn checkpoint files deleted at startup
-
-	// Distributed solve plane (cluster.go, internal/cluster).
-	ClusterSolves         atomic.Int64 // solves dispatched to the worker fleet
-	ClusterPlanes         atomic.Int64 // level planes verified and merged
-	ClusterPlanesRejected atomic.Int64 // planes refused: corrupt framing or failed verification
-	ClusterReassigned     atomic.Int64 // level slices reassigned after a fault
-	ClusterStragglers     atomic.Int64 // assignments expired by the plane deadline
-	ClusterWorkersLost    atomic.Int64 // workers removed mid-solve (conn, heartbeat, strikes)
 
 	mu        sync.Mutex
 	perEngine map[string]*latencyHist
@@ -163,49 +153,41 @@ func (m *Metrics) Snapshot() map[string]any {
 	}
 	m.mu.Unlock()
 	return map[string]any{
-		"requests":                m.Requests.Load(),
-		"solves":                  m.Solves.Load(),
-		"cache_hits":              m.CacheHits.Load(),
-		"cache_misses":            m.CacheMisses.Load(),
-		"coalesced":               m.Coalesced.Load(),
-		"reject_oversize":         m.RejectOversize.Load(),
-		"reject_busy":             m.RejectBusy.Load(),
-		"reject_draining":         m.RejectDraining.Load(),
-		"timeouts":                m.Timeouts.Load(),
-		"client_gone":             m.ClientGone.Load(),
-		"failures":                m.Failures.Load(),
-		"batch_requests":          m.BatchRequests.Load(),
-		"batch_groups":            m.BatchGroups.Load(),
-		"batch_repriced":          m.BatchRepriced.Load(),
-		"batch_fallback":          m.BatchFallback.Load(),
-		"engine_failures":         m.EngineFailures.Load(),
-		"retries":                 m.Retries.Load(),
-		"fallbacks":               m.Fallbacks.Load(),
-		"breaker_rejects":         m.BreakerRejects.Load(),
-		"certify_pass":            m.CertifyPass.Load(),
-		"certify_fail":            m.CertifyFail.Load(),
-		"approx_served":           m.ApproxServed.Load(),
-		"approx_exact":            m.ApproxExact.Load(),
-		"approx_fallback":         m.ApproxFallback.Load(),
-		"approx_gap_milli_max":    m.approxGapMax.Load(),
-		"approx_gap_milli_sum":    m.approxGapSum.Load(),
-		"policy_publishes":        m.PolicyPublishes.Load(),
-		"route_sessions":          m.RouteSessions.Load(),
-		"route_steps":             m.RouteSteps.Load(),
-		"route_done":              m.RouteDone.Load(),
-		"route_bad_cursor":        m.RouteBadCursor.Load(),
-		"eval_malformed":          m.EvalMalformed.Load(),
-		"checkpoint_levels":       m.CheckpointLevels.Load(),
-		"checkpoint_errors":       m.CheckpointErrors.Load(),
-		"checkpoints_resumed":     m.CheckpointsResumed.Load(),
-		"checkpoints_discarded":   m.CheckpointsDiscarded.Load(),
-		"cluster_solves":          m.ClusterSolves.Load(),
-		"cluster_planes":          m.ClusterPlanes.Load(),
-		"cluster_planes_rejected": m.ClusterPlanesRejected.Load(),
-		"cluster_reassigned":      m.ClusterReassigned.Load(),
-		"cluster_stragglers":      m.ClusterStragglers.Load(),
-		"cluster_workers_lost":    m.ClusterWorkersLost.Load(),
-		"engine_latency":          engines,
+		"requests":              m.Requests.Load(),
+		"solves":                m.Solves.Load(),
+		"cache_hits":            m.CacheHits.Load(),
+		"cache_misses":          m.CacheMisses.Load(),
+		"coalesced":             m.Coalesced.Load(),
+		"reject_oversize":       m.RejectOversize.Load(),
+		"reject_busy":           m.RejectBusy.Load(),
+		"reject_draining":       m.RejectDraining.Load(),
+		"timeouts":              m.Timeouts.Load(),
+		"client_gone":           m.ClientGone.Load(),
+		"failures":              m.Failures.Load(),
+		"batch_requests":        m.BatchRequests.Load(),
+		"batch_groups":          m.BatchGroups.Load(),
+		"batch_repriced":        m.BatchRepriced.Load(),
+		"batch_fallback":        m.BatchFallback.Load(),
+		"engine_failures":       m.EngineFailures.Load(),
+		"fallbacks":             m.Fallbacks.Load(),
+		"certify_pass":          m.CertifyPass.Load(),
+		"certify_fail":          m.CertifyFail.Load(),
+		"approx_served":         m.ApproxServed.Load(),
+		"approx_exact":          m.ApproxExact.Load(),
+		"approx_fallback":       m.ApproxFallback.Load(),
+		"approx_gap_milli_max":  m.approxGapMax.Load(),
+		"approx_gap_milli_sum":  m.approxGapSum.Load(),
+		"policy_publishes":      m.PolicyPublishes.Load(),
+		"route_sessions":        m.RouteSessions.Load(),
+		"route_steps":           m.RouteSteps.Load(),
+		"route_done":            m.RouteDone.Load(),
+		"route_bad_cursor":      m.RouteBadCursor.Load(),
+		"eval_malformed":        m.EvalMalformed.Load(),
+		"checkpoint_levels":     m.CheckpointLevels.Load(),
+		"checkpoint_errors":     m.CheckpointErrors.Load(),
+		"checkpoints_resumed":   m.CheckpointsResumed.Load(),
+		"checkpoints_discarded": m.CheckpointsDiscarded.Load(),
+		"engine_latency":        engines,
 	}
 }
 

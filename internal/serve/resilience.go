@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"path/filepath"
 	"time"
 
@@ -15,53 +14,33 @@ import (
 )
 
 // fallbackChains orders the engines tried for each requested engine: the
-// distributed plane degrades to the host-parallel DP, which degrades to the
-// plain sequential DP. Every exact chain ends in "seq", so a request only
-// fails when the DP itself cannot run. All exact engines produce
-// bit-identical costs, so a fallback changes solved_by, never the answer.
-// When the request enabled approx, solveResilient appends "approx" as the
-// terminal rung: with every exact engine faulting, a certified-gap answer
-// beats a 5xx — and it is the only rung where solved_by changes the answer's
-// meaning, which the response labels via the gap fields.
+// host-parallel DP degrades to the plain sequential DP. Every exact chain
+// ends in "seq", so a request only fails when the DP itself cannot run. All
+// exact engines produce bit-identical costs, so a fallback changes
+// solved_by, never the answer. When the request enabled approx,
+// solveResilient appends "approx" as the terminal rung: with every exact
+// engine faulting, a certified-gap answer beats a 5xx — and it is the only
+// rung where solved_by changes the answer's meaning, which the response
+// labels via the gap fields.
 var fallbackChains = map[string][]string{
 	"seq":      {"seq"},
 	"parallel": {"parallel", "seq"},
-	"cluster":  {"cluster", "parallel", "seq"},
 	"approx":   {"approx"},
 }
 
-// breaker returns the engine's circuit breaker, or nil when breakers are
-// disabled by configuration.
-func (s *Server) breaker(engine string) *breaker {
-	if s.cfg.BreakerThreshold <= 0 {
-		return nil
-	}
-	s.brMu.Lock()
-	defer s.brMu.Unlock()
-	b, ok := s.breakers[engine]
-	if !ok {
-		b = newBreaker(s.cfg.BreakerThreshold, s.cfg.BreakerCooldown)
-		s.breakers[engine] = b
-	}
-	return b
-}
-
-// solveResilient runs one admitted solve through the engine's fallback chain
-// with bounded retries per engine and per-engine circuit breakers. Context
-// errors (deadline, client gone, shutdown) abort immediately — they are not
-// engine failures and retrying cannot help. Everything else (engine error,
-// engine panic, injected fault) counts against the engine's breaker, is
-// retried with jittered backoff, and finally falls through to the next
-// engine in the chain.
+// solveResilient runs one admitted solve through the engine's fallback
+// chain, trying each engine once. Context errors (deadline, client gone,
+// shutdown) abort immediately — they are not engine failures and the next
+// engine cannot help. Everything else (engine error, engine panic, injected
+// fault, refused certification) is counted and falls through to the next
+// engine in the chain. No state outlives the request: an engine that failed
+// here is tried afresh by the next request.
 func (s *Server) solveResilient(ctx context.Context, hash string, canon *core.Problem, engine string, ap approx.Spec) (*cacheEntry, error) {
 	chain := fallbackChains[engine]
 	if chain == nil {
 		return nil, fmt.Errorf("serve: unknown engine %q", engine)
 	}
-	if s.cfg.DisableFallback {
-		chain = chain[:1]
-	}
-	if ap.Enabled && engine != "approx" && s.admitApprox(canon) == nil && !s.cfg.DisableFallback {
+	if ap.Enabled && engine != "approx" && s.admitApprox(canon) == nil {
 		// The request opted into certified-approximate answers, so the
 		// chain's true floor is the anytime engine, below even seq.
 		chain = append(append([]string(nil), chain...), "approx")
@@ -75,68 +54,26 @@ func (s *Server) solveResilient(ctx context.Context, hash string, canon *core.Pr
 			}
 			s.log.Warn("falling back", "from", chain[ci-1], "to", eng, "hash", hash[:12])
 		}
-		br := s.breaker(eng)
-		for attempt := 0; ; attempt++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if br != nil && !br.allow() {
-				s.metrics.BreakerRejects.Add(1)
-				break // breaker open: skip to the next engine in the chain
-			}
-			s.metrics.Solves.Add(1)
-			start := time.Now()
-			ent, err := s.solveAttempt(ctx, hash, canon, eng, ap)
-			s.metrics.observe(eng, time.Since(start))
-			if err == nil {
-				if br != nil {
-					br.success()
-				}
-				return ent, nil
-			}
-			if isContextErr(err) {
-				return nil, err
-			}
-			s.metrics.EngineFailures.Add(1)
-			if br != nil {
-				br.failure()
-			}
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", eng, err)
-			}
-			s.log.Warn("engine attempt failed", "engine", eng, "attempt", attempt+1, "err", err)
-			if attempt >= s.cfg.Retries {
-				break
-			}
-			s.metrics.Retries.Add(1)
-			if !sleepBackoff(ctx, attempt) {
-				return nil, ctx.Err()
-			}
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
+		s.metrics.Solves.Add(1)
+		start := time.Now()
+		ent, err := s.solveAttempt(ctx, hash, canon, eng, ap)
+		s.metrics.observe(eng, time.Since(start))
+		if err == nil {
+			return ent, nil
+		}
+		if isContextErr(err) {
+			return nil, err
+		}
+		s.metrics.EngineFailures.Add(1)
+		if firstErr == nil {
+			firstErr = fmt.Errorf("%s: %w", eng, err)
+		}
+		s.log.Warn("engine attempt failed", "engine", eng, "err", err)
 	}
 	return nil, fmt.Errorf("serve: all engines failed: %w", firstErr)
-}
-
-// backoffDelay is the retry pause for one failed attempt: 2^min(attempt,6)
-// × 10ms plus up to 100% jitter, clamped to 1s. Exposed separately from the
-// sleep so the clamp itself is testable — total retry latency under a
-// permanently failing engine must stay bounded.
-func backoffDelay(attempt int) time.Duration {
-	base := 10 * time.Millisecond << uint(min(attempt, 6))
-	return min(base+time.Duration(rand.Int63n(int64(base))), time.Second)
-}
-
-// sleepBackoff waits backoffDelay(attempt) or until the context ends; it
-// reports whether the context is still live.
-func sleepBackoff(ctx context.Context, attempt int) bool {
-	t := time.NewTimer(backoffDelay(attempt))
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 func isContextErr(err error) bool {
@@ -153,8 +90,8 @@ func isContextErr(err error) bool {
 // The answer is certified in the server's mode before it is returned (and
 // therefore before runSolve can cache it): the tree extracted from the cost
 // plane plus the reported C(U) must pass the engine-independent certifier. A
-// failed certification is an engine fault like any other: it feeds the
-// breaker, is retried, and falls through to the next engine in the chain.
+// failed certification is an engine fault like any other: it falls through
+// to the next engine in the chain.
 func (s *Server) solveAttempt(ctx context.Context, hash string, canon *core.Problem, engine string, ap approx.Spec) (ent *cacheEntry, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -181,8 +118,6 @@ func (s *Server) solveAttempt(ctx context.Context, hash string, canon *core.Prob
 		sol, err = core.SolveCheckpointedCtx(ctx, canon, frontier, ck)
 	case "parallel":
 		sol, err = core.SolveParallelPooledCtx(ctx, canon, s.cfg.Workers, s.stripe, frontier, ck)
-	case "cluster":
-		sol, err = s.solveCluster(ctx, hash, canon, frontier, ck)
 	default:
 		return nil, fmt.Errorf("serve: unknown engine %q", engine)
 	}
@@ -358,8 +293,9 @@ func (s *Server) RecoverCheckpoints(ctx context.Context) (resumed, discarded int
 				"resumed", resumed, "pending", len(snaps)-resumed, "err", cerr)
 			break
 		}
-		// A snapshot written by a simulated machine (older binaries served
-		// them) resumes on the default engine: the frontier is C alone.
+		// A snapshot written by an engine no longer served (a simulated
+		// machine or the cluster plane, which older binaries ran) resumes
+		// on the default engine: the frontier is C alone.
 		engine := snap.Engine
 		if CheckEngine(engine) != nil {
 			engine = s.cfg.DefaultEngine

@@ -6,7 +6,7 @@
 // supplies the production shape for them:
 //
 //   - POST /v1/solve  — solve an instio-format instance with a selectable
-//     engine (seq, parallel, cluster), per-request deadline, an optional
+//     engine (seq, parallel), per-request deadline, an optional
 //     approx= knob, and optional procedure-tree rendering;
 //   - POST /v1/eval   — evaluate a stored policy against a weight vector
 //     (the misspecified-prior question served online);
@@ -26,6 +26,11 @@
 // per-request certify= parameter and no off switch. The paper's simulated
 // machines (lockstep, goroutine, ccc, bvm) compute the same C(U) as the host
 // DP, only slower, so they are not served: ttsolve -engine runs them.
+//
+// Every solve runs inside this process. A failed attempt falls through a
+// fixed chain — parallel, then seq, then approx when the request enabled it —
+// trying each engine once, so one instance's faults never refuse another
+// instance's request.
 package serve
 
 import (
@@ -83,24 +88,10 @@ type Config struct {
 	ApproxMaxActions int    // approx admission: most actions accepted (default 256)
 	ApproxNodes      int64  // branch-and-bound node budget per solve (default 1<<20; negative disables B&B, greedy only)
 
-	// Self-healing knobs (docs/RESILIENCE.md).
-	BreakerThreshold int           // consecutive failures opening an engine's breaker (default 3; negative disables breakers)
-	BreakerCooldown  time.Duration // open -> half-open probe delay (default 5s)
-	Retries          int           // extra attempts per engine on non-context failure (default 1; negative disables)
-	DisableFallback  bool          // fail instead of degrading to the next engine in the chain
-	CheckpointDir    string        // durable level-frontier snapshots land here ("" disables)
-	CheckpointFS     checkpoint.FS // checkpoint filesystem (nil: real disk; tests inject chaos.FaultFS)
-	RecoverTimeout   time.Duration // budget for the startup checkpoint-recovery scan (default 0: caller's context only)
-
-	// Distributed solve plane (docs/CLUSTER.md): the "cluster" engine dials
-	// these ttworker addresses per solve. Empty leaves the engine
-	// unconfigured — requests for it fall straight through its fallback
-	// chain to the in-process engines.
-	ClusterWorkers     []string
-	ClusterDeadline    time.Duration // per-assignment plane deadline (default 30s)
-	ClusterQuorum      int           // minimum live workers to continue (default 1)
-	ClusterAudit       float64       // fraction of plane cells spot-audited (default 0.125; >=1 audits all)
-	ClusterDialTimeout time.Duration // per-worker dial budget (default 2s)
+	// Durable checkpoints (docs/RESILIENCE.md).
+	CheckpointDir  string        // durable level-frontier snapshots land here ("" disables)
+	CheckpointFS   checkpoint.FS // checkpoint filesystem (nil: real disk; tests inject chaos.FaultFS)
+	RecoverTimeout time.Duration // budget for the startup checkpoint-recovery scan (default 0: caller's context only)
 
 	// Chaos hooks, wired to ttserve's -chaos-* flags; zero in production.
 	EngineFault func(engine string) error // called before each solve attempt; error or panic = engine fault
@@ -169,30 +160,6 @@ func (c Config) withDefaults() Config {
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
-	}
-	if c.Retries == 0 {
-		c.Retries = 1
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	}
-	if c.ClusterDeadline <= 0 {
-		c.ClusterDeadline = 30 * time.Second
-	}
-	if c.ClusterQuorum <= 0 {
-		c.ClusterQuorum = 1
-	}
-	if c.ClusterAudit == 0 {
-		c.ClusterAudit = 0.125
-	}
-	if c.ClusterDialTimeout <= 0 {
-		c.ClusterDialTimeout = 2 * time.Second
-	}
 	return c
 }
 
@@ -240,9 +207,6 @@ type Server struct {
 	mu      sync.Mutex
 	cache   *lruCache
 	flights map[string]*flightCall
-
-	brMu     sync.Mutex
-	breakers map[string]*breaker
 }
 
 // New builds a Server from cfg (zero value is a sensible default).
@@ -272,7 +236,6 @@ func New(cfg Config) *Server {
 		baseCancel:    cancel,
 		cache:         newLRU(cfg.CacheEntries, cfg.CacheBytes),
 		flights:       make(map[string]*flightCall),
-		breakers:      make(map[string]*breaker),
 	}
 	if cfg.StripeWorkers > 0 {
 		s.stripe = stripe.New(cfg.StripeWorkers)
@@ -376,13 +339,14 @@ type SolveResponse struct {
 
 // CheckEngine reports whether engine is served. Anything else — notably the
 // paper's simulated machines, which compute the same C(U) as the host DP,
-// only slower — is refused with a pointer to the replacement.
+// only slower, and the retired TCP cluster plane — is refused with a pointer
+// to the replacement.
 func CheckEngine(engine string) error {
 	switch engine {
-	case "seq", "parallel", "cluster":
+	case "seq", "parallel":
 		return nil
 	}
-	return fmt.Errorf("engine %q is not served (seq, parallel, cluster): use engine=parallel; "+
+	return fmt.Errorf("engine %q is not served (seq, parallel): use engine=parallel; "+
 		"ttsolve -engine still runs the simulated machines (lockstep, goroutine, ccc, bvm)", engine)
 }
 
@@ -623,8 +587,8 @@ func (s *Server) await(ctx context.Context, c *flightCall) (*cacheEntry, error) 
 
 // runSolve executes one admitted solve under the pool semaphore and
 // publishes the result to every waiter and (on success) the cache. The solve
-// itself goes through the resilient path: fallback chain, retries, circuit
-// breakers, and durable checkpointing (resilience.go).
+// itself goes through the resilient path: the fixed fallback chain and
+// durable checkpointing (resilience.go).
 func (s *Server) runSolve(ctx context.Context, hash, key string, c *flightCall, canon *core.Problem, engine string, ap approx.Spec) {
 	defer c.cancel()
 	// A panicking solve must still publish to its waiters — as a failure —
@@ -789,8 +753,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // statsPayload is the /v1/stats and expvar body: the counter set plus live
-// gauges — cache occupancy (entries and bytes), queue depth, and the state
-// of every engine's circuit breaker.
+// gauges — cache occupancy (entries and bytes), resident policies, queue
+// depth and stripe workers.
 func (s *Server) statsPayload() map[string]any {
 	out := s.metrics.Snapshot()
 	s.mu.Lock()
@@ -800,13 +764,6 @@ func (s *Server) statsPayload() map[string]any {
 	pc, pb := s.policies.Stats()
 	out["policies"] = pc
 	out["policy_bytes"] = pb
-	breakers := make(map[string]any)
-	s.brMu.Lock()
-	for name, b := range s.breakers {
-		breakers[name] = b.snapshot()
-	}
-	s.brMu.Unlock()
-	out["breakers"] = breakers
 	out["pending"] = s.pending.Load()
 	out["stripe_workers"] = s.stripe.Workers()
 	return out

@@ -131,8 +131,7 @@ func TestSolveMatchesCoreAcrossEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := instanceJSON(t, p)
-	// cluster has no fleet here, so its chain answers from parallel.
-	for _, engine := range []string{"seq", "parallel", "cluster"} {
+	for _, engine := range []string{"seq", "parallel"} {
 		sr, status := postSolve(t, ts, "?engine="+engine, body)
 		if status != http.StatusOK {
 			t.Fatalf("engine %s: status %d", engine, status)
@@ -218,6 +217,8 @@ func TestRetiredSurfaceNamesReplacement(t *testing.T) {
 		{"/v1/solve", "?engine=ccc", body, []string{"engine=parallel", "ttsolve -engine"}},
 		{"/v1/solve", "?engine=bvm", body, []string{"engine=parallel", "ttsolve -engine"}},
 		{"/v1/policy", "?engine=bvm", body, []string{"engine=parallel", "ttsolve -engine"}},
+		{"/v1/solve", "?engine=cluster", body, []string{"engine=parallel"}},
+		{"/v1/policy", "?engine=cluster", body, []string{"engine=parallel"}},
 		{"/v1/solve", "?certify=off", body, []string{`\"fast\" mode`, "ttserve -certify"}},
 		{"/v1/solve", "?certify=audit", body, []string{`\"fast\" mode`, "ttserve -certify"}},
 		{"/v1/solve/batch", "?certify=off", batch, []string{`\"fast\" mode`, "ttserve -certify"}},
