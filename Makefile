@@ -95,10 +95,11 @@ chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaosSmoke' -v ./cmd/ttserve
 
 # Live-fire certification drill: boots the real ttserve binary with
-# -certify=fast while a chaos hook corrupts every parallel answer, then
-# verifies zero wrong answers escape: the reply comes from seq with the
-# reference cost, the re-ask is a cached hit with that cost, and
-# certify_fail >= 1 (see cmd/ttserve/certify_smoke_test.go and
+# -certify=fast while a chaos hook corrupts the exact path's first answer,
+# then verifies zero wrong answers escape: that reply is a 500 naming the
+# refusal and is not cached, the re-ask is a fresh 200 with the reference
+# cost, the next ask is a cached hit with that cost, and certify_fail >= 1
+# (see cmd/ttserve/certify_smoke_test.go and
 # docs/RESILIENCE.md). The BVM hardware-fault kernels are drilled in
 # internal/bvmtt/abft_test.go.
 certify-smoke:

@@ -2,26 +2,25 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/instio"
-	"repro/internal/serve"
 	"repro/internal/workload"
 )
 
 // TestCertifySmoke is the `make certify-smoke` drill: the real ttserve binary
-// runs with -certify=fast while a chaos hook silently corrupts every answer
-// the parallel engine produces. The contract under fire: zero wrong answers
-// escape — the corrupted answer is refused and the fallback chain serves the
-// true optimum from seq, certification failures show up in the stats, and
-// the cache holds only certified answers.
+// runs with -certify=fast while a chaos hook silently corrupts the exact
+// path's first answer. The contract under fire: zero wrong answers escape —
+// the corrupted answer is refused with a 500 that names the refusal and is
+// not cached, the re-ask solves afresh and serves the true optimum, the cache
+// then holds only that certified answer, and the refusal shows in the stats.
 func TestCertifySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and drives a real server process")
@@ -42,27 +41,29 @@ func TestCertifySmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, url := startServer(t, bin, "-certify", "fast", "-chaos-corrupt-engine", "parallel")
+	srv, url := startServer(t, bin, "-certify", "fast", "-chaos-corrupt-engine", "exact:1")
 	defer func() {
 		srv.Process.Signal(os.Interrupt)
 		srv.Wait()
 	}()
 
-	// Parallel's every answer is corrupted: certification must refuse each
-	// one and the fallback chain must deliver the true cost from seq.
-	sr := postSolveEngine(t, url, "parallel", body.Bytes())
-	if sr.SolvedBy != "seq" {
-		t.Fatalf("solved_by %q, want seq: the corrupted parallel answer must be refused (%+v)", sr.SolvedBy, sr)
-	}
-	if sr.Cost == nil || *sr.Cost != want.Cost {
-		t.Fatalf("parallel request served cost %v, want %d", sr.Cost, want.Cost)
+	// The first exact answer is corrupted: certification must refuse it, and
+	// with approx off nothing else may answer.
+	status, msg := postRaw(t, url, body.Bytes())
+	if status != http.StatusInternalServerError || !strings.Contains(string(msg), "answer refused") {
+		t.Fatalf("corrupted answer: status %d body %s, want a 500 naming the refusal", status, msg)
 	}
 
-	// The cache must hold only certified answers: the re-ask is a hit and
-	// still carries the true cost.
-	sr = postSolveEngine(t, url, "parallel", body.Bytes())
+	// Nothing was cached: the re-ask solves afresh and serves the true cost.
+	sr := postSolve(t, url, body.Bytes(), http.StatusOK)
+	if sr.Cached || sr.SolvedBy != "exact" || sr.Cost == nil || *sr.Cost != want.Cost {
+		t.Fatalf("re-ask: cached=%v solved_by=%q cost=%v, want a fresh exact answer costing %d", sr.Cached, sr.SolvedBy, sr.Cost, want.Cost)
+	}
+
+	// The cache holds only the certified answer: the next ask is a hit.
+	sr = postSolve(t, url, body.Bytes(), http.StatusOK)
 	if !sr.Cached || sr.Cost == nil || *sr.Cost != want.Cost {
-		t.Fatalf("re-ask: cached=%v cost=%v, want cached hit of %d", sr.Cached, sr.Cost, want.Cost)
+		t.Fatalf("third ask: cached=%v cost=%v, want cached hit of %d", sr.Cached, sr.Cost, want.Cost)
 	}
 
 	stats := getStats(t, url)
@@ -74,22 +75,17 @@ func TestCertifySmoke(t *testing.T) {
 	}
 }
 
-// postSolveEngine posts an instance to /v1/solve?engine=... and decodes the
-// 200 response.
-func postSolveEngine(t *testing.T, url, engine string, body []byte) *serve.SolveResponse {
+// postRaw posts an instance to /v1/solve and returns the status and body.
+func postRaw(t *testing.T, url string, body []byte) (int, []byte) {
 	t.Helper()
-	resp, err := http.Post(url+"/v1/solve?engine="+engine, "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/solve", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(resp.Body)
-		t.Fatalf("engine %s: status %d: %s", engine, resp.StatusCode, msg)
-	}
-	var sr serve.SolveResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+	msg, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return &sr
+	return resp.StatusCode, msg
 }

@@ -1,26 +1,27 @@
 // Command ttserve runs the test-and-treatment solver as a long-lived HTTP
 // service (internal/serve): instances are POSTed in the instio JSON wire
-// format and solved in this process by a selectable engine (seq or parallel;
-// the paper's simulated machines run under ttsolve), every answer certified
+// format and solved exactly in this process by the host DP, each level split
+// across the stripe pool's workers when it is large enough to repay it (the
+// paper's simulated machines run under ttsolve), every answer certified
 // before it is cached or served, with an order-normalized LRU solution
 // cache, singleflight collapsing of identical concurrent requests, admission
 // control (solver semaphore, bounded queue, K/action budget), per-request
 // deadlines that genuinely cancel the O(N·2^K) sweep, and graceful drain on
-// SIGINT/SIGTERM. A failed solve falls through the fixed chain parallel →
-// seq (→ approx when the request enabled it), each engine tried once, and,
-// with -checkpoint-dir, solves write durable mid-sweep checkpoints that a
-// restarted process finishes from disk before serving (docs/RESILIENCE.md).
+// SIGINT/SIGTERM. A failed exact solve falls back to approx only when the
+// request enabled it, and, with -checkpoint-dir, solves write durable
+// mid-sweep checkpoints that a restarted process finishes from disk before
+// serving (docs/RESILIENCE.md).
 //
 // Usage:
 //
-//	ttserve [-addr :8080] [-engine seq] [-timeout 10s] [-checkpoint-dir /var/lib/ttserve] ...
+//	ttserve [-addr :8080] [-timeout 10s] [-checkpoint-dir /var/lib/ttserve] ...
 //
 // Endpoints:
 //
-//	POST /v1/solve?engine=seq|parallel&timeout_ms=...&tree=1&approx=off|RATIO|DEADLINE
+//	POST /v1/solve?timeout_ms=...&tree=1&approx=off|RATIO|DEADLINE
 //	POST /v1/solve/batch?timeout_ms=...&tree=1 — solve related instances together, amortizing shared-lattice enumeration (docs/SERVING.md)
 //	POST /v1/eval                     — price a stored policy under a weight vector
-//	POST /v1/policy?engine=...        — solve, certify, and publish a compiled route policy
+//	POST /v1/policy                   — solve, certify, and publish a compiled route policy
 //	GET  /v1/policies                 — list resident policy versions
 //	POST /v1/route, /v1/route/batch   — stateless per-session policy traversal via signed cursors
 //	GET  /healthz                     — liveness (503 while draining)
@@ -54,7 +55,6 @@ import (
 func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struct{}) error {
 	fs := flag.NewFlagSet("ttserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	engine := fs.String("engine", "seq", "default solver engine: seq or parallel")
 	maxConcurrent := fs.Int("max-concurrent", 0, "simultaneous solver runs (0 = GOMAXPROCS)")
 	maxPending := fs.Int("max-pending", 0, "queued+running solves before shedding with 503 (0 = 4x max-concurrent)")
 	cacheEntries := fs.Int("cache", 0, "LRU capacity in solved instances (0 = 1024, negative disables)")
@@ -62,8 +62,7 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 	maxTimeout := fs.Duration("max-timeout", 0, "ceiling on client-requested timeouts (0 = 60s)")
 	maxK := fs.Int("max-k", 0, "largest universe accepted; larger instances get 422 (0 = 20)")
 	maxActions := fs.Int("max-actions", 0, "most actions accepted (0 = 64)")
-	workers := fs.Int("workers", 0, "Gosper ranges per level for engine=parallel solves and batch groups (0 = GOMAXPROCS)")
-	stripeWorkers := fs.Int("stripe-workers", 0, "dedicated stripe-pool workers for striped/batched sweeps (0 = share the process-wide pool)")
+	stripeWorkers := fs.Int("stripe-workers", 0, "dedicated stripe-pool workers for the exact DP's level ranges and batch sweeps (0 = share the process-wide pool)")
 	maxBatch := fs.Int("max-batch", 0, "most instances accepted per /v1/solve/batch request (0 = 16)")
 	policyBytes := fs.Int64("policy-bytes", 0, "byte budget across published route policies (0 = 64MiB, negative unbounded)")
 	routeMaxBatch := fs.Int("route-max-batch", 0, "most sessions accepted per /v1/route/batch request (0 = 4096)")
@@ -77,8 +76,8 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 	approxMaxActions := fs.Int("approx-max-actions", 0, "most actions the approx plane accepts (0 = 256)")
 	approxNodes := fs.Int64("approx-nodes", 0, "branch-and-bound node budget per approx solve (0 = 1<<20, negative = greedy only)")
 	chaosLevelDelay := fs.Duration("chaos-level-delay", 0, "TESTING: artificial pause at every DP level barrier")
-	chaosFailEngine := fs.String("chaos-fail-engine", "", "TESTING: inject solve faults, as engine[:count] (count omitted = every attempt)")
-	chaosCorruptEngine := fs.String("chaos-corrupt-engine", "", "TESTING: silently corrupt finished answers, as engine[:count] (count omitted = every attempt)")
+	chaosFailEngine := fs.String("chaos-fail-engine", "", "TESTING: inject solve faults, as rung[:count] with rung exact or approx (count omitted = every attempt)")
+	chaosCorruptEngine := fs.String("chaos-corrupt-engine", "", "TESTING: silently corrupt finished answers, as rung[:count] with rung exact or approx (count omitted = every attempt)")
 	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -90,9 +89,6 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 	resultFault, err := parseChaosCorrupt(*chaosCorruptEngine)
 	if err != nil {
 		return fmt.Errorf("ttserve: %w", err)
-	}
-	if err := serve.CheckEngine(*engine); err != nil {
-		return fmt.Errorf("ttserve: -engine: %w", err)
 	}
 	if _, err := serve.ParseCertifyMode(*certifyMode); err != nil {
 		return fmt.Errorf("ttserve: -certify: %w", err)
@@ -113,12 +109,10 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 		MaxTimeout:       *maxTimeout,
 		MaxK:             *maxK,
 		MaxActions:       *maxActions,
-		Workers:          *workers,
 		StripeWorkers:    *stripeWorkers,
 		MaxBatch:         *maxBatch,
 		PolicyBytes:      *policyBytes,
 		RouteMaxBatch:    *routeMaxBatch,
-		DefaultEngine:    *engine,
 		Logger:           logger,
 		CheckpointDir:    *checkpointDir,
 		RecoverTimeout:   *recoverTimeout,
@@ -152,7 +146,7 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 		return fmt.Errorf("ttserve: %w", err)
 	}
 	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	logger.Info("ttserve listening", "addr", ln.Addr().String(), "engine", *engine)
+	logger.Info("ttserve listening", "addr", ln.Addr().String())
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
@@ -187,10 +181,14 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 	return nil
 }
 
-// parseChaosSpec splits an "engine[:count]" chaos spec (count omitted =
-// every attempt).
-func parseChaosSpec(flagName, spec string) (engine string, n int64, err error) {
-	engine, countStr, hasCount := strings.Cut(spec, ":")
+// parseChaosSpec splits a "rung[:count]" chaos spec (count omitted = every
+// attempt). The rung must be one the server tries, so a typo cannot make a
+// drill inject nothing and pass vacuously.
+func parseChaosSpec(flagName, spec string) (rung string, n int64, err error) {
+	rung, countStr, hasCount := strings.Cut(spec, ":")
+	if rung != "exact" && rung != "approx" {
+		return "", 0, fmt.Errorf("%s: unknown rung %q (want exact or approx)", flagName, rung)
+	}
 	n = 1<<62 - 1
 	if hasCount {
 		v, err := strconv.ParseInt(countStr, 10, 64)
@@ -199,36 +197,36 @@ func parseChaosSpec(flagName, spec string) (engine string, n int64, err error) {
 		}
 		n = v
 	}
-	return engine, n, nil
+	return rung, n, nil
 }
 
-// parseChaosFail turns "-chaos-fail-engine engine[:count]" into the serve
-// fault hook: the named engine's first count attempts fail. Empty spec means
+// parseChaosFail turns "-chaos-fail-engine rung[:count]" into the serve
+// fault hook: the named rung's first count attempts fail. Empty spec means
 // no injection.
 func parseChaosFail(spec string) (func(string) error, error) {
 	if spec == "" {
 		return nil, nil
 	}
-	engine, n, err := parseChaosSpec("-chaos-fail-engine", spec)
+	rung, n, err := parseChaosSpec("-chaos-fail-engine", spec)
 	if err != nil {
 		return nil, err
 	}
-	return chaos.FailFirst(engine, n, errors.New("injected chaos fault")), nil
+	return chaos.FailFirst(rung, n, errors.New("injected chaos fault")), nil
 }
 
-// parseChaosCorrupt turns "-chaos-corrupt-engine engine[:count]" into the
-// serve result-corruption hook: the named engine's first count answers are
+// parseChaosCorrupt turns "-chaos-corrupt-engine rung[:count]" into the
+// serve result-corruption hook: the named rung's first count answers are
 // silently wrong, exercising the certify-before-cache gate. Empty spec means
 // no injection.
 func parseChaosCorrupt(spec string) (func(string) bool, error) {
 	if spec == "" {
 		return nil, nil
 	}
-	engine, n, err := parseChaosSpec("-chaos-corrupt-engine", spec)
+	rung, n, err := parseChaosSpec("-chaos-corrupt-engine", spec)
 	if err != nil {
 		return nil, err
 	}
-	return chaos.CorruptFirst(engine, n), nil
+	return chaos.CorruptFirst(rung, n), nil
 }
 
 func main() {

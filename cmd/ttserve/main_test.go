@@ -88,6 +88,18 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-addr", "256.256.256.256:99999"}, io.Discard, nil, nil); err == nil {
 		t.Fatal("unlistenable address accepted")
 	}
+	// A chaos spec naming no rung the server tries would inject nothing and
+	// let a drill pass vacuously, so it fails startup and lists the rungs.
+	for _, args := range [][]string{
+		{"-chaos-fail-engine", "seq:1"},
+		{"-chaos-fail-engine", "parallel"},
+		{"-chaos-corrupt-engine", "exatc"},
+	} {
+		err := run(append([]string{"-addr", "127.0.0.1:0"}, args...), io.Discard, nil, nil)
+		if err == nil || !strings.Contains(err.Error(), args[0]) || !strings.Contains(err.Error(), "exact or approx") {
+			t.Errorf("%v: err %v, want a startup error naming %s and listing exact and approx", args, err, args[0])
+		}
+	}
 }
 
 // TestRunRejectsRetiredSettings: the settings the service no longer has fail
@@ -97,6 +109,8 @@ func TestRunRejectsRetiredSettings(t *testing.T) {
 		{"-certify", "off"},
 		{"-engine", "bvm"},
 		{"-engine", "cluster"},
+		{"-engine", "seq"},
+		{"-workers", "4"},
 		{"-cluster", "127.0.0.1:7001"},
 		{"-retries", "2"},
 		{"-breaker-threshold", "3"},

@@ -47,9 +47,9 @@ func (k *Kill) CheckpointLevel(level int, sol *core.Solution) error {
 }
 
 // FailFirst returns an engine-fault hook (for serve.Config.EngineFault) that
-// fails the named engine's first n solve attempts with err, then heals. Other
-// engines pass through untouched — the shape needed to prove a fallback chain
-// works and that a healed engine serves again on its next request.
+// fails the named rung's first n solve attempts with err, then heals. Other
+// rungs pass through untouched — the shape needed to prove the approx
+// fallback works and that a healed path serves again on its next request.
 func FailFirst(engine string, n int64, err error) func(string) error {
 	var calls atomic.Int64
 	return func(e string) error {

@@ -47,13 +47,12 @@ func SolveBatch(ps []*Problem, workers int) ([]*Solution, error) {
 // level-synchronous sweep over the shared subset lattice, re-pricing every
 // subset for all instances at each enumeration step. Each returned Solution
 // is cost-only like every other solver's and bit-identical to Solve on that
-// instance alone. `workers` sets how many Gosper ranges each level is split
-// into. Unlike SolveParallelPooledCtx, which reads <= 0 as GOMAXPROCS, it
-// reads <= 0 as 1: a caller that wants the batch spread over every core
-// passes the width explicitly (ttserve resolves its Config.Workers to
-// GOMAXPROCS and passes that to both). A nil pool selects the process-wide
-// stripe pool. The context is polled every ctxStride enumeration steps and
-// at level barriers. A group of one is an ordinary solve.
+// instance alone. `workers` and the pool mean what they mean to
+// SolveParallelPooledCtx: at most `workers` Gosper ranges per level (<= 0
+// selects GOMAXPROCS), each level's work counting every instance, on the
+// given stripe pool (nil selects the process-wide one). The context is
+// polled every ctxStride enumeration steps and at level barriers. A group of
+// one is an ordinary solve.
 func SolveBatchCtx(ctx context.Context, ps []*Problem, workers int, pool *stripe.Pool) ([]*Solution, error) {
 	if len(ps) == 0 {
 		return nil, fmt.Errorf("core: empty batch")
@@ -74,12 +73,7 @@ func SolveBatchCtx(ctx context.Context, ps []*Problem, workers int, pool *stripe
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if workers <= 0 {
-		workers = 1
-	}
-	if pool == nil {
-		pool = stripe.Shared()
-	}
+	workers, pool = poolWidth(workers, pool)
 	G := len(ps)
 	if G == 1 {
 		sol, err := solve(ctx, ps[0], workers, pool, nil, nil)
@@ -108,7 +102,7 @@ func SolveBatchCtx(ctx context.Context, ps []*Problem, workers int, pool *stripe
 		scratch[r] = make([]uint64, G)
 	}
 
-	d := &sweep{k: k, ranges: workers, pool: pool, visit: func(r int, s Set) {
+	d := &sweep{k: k, ranges: workers, work: n * G, pool: pool, visit: func(r int, s Set) {
 		// The row of S holds the running minima. Every read below is of a
 		// strict subset's row, finished at an earlier level.
 		best := cg[int(s)*G : int(s)*G+G]

@@ -20,7 +20,8 @@ func repriced(rng *rand.Rand, p *Problem) *Problem {
 }
 
 // TestSolveBatchMatchesSolo pins the batched sweep bit-identical to solving
-// every instance alone, across group sizes and worker counts.
+// every instance alone, across group sizes and worker counts (0 selecting
+// GOMAXPROCS).
 func TestSolveBatchMatchesSolo(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
@@ -32,7 +33,7 @@ func TestSolveBatchMatchesSolo(t *testing.T) {
 		for g := 1; g < G; g++ {
 			group[g] = repriced(rng, base)
 		}
-		workers := rng.Intn(4) + 1
+		workers := rng.Intn(5)
 		sols, err := SolveBatchCtx(context.Background(), group, workers, nil)
 		if err != nil {
 			t.Fatal(err)

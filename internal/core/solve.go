@@ -55,21 +55,29 @@ func SolveCheckpointedCtx(ctx context.Context, p *Problem, f *Frontier, ck Check
 }
 
 // SolveParallelPooledCtx is SolveCheckpointedCtx with each level split into
-// `workers` Gosper rank ranges run on a stripe pool — the natural way to run
-// the backward induction on shared-memory hardware (the paper's machine is
-// internal/parttsolve). `workers` <= 0 selects GOMAXPROCS; it sets the unit
-// of load balancing, not how many goroutines exist, so concurrent solves
-// share one bounded worker set. A nil pool selects the process-wide one. A
-// panic in any range is recovered and returned as an error. Results are
-// bit-identical to Solve for every worker count.
+// up to `workers` Gosper rank ranges run on a stripe pool — the natural way
+// to run the backward induction on shared-memory hardware (the paper's
+// machine is internal/parttsolve). `workers` <= 0 selects GOMAXPROCS; it
+// sets the unit of load balancing, not how many goroutines exist, so
+// concurrent solves share one bounded worker set. A level too small to repay
+// the pool's hand-off runs inline as one range. A nil pool selects the
+// process-wide one. A panic in any range is recovered and returned as an
+// error. Results are bit-identical to Solve for every worker count.
 func SolveParallelPooledCtx(ctx context.Context, p *Problem, workers int, pool *stripe.Pool, f *Frontier, ck Checkpointer) (*Solution, error) {
+	workers, pool = poolWidth(workers, pool)
+	return solve(ctx, p, workers, pool, f, ck)
+}
+
+// poolWidth resolves the parallel entry points' defaults: `workers` <= 0
+// selects GOMAXPROCS, and a nil pool the process-wide one.
+func poolWidth(workers int, pool *stripe.Pool) (int, *stripe.Pool) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if pool == nil {
 		pool = stripe.Shared()
 	}
-	return solve(ctx, p, workers, pool, f, ck)
+	return workers, pool
 }
 
 // solve is the one G=1 sweep behind every exact entry point: the problem
@@ -100,7 +108,7 @@ func solve(ctx context.Context, p *Problem, ranges int, pool *stripe.Pool, f *Fr
 	// the sweep writes it; every other cell is written at its own level,
 	// before any superset reads it.
 	c[0] = 0
-	d := &sweep{k: p.K, ranges: ranges, pool: pool,
+	d := &sweep{k: p.K, ranges: ranges, work: len(p.Actions), pool: pool,
 		visit: func(_ int, s Set) { c[s], _ = kn.Cell(c, s) }}
 	if ck != nil {
 		d.barrier = func(level int) error {

@@ -4,11 +4,77 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// shippedMinRangeEvals is the production range floor. TestMain lowers the
+// floor to one evaluation for the package's tests, so that the small
+// instances they solve still cut every level into several ranges and cover
+// the pool barrier; TestSweepRangeRule runs under the shipped value.
+var shippedMinRangeEvals = minRangeEvals
+
+func TestMain(m *testing.M) {
+	minRangeEvals = 1
+	os.Exit(m.Run())
+}
+
+// levelRanges solves ps with at most `workers` ranges per level under the
+// shipped floor and returns how many ranges each level ran.
+func levelRanges(t *testing.T, workers int, ps ...*Problem) []int64 {
+	t.Helper()
+	counts := make([]atomic.Int64, ps[0].K+1)
+	sweepRangeHook = func(start Set) { counts[start.Size()].Add(1) }
+	minRangeEvals = shippedMinRangeEvals
+	defer func() { sweepRangeHook, minRangeEvals = nil, 1 }()
+	if _, err := SolveBatchCtx(context.Background(), ps, workers, nil); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]int64, len(counts))
+	for i := range counts {
+		out[i] = counts[i].Load()
+	}
+	return out
+}
+
+// TestSweepRangeRule pins the range floor: a level gets one range per
+// minRangeEvals of (set, action, instance) evaluations, capped at the
+// requested width, so small levels, small K and small batches run inline
+// while the wide middle levels of a large instance split.
+func TestSweepRangeRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	// K=12 with 30 actions: level 1 is 12×30 = 360 evaluations, one range;
+	// level 6 is 924×30 = 27720, six floors' worth, capped at 4 ranges.
+	big := randomProblem(rng, 12, 29)
+	got := levelRanges(t, 4, big)
+	if got[1] != 1 || got[12] != 1 {
+		t.Errorf("K=12 levels 1 and 12 ran %d and %d ranges, want 1 each", got[1], got[12])
+	}
+	if got[6] != 4 {
+		t.Errorf("K=12 level 6 ran %d ranges, want 4", got[6])
+	}
+	// K=6: no level reaches the floor, so every level is one range.
+	small := randomProblem(rng, 6, 29)
+	for level, n := range levelRanges(t, 4, small)[1:] {
+		if n != 1 {
+			t.Errorf("K=6 level %d ran %d ranges, want 1", level+1, n)
+		}
+	}
+	// A batch counts every instance: K=10's level 5 is 252×30 = 7560
+	// evaluations alone (one range) and 30240 for four instances (capped at
+	// 4 ranges).
+	base := randomProblem(rng, 10, 29)
+	if got := levelRanges(t, 4, base)[5]; got != 1 {
+		t.Errorf("K=10 level 5 alone ran %d ranges, want 1", got)
+	}
+	group := []*Problem{base, repriced(rng, base), repriced(rng, base), repriced(rng, base)}
+	if got := levelRanges(t, 4, group...)[5]; got != 4 {
+		t.Errorf("K=10 level 5 of a 4-instance batch ran %d ranges, want 4", got)
+	}
+}
 
 func TestSolveParallelMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))

@@ -15,10 +15,19 @@ import (
 const ctxStride = 1 << 12
 
 // sweepRangeHook, when non-nil, is called at the start of every Gosper range
-// the level driver runs. Test-only: it lets the fault-injection
-// tests panic inside a worker and prove the sweep fails cleanly instead of
-// deadlocking.
+// the level driver runs. Test-only: it lets the fault-injection tests panic
+// inside a worker and prove the sweep fails cleanly instead of deadlocking,
+// and lets the range-rule tests count the ranges of each level.
 var sweepRangeHook func(start Set)
+
+// minRangeEvals is the least work, in (set, action, instance) evaluations,
+// that earns a Gosper range of its own: handing a range to the pool and
+// meeting it at the barrier costs about as much as this many evaluations, so
+// a smaller level runs inline as one range. It was chosen from the idle
+// one-range against two-range times in EXPERIMENTS.md ("Exact engine
+// verdict"). A variable only so that the package tests can lower it and
+// split every level.
+var minRangeEvals uint64 = 1 << 12
 
 // sweep is the level driver every DP sweep runs under. Subsets are visited
 // level by level in popcount order: every C(S) at level j depends only on
@@ -28,7 +37,8 @@ var sweepRangeHook func(start Set)
 // unranking, and each range streams through its sets with Gosper's hack.
 type sweep struct {
 	k      int
-	ranges int          // Gosper rank ranges per level
+	ranges int          // most Gosper rank ranges per level
+	work   int          // evaluations per set: actions × instances
 	pool   *stripe.Pool // nil: ranges run inline, in order
 	// visit fills one subset's table entries; r is the index of the range
 	// it belongs to, so a visitor can keep per-range scratch.
@@ -55,19 +65,22 @@ func (d *sweep) fail(err error) {
 	})
 }
 
-// run sweeps levels from..K. It polls ctx every ctxStride subsets inside
-// each range and at every level barrier, recovers a panic in any range as an
-// error, and returns the first failure.
+// run sweeps levels from..K. Each level gets as many ranges as it has
+// multiples of minRangeEvals of work, at most d.ranges and at least one. It
+// polls ctx every ctxStride subsets inside each range and at every level
+// barrier, recovers a panic in any range as an error, and returns the first
+// failure.
 func (d *sweep) run(ctx context.Context, from int) error {
 	rs := make([]gosperRange, 0, d.ranges)
 	for level := from; level <= d.k; level++ {
 		total := binomial(d.k, level)
-		chunk := (total + uint64(d.ranges) - 1) / uint64(d.ranges)
+		n := min(uint64(d.ranges), max(1, total*uint64(d.work)/minRangeEvals))
+		chunk := (total + n - 1) / n
 		rs = rs[:0]
 		for lo := uint64(0); lo < total; lo += chunk {
 			rs = append(rs, gosperRange{start: nthSubset(lo, level), count: min(chunk, total-lo)})
 		}
-		if d.pool != nil {
+		if d.pool != nil && len(rs) > 1 {
 			// Run is the level barrier: level j+1 reads level j's values
 			// only after every range of level j has finished.
 			d.pool.Run(len(rs), func(i int) { d.walk(ctx, i, rs[i]) })

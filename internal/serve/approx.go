@@ -2,7 +2,7 @@ package serve
 
 // Graceful degradation past the 2^k wall (docs/RESILIENCE.md): the approx
 // engine serves instances the exact DP cannot afford — and backstops the
-// fallback chain when every exact engine is faulting — with answers whose
+// exact path when it faults and the request enabled approx — with answers whose
 // suboptimality is *certified*, never trusted. The flow mirrors the exact
 // path's certify-before-cache contract exactly: the engine's claimed tree,
 // cost, and gap go through certify.CertifyGap (independent re-pricing plus
@@ -78,7 +78,7 @@ func (s *Server) admitApprox(p *core.Problem) *oversizeError {
 // cacheKey is the one builder of cache and singleflight keys: the canonical
 // hash, plus the approx knob when one is in force. Approx-enabled requests
 // get distinct slots from exact ones so a certified-gap answer (cached after
-// an oversize route or an exact-engine fault) is never served to a request
+// an oversize route or an exact-path fault) is never served to a request
 // that demanded exactness.
 func cacheKey(hash string, ap approx.Spec) string {
 	if !ap.Enabled {
@@ -101,7 +101,7 @@ func (s *Server) solveApproxAttempt(ctx context.Context, hash string, canon *cor
 	}
 	if hook := s.cfg.ResultFault; hook != nil && hook("approx") {
 		// Chaos: silently corrupt the answer before certification, exactly
-		// as for the exact engines.
+		// as on the exact path.
 		if res.Cost >= core.Inf {
 			res.Cost, res.Adequate = 42, true
 		} else {
@@ -109,7 +109,7 @@ func (s *Server) solveApproxAttempt(ctx context.Context, hash string, canon *cor
 		}
 	}
 	ent := &cacheEntry{
-		engine: "approx", hash: hash, canon: canon,
+		rung: "approx", hash: hash, canon: canon,
 		key:    cacheKey(hash, ap),
 		approx: true, approxPolicy: res.Policy, approxExact: res.Exact,
 	}

@@ -211,29 +211,29 @@ func TestApproxCacheIsolation(t *testing.T) {
 	}
 }
 
-// TestApproxFallbackRung: with approx enabled and every exact engine
-// faulting, the chain's terminal rung serves a certified-gap answer instead
-// of a 500 — and without the knob the same storm is still a 500.
+// TestApproxFallbackRung: with approx enabled and the exact path faulting,
+// the approx rung serves a certified-gap answer instead of a 500 — and
+// without the knob the same storm is still a 500.
 func TestApproxFallbackRung(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		EngineFault: chaos.FailFirst("seq", 1<<30, errInjected),
+		EngineFault: chaos.FailFirst("exact", 1<<30, errInjected),
 	})
 	p := workload.MedicalDiagnosis(9, 7)
-	if _, status := postSolve(t, ts, "?engine=seq", instanceJSON(t, p)); status != http.StatusInternalServerError {
+	if _, status := postSolve(t, ts, "", instanceJSON(t, p)); status != http.StatusInternalServerError {
 		t.Fatalf("no approx knob: status %d, want 500", status)
 	}
-	sr, status := postSolve(t, ts, "?engine=seq&approx=3", instanceJSON(t, p))
+	sr, status := postSolve(t, ts, "?approx=3", instanceJSON(t, p))
 	if status != http.StatusOK {
 		t.Fatalf("approx fallback: status %d, want 200", status)
 	}
-	if sr.Engine != "seq" || sr.SolvedBy != "approx" {
-		t.Fatalf("engine %q solved_by %q, want seq/approx", sr.Engine, sr.SolvedBy)
+	if sr.Engine != "exact" || sr.SolvedBy != "approx" {
+		t.Fatalf("engine %q solved_by %q, want exact/approx", sr.Engine, sr.SolvedBy)
 	}
 	if sr.GapMilli == nil || sr.LowerBound == nil {
 		t.Fatalf("fallback answer carries no certified claim: %+v", sr)
 	}
-	if s.Metrics().ApproxFallback.Load() == 0 {
-		t.Fatal("approx_fallback counter not incremented")
+	if s.Metrics().Fallbacks.Load() != 1 {
+		t.Fatalf("fallbacks = %d, want 1", s.Metrics().Fallbacks.Load())
 	}
 }
 
@@ -243,7 +243,7 @@ func TestApproxFallbackRung(t *testing.T) {
 func TestApproxCorruptionRefused(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		MaxK:        6,
-		ResultFault: func(engine string) bool { return engine == "approx" },
+		ResultFault: func(rung string) bool { return rung == "approx" },
 	})
 	p := workload.Oversized(5, 9)
 	if _, status := postSolve(t, ts, "?approx=1.2", instanceJSON(t, p)); status != http.StatusInternalServerError {

@@ -36,15 +36,16 @@ import (
 //
 // Admission accounting: one batch request occupies one solver slot (and one
 // MaxPending unit) for its whole duration — the group sweep already
-// parallelizes internally over the stripe pool, so letting each group grab
-// its own slot would double-count the same CPUs.
+// parallelizes internally over the stripe pool, with as many ranges per
+// level as a solo solve would get, so letting each group grab its own slot
+// would double-count the same CPUs.
 
 // BatchItem is one instance's slice of the /v1/solve/batch reply.
 type BatchItem struct {
 	InstanceHash string  `json:"instance_hash"`
 	Cached       bool    `json:"cached"`              // served from the LRU without solving
 	Group        int     `json:"group"`               // shared-lattice group index; -1 when cached or solved alone
-	SolvedBy     string  `json:"solved_by,omitempty"` // "batch", or the fallback engine
+	SolvedBy     string  `json:"solved_by,omitempty"` // "batch", or "exact" when the instance was solved alone
 	Adequate     bool    `json:"adequate"`
 	Cost         *uint64 `json:"cost,omitempty"`
 	FirstAction  string  `json:"first_action,omitempty"`
@@ -231,7 +232,7 @@ func (s *Server) solveBatchGroup(ctx context.Context, gi int, idxs []int, canons
 	}
 	s.metrics.Solves.Add(1)
 	gStart := time.Now()
-	sols, err := core.SolveBatchCtx(ctx, group, s.cfg.Workers, s.stripe)
+	sols, err := core.SolveBatchCtx(ctx, group, s.ranges(), s.stripe)
 	s.metrics.observe("batch", time.Since(gStart))
 	if err != nil {
 		s.log.Warn("batch group failed, falling back per instance", "group", gi, "size", len(idxs), "err", err)
@@ -269,7 +270,7 @@ func (s *Server) solveBatchGroup(ctx context.Context, gi int, idxs []int, canons
 // engine-independent certifier gate every /v1/solve answer passes before it
 // can be cached. The caller releases sol.
 func (s *Server) certifyBatchAnswer(canon *core.Problem, hash string, sol *core.Solution) (*cacheEntry, error) {
-	ent := &cacheEntry{engine: "batch", cost: sol.Cost, adequate: sol.Adequate(),
+	ent := &cacheEntry{rung: "batch", cost: sol.Cost, adequate: sol.Adequate(),
 		canon: canon, hash: hash, key: cacheKey(hash, approx.Spec{})}
 	if ent.adequate {
 		tree, err := core.TreeFromCosts(canon, sol.C)
@@ -288,12 +289,12 @@ func (s *Server) certifyBatchAnswer(canon *core.Problem, hash string, sol *core.
 	return ent, nil
 }
 
-// solveBatchFallback solves one instance through the normal resilient chain
-// (engine "seq") after its group could not deliver a certified answer, and
-// records the outcome — success or error — on its batch item.
+// solveBatchFallback solves one instance alone on the exact path after its
+// group could not deliver a certified answer, and records the outcome —
+// success or error — on its batch item.
 func (s *Server) solveBatchFallback(ctx context.Context, i int, canon *core.Problem, items []BatchItem, wantTree bool) {
 	s.metrics.BatchFallback.Add(1)
-	ent, err := s.solveResilient(ctx, items[i].InstanceHash, canon, "seq", approx.Spec{Raw: "off"})
+	ent, err := s.solveResilient(ctx, items[i].InstanceHash, canon, "exact", approx.Spec{Raw: "off"})
 	if err != nil {
 		items[i].Error = err.Error()
 		return
@@ -307,7 +308,7 @@ func (s *Server) solveBatchFallback(ctx context.Context, i int, canon *core.Prob
 // fillItem copies a cache entry's answer onto a batch item.
 func (s *Server) fillItem(it *BatchItem, ent *cacheEntry, cached, wantTree bool) {
 	it.Cached = cached
-	it.SolvedBy = ent.engine
+	it.SolvedBy = ent.rung
 	it.Adequate = ent.adequate
 	if ent.adequate {
 		cost := ent.cost

@@ -13,7 +13,7 @@ import (
 type cacheEntry struct {
 	hash     string
 	key      string // cacheKey(hash, approx spec)
-	engine   string // engine that originally solved the instance
+	rung     string // what solved the instance: "exact", "approx" or "batch"
 	cost     uint64 // C(U); core.Inf for inadequate instances
 	adequate bool
 	canon    *core.Problem // canonicalized instance (action order normalized)

@@ -75,7 +75,8 @@ func TestLoadConcurrentMixed(t *testing.T) {
 		ok504, okOK, ok422 atomic.Int64
 		wg                 sync.WaitGroup
 	)
-	engines := []string{"seq", "parallel"}
+	// engine= omitted and both names the one exact path still answers to.
+	queries := []string{"", "?engine=seq", "?engine=parallel"}
 	for r := 0; r < nRequests; r++ {
 		r := r
 		wg.Add(1)
@@ -109,10 +110,14 @@ func TestLoadConcurrentMixed(t *testing.T) {
 			default:
 				i := r % nInstances
 				p := permuted(rng, instances[i])
-				engine := engines[r%len(engines)]
-				sr, status := postSolveClient(t, client, url, "?engine="+engine, instanceJSONQuiet(p))
+				query := queries[r%len(queries)]
+				sr, status := postSolveClient(t, client, url, query, instanceJSONQuiet(p))
 				if status != http.StatusOK {
-					t.Errorf("req %d (%s): status %d", r, engine, status)
+					t.Errorf("req %d (%q): status %d", r, query, status)
+					return
+				}
+				if sr.SolvedBy != "exact" {
+					t.Errorf("req %d (%q): solved_by %q, want exact", r, query, sr.SolvedBy)
 					return
 				}
 				if !sr.Adequate || sr.Cost == nil || *sr.Cost != wantCost[i] {

@@ -79,7 +79,7 @@ type Metrics struct {
 
 	// Self-healing path (resilience.go).
 	EngineFailures atomic.Int64 // solve attempts that failed for non-context reasons
-	Fallbacks      atomic.Int64 // downgrades to the next engine in the chain
+	Fallbacks      atomic.Int64 // failed exact attempts answered by the approx plane instead
 
 	// Certification (resilience.go): every answer is checked by the
 	// engine-independent certifier before it is cached or returned.
@@ -87,11 +87,10 @@ type Metrics struct {
 	CertifyFail atomic.Int64 // answers refused: certification found a violation
 
 	// Bounded-suboptimality plane (approx.go, docs/RESILIENCE.md).
-	ApproxServed   atomic.Int64  // answers produced by the approx engine (all gap-certified)
-	ApproxExact    atomic.Int64  // of those, proven optimal (branch-and-bound completed)
-	ApproxFallback atomic.Int64  // exact-engine requests degraded to approx by the fallback chain
-	approxGapMax   atomic.Uint64 // worst certified gap served, milli-units
-	approxGapSum   atomic.Uint64 // sum of certified gaps served, milli-units (mean = sum/served)
+	ApproxServed atomic.Int64  // answers produced by the approx engine (all gap-certified)
+	ApproxExact  atomic.Int64  // of those, proven optimal (branch-and-bound completed)
+	approxGapMax atomic.Uint64 // worst certified gap served, milli-units
+	approxGapSum atomic.Uint64 // sum of certified gaps served, milli-units (mean = sum/served)
 
 	// Route plane (route.go) and eval validation.
 	PolicyPublishes atomic.Int64 // compiled policy artifacts published
@@ -174,7 +173,6 @@ func (m *Metrics) Snapshot() map[string]any {
 		"certify_fail":          m.CertifyFail.Load(),
 		"approx_served":         m.ApproxServed.Load(),
 		"approx_exact":          m.ApproxExact.Load(),
-		"approx_fallback":       m.ApproxFallback.Load(),
 		"approx_gap_milli_max":  m.approxGapMax.Load(),
 		"approx_gap_milli_sum":  m.approxGapSum.Load(),
 		"policy_publishes":      m.PolicyPublishes.Load(),

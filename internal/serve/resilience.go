@@ -13,54 +13,34 @@ import (
 	"repro/internal/core"
 )
 
-// fallbackChains orders the engines tried for each requested engine: the
-// host-parallel DP degrades to the plain sequential DP. Every exact chain
-// ends in "seq", so a request only fails when the DP itself cannot run. All
-// exact engines produce bit-identical costs, so a fallback changes
-// solved_by, never the answer. When the request enabled approx,
-// solveResilient appends "approx" as the terminal rung: with every exact
-// engine faulting, a certified-gap answer beats a 5xx — and it is the only
-// rung where solved_by changes the answer's meaning, which the response
-// labels via the gap fields.
-var fallbackChains = map[string][]string{
-	"seq":      {"seq"},
-	"parallel": {"parallel", "seq"},
-	"approx":   {"approx"},
-}
-
-// solveResilient runs one admitted solve through the engine's fallback
-// chain, trying each engine once. Context errors (deadline, client gone,
-// shutdown) abort immediately — they are not engine failures and the next
-// engine cannot help. Everything else (engine error, engine panic, injected
-// fault, refused certification) is counted and falls through to the next
-// engine in the chain. No state outlives the request: an engine that failed
-// here is tried afresh by the next request.
-func (s *Server) solveResilient(ctx context.Context, hash string, canon *core.Problem, engine string, ap approx.Spec) (*cacheEntry, error) {
-	chain := fallbackChains[engine]
-	if chain == nil {
-		return nil, fmt.Errorf("serve: unknown engine %q", engine)
-	}
-	if ap.Enabled && engine != "approx" && s.admitApprox(canon) == nil {
-		// The request opted into certified-approximate answers, so the
-		// chain's true floor is the anytime engine, below even seq.
-		chain = append(append([]string(nil), chain...), "approx")
+// solveResilient runs one admitted solve on its rung — the exact path, or
+// approx for an instance routed past the exact budget — and, when an exact
+// attempt fails and the request enabled approx, tries the approx plane once:
+// with the exact path faulting, a certified-gap answer beats a 5xx, and the
+// response labels it via solved_by and the gap fields. Context errors
+// (deadline, client gone, shutdown) abort immediately — they are not engine
+// failures and approx cannot help. Everything else (engine error, engine
+// panic, injected fault, refused certification) is counted. No state
+// outlives the request: a path that failed here is tried afresh by the next
+// request.
+func (s *Server) solveResilient(ctx context.Context, hash string, canon *core.Problem, rung string, ap approx.Spec) (*cacheEntry, error) {
+	chain := []string{rung}
+	if rung == "exact" && ap.Enabled && s.admitApprox(canon) == nil {
+		chain = append(chain, "approx")
 	}
 	var firstErr error
-	for ci, eng := range chain {
+	for ci, r := range chain {
 		if ci > 0 {
 			s.metrics.Fallbacks.Add(1)
-			if eng == "approx" {
-				s.metrics.ApproxFallback.Add(1)
-			}
-			s.log.Warn("falling back", "from", chain[ci-1], "to", eng, "hash", hash[:12])
+			s.log.Warn("falling back", "from", chain[ci-1], "to", r, "hash", hash[:12])
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		s.metrics.Solves.Add(1)
 		start := time.Now()
-		ent, err := s.solveAttempt(ctx, hash, canon, eng, ap)
-		s.metrics.observe(eng, time.Since(start))
+		ent, err := s.solveAttempt(ctx, hash, canon, r, ap)
+		s.metrics.observe(r, time.Since(start))
 		if err == nil {
 			return ent, nil
 		}
@@ -69,19 +49,19 @@ func (s *Server) solveResilient(ctx context.Context, hash string, canon *core.Pr
 		}
 		s.metrics.EngineFailures.Add(1)
 		if firstErr == nil {
-			firstErr = fmt.Errorf("%s: %w", eng, err)
+			firstErr = fmt.Errorf("%s: %w", r, err)
 		}
-		s.log.Warn("engine attempt failed", "engine", eng, "err", err)
+		s.log.Warn("solve attempt failed", "rung", r, "err", err)
 	}
-	return nil, fmt.Errorf("serve: all engines failed: %w", firstErr)
+	return nil, fmt.Errorf("serve: solve failed: %w", firstErr)
 }
 
 func isContextErr(err error) bool {
 	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }
 
-// solveAttempt runs exactly one engine once, with panic isolation, the
-// chaos fault hook, and — when a checkpoint directory is configured — a
+// solveAttempt runs one rung once, with panic isolation, the chaos fault
+// hook, and — when a checkpoint directory is configured — a
 // best-effort durable checkpointer plus resume from any compatible
 // checkpoint already on disk for this instance. A finished solve discards
 // its checkpoint file: the durable frontier exists only while the answer
@@ -90,43 +70,33 @@ func isContextErr(err error) bool {
 // The answer is certified in the server's mode before it is returned (and
 // therefore before runSolve can cache it): the tree extracted from the cost
 // plane plus the reported C(U) must pass the engine-independent certifier. A
-// failed certification is an engine fault like any other: it falls through
-// to the next engine in the chain.
-func (s *Server) solveAttempt(ctx context.Context, hash string, canon *core.Problem, engine string, ap approx.Spec) (ent *cacheEntry, err error) {
+// failed certification is an engine fault like any other.
+func (s *Server) solveAttempt(ctx context.Context, hash string, canon *core.Problem, rung string, ap approx.Spec) (ent *cacheEntry, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			ent, err = nil, fmt.Errorf("serve: %s engine panicked: %v", engine, r)
+			ent, err = nil, fmt.Errorf("serve: %s solve panicked: %v", rung, r)
 		}
 	}()
 	if hook := s.cfg.EngineFault; hook != nil {
-		if err := hook(engine); err != nil {
+		if err := hook(rung); err != nil {
 			return nil, err
 		}
 	}
-	if engine == "approx" {
+	if rung == "approx" {
 		// The anytime path has its own certification discipline (gap
 		// certificates) and no checkpoint/frontier machinery — its solves
 		// are repriceable in milliseconds, not worth durable state.
 		return s.solveApproxAttempt(ctx, hash, canon, ap)
 	}
 	frontier := s.loadResume(hash)
-	ck, w := s.checkpointerFor(ctx, hash, canon, engine)
-
-	var sol *core.Solution
-	switch engine {
-	case "seq":
-		sol, err = core.SolveCheckpointedCtx(ctx, canon, frontier, ck)
-	case "parallel":
-		sol, err = core.SolveParallelPooledCtx(ctx, canon, s.cfg.Workers, s.stripe, frontier, ck)
-	default:
-		return nil, fmt.Errorf("serve: unknown engine %q", engine)
-	}
+	ck, w := s.checkpointerFor(ctx, hash, canon)
+	sol, err := core.SolveParallelPooledCtx(ctx, canon, s.ranges(), s.stripe, frontier, ck)
 	if err != nil {
 		return nil, err
 	}
 	defer sol.Release() // pooled DP tables, recycled once the answer is certified
 	cost := sol.Cost
-	if hook := s.cfg.ResultFault; hook != nil && hook(engine) {
+	if hook := s.cfg.ResultFault; hook != nil && hook(rung) {
 		// Chaos: a silent in-memory corruption of the finished answer — the
 		// exact failure the certifier exists to stop at the door.
 		if cost >= core.Inf {
@@ -140,7 +110,7 @@ func (s *Server) solveAttempt(ctx context.Context, hash string, canon *core.Prob
 			s.log.Warn("discarding finished checkpoint", "err", err)
 		}
 	}
-	ent = &cacheEntry{engine: engine, cost: cost, adequate: cost < core.Inf,
+	ent = &cacheEntry{rung: rung, cost: cost, adequate: cost < core.Inf,
 		canon: canon, hash: hash, key: cacheKey(hash, ap)}
 	if ent.adequate {
 		tree, err := core.TreeFromCosts(canon, sol.C)
@@ -152,11 +122,21 @@ func (s *Server) solveAttempt(ctx context.Context, hash string, canon *core.Prob
 	rep := certify.Check(canon, cost, ent.tree, sol.C, nil, s.certifyMode, certifySeed(hash))
 	if !rep.OK() {
 		s.metrics.CertifyFail.Add(1)
-		return nil, fmt.Errorf("serve: %s answer refused: %w", engine, rep.Err())
+		return nil, fmt.Errorf("serve: %s answer refused: %w", rung, rep.Err())
 	}
 	s.metrics.CertifyPass.Add(1)
 	ent.bytes = entryBytes(ent)
 	return ent, nil
+}
+
+// ranges is the most Gosper ranges an exact solve cuts each level into: the
+// stripe pool's width shared among the solves holding a solver slot, this
+// one included (startup recovery holds none). A lone solve spreads over
+// every worker; under the defaults, where the pool and MaxConcurrent are
+// both GOMAXPROCS, a full house runs one range each, since the other solves
+// already fill the cores. core.sweep further keeps small levels inline.
+func (s *Server) ranges() int {
+	return max(1, s.stripe.Workers()/max(1, len(s.sem)))
 }
 
 // certifySeed derives the audit-mode sampling seed from the instance hash, so
@@ -173,8 +153,8 @@ func certifySeed(hash string) int64 {
 // loadResume returns a frontier for this instance if a valid durable
 // checkpoint exists: the hashes must match (guaranteed by the file name but
 // re-verified by Load). A frontier is C alone, so whichever engine wrote it
-// — including a simulated machine from an older binary — seeds any engine's
-// resume.
+// — including a simulated machine from an older binary — seeds the exact
+// path's resume.
 func (s *Server) loadResume(hash string) *core.Frontier {
 	if s.cfg.CheckpointDir == "" {
 		return nil
@@ -194,11 +174,11 @@ func (s *Server) loadResume(hash string) *core.Frontier {
 // counted and logged but never abort the solve (an ENOSPC disk must not take
 // down answers), plus the chaos LevelDelay pause. Returns (nil, nil) when
 // there is nothing to do at level barriers.
-func (s *Server) checkpointerFor(ctx context.Context, hash string, canon *core.Problem, engine string) (core.Checkpointer, *checkpoint.Writer) {
+func (s *Server) checkpointerFor(ctx context.Context, hash string, canon *core.Problem) (core.Checkpointer, *checkpoint.Writer) {
 	var w *checkpoint.Writer
 	if s.cfg.CheckpointDir != "" {
 		var err error
-		w, err = checkpoint.NewWriter(s.cfg.CheckpointFS, s.cfg.CheckpointDir, canon, hash, engine, 0)
+		w, err = checkpoint.NewWriter(s.cfg.CheckpointFS, s.cfg.CheckpointDir, canon, hash, "exact", 0)
 		if err != nil {
 			s.metrics.CheckpointErrors.Add(1)
 			s.log.Warn("checkpointing disabled for solve", "err", err)
@@ -251,9 +231,9 @@ func (b *bestEffortCk) CheckpointLevel(level int, sol *core.Solution) error {
 }
 
 // RecoverCheckpoints scans the checkpoint directory for solves interrupted
-// by a crash, finishes each one from its durable frontier (through the
-// normal resilient path, so a sick engine still falls back), installs the
-// answers in the cache, and deletes consumed files. Corrupt files and torn
+// by a crash, finishes each one from its durable frontier on the exact path,
+// whichever engine wrote it (the frontier is C alone), installs the answers
+// in the cache, and deletes consumed files. Corrupt files and torn
 // temp residue are deleted outright. Call it after New and before serving
 // traffic; it returns (resumed, discarded).
 func (s *Server) RecoverCheckpoints(ctx context.Context) (resumed, discarded int, err error) {
@@ -293,14 +273,7 @@ func (s *Server) RecoverCheckpoints(ctx context.Context) (resumed, discarded int
 				"resumed", resumed, "pending", len(snaps)-resumed, "err", cerr)
 			break
 		}
-		// A snapshot written by an engine no longer served (a simulated
-		// machine or the cluster plane, which older binaries ran) resumes
-		// on the default engine: the frontier is C alone.
-		engine := snap.Engine
-		if CheckEngine(engine) != nil {
-			engine = s.cfg.DefaultEngine
-		}
-		ent, err := s.solveResilient(ctx, snap.Hash, snap.Problem, engine, approx.Spec{Raw: "off"})
+		ent, err := s.solveResilient(ctx, snap.Hash, snap.Problem, "exact", approx.Spec{Raw: "off"})
 		if err != nil {
 			// Leave the file: the frontier is still good and the next start
 			// (or the next request for this instance) can try again.
@@ -313,7 +286,7 @@ func (s *Server) RecoverCheckpoints(ctx context.Context) (resumed, discarded int
 		s.metrics.CheckpointsResumed.Add(1)
 		resumed++
 		s.log.Info("resumed interrupted solve",
-			"hash", snap.Hash[:12], "from_level", snap.Level, "engine", ent.engine)
+			"hash", snap.Hash[:12], "from_level", snap.Level, "engine", snap.Engine)
 	}
 	return resumed, discarded, nil
 }

@@ -24,24 +24,25 @@ import (
 
 var errInjected = errors.New("injected engine fault")
 
-// TestFallbackOnEngineFailure: a persistently failing parallel engine must
-// not fail the request — the chain degrades to seq, the response reports
-// both the asked-for and the solving engine, and the failures are counted.
+// TestFallbackOnEngineFailure: with approx enabled, a persistently failing
+// exact path must not fail the request — approx answers it (proven optimal
+// at this size, so with the exact cost), the response reports both the
+// dispatched and the solving rung, and the failure and fallback are counted.
 func TestFallbackOnEngineFailure(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		EngineFault: chaos.FailFirst("parallel", 1<<30, errInjected),
+		EngineFault: chaos.FailFirst("exact", 1<<30, errInjected),
 	})
 	p := workload.MedicalDiagnosis(3, 6)
 	want, err := core.Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, status := postSolve(t, ts, "?engine=parallel", instanceJSON(t, p))
+	sr, status := postSolve(t, ts, "?approx=1", instanceJSON(t, p))
 	if status != http.StatusOK {
 		t.Fatalf("status %d", status)
 	}
-	if sr.Engine != "parallel" || sr.SolvedBy != "seq" {
-		t.Fatalf("engine %q solved_by %q, want parallel/seq", sr.Engine, sr.SolvedBy)
+	if sr.Engine != "exact" || sr.SolvedBy != "approx" {
+		t.Fatalf("engine %q solved_by %q, want exact/approx", sr.Engine, sr.SolvedBy)
 	}
 	if sr.Cost == nil || *sr.Cost != want.Cost {
 		t.Fatalf("fallback cost %v, want %d", sr.Cost, want.Cost)
@@ -53,11 +54,11 @@ func TestFallbackOnEngineFailure(t *testing.T) {
 }
 
 // TestEngineFaultsDoNotOutlastThemselves: a fault fails only the request
-// that hit it. Under the default Config, three injected seq faults on one
+// that hit it. Under the default Config, three injected exact faults on one
 // instance are three 500s naming the fault; the next request, for another
 // instance, is answered — no earlier failure refuses it.
 func TestEngineFaultsDoNotOutlastThemselves(t *testing.T) {
-	s, ts := newTestServer(t, Config{EngineFault: chaos.FailFirst("seq", 3, errInjected)})
+	s, ts := newTestServer(t, Config{EngineFault: chaos.FailFirst("exact", 3, errInjected)})
 	body := instanceJSON(t, workload.MedicalDiagnosis(3, 6))
 	for i := 0; s.metrics.EngineFailures.Load() < 3; i++ {
 		if i == 3 {
@@ -70,37 +71,38 @@ func TestEngineFaultsDoNotOutlastThemselves(t *testing.T) {
 		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusInternalServerError ||
-			!strings.Contains(string(msg), "seq: injected") || strings.Contains(string(msg), "%!w") {
-			t.Fatalf("faulted request %d: status %d body %s, want a 500 naming %q", i, resp.StatusCode, msg, "seq: injected")
+			!strings.Contains(string(msg), "exact: injected") || strings.Contains(string(msg), "%!w") {
+			t.Fatalf("faulted request %d: status %d body %s, want a 500 naming %q", i, resp.StatusCode, msg, "exact: injected")
 		}
 	}
 	sr, status := postSolve(t, ts, "", instanceJSON(t, workload.MedicalDiagnosis(4, 6)))
-	if status != http.StatusOK || sr.SolvedBy != "seq" {
-		t.Fatalf("request after the faults: status %d, want 200 from seq", status)
+	if status != http.StatusOK || sr.SolvedBy != "exact" {
+		t.Fatalf("request after the faults: status %d, want 200 from exact", status)
 	}
 }
 
-// TestPanicIsolation: an engine that panics is one failed attempt, never a
-// crashed process. A seq panic has no engine below it and is a 500, after
-// which the same server answers again; a parallel panic falls back to seq.
+// TestPanicIsolation: a solve that panics is one failed attempt, never a
+// crashed process. An exact panic is a 500 when the request did not enable
+// approx and falls back to approx when it did; either way the same server
+// then answers the next request from exact.
 func TestPanicIsolation(t *testing.T) {
 	for _, tc := range []struct {
-		engine string
+		query  string
 		status int
 	}{
-		{"seq", http.StatusInternalServerError},
-		{"parallel", http.StatusOK},
+		{"", http.StatusInternalServerError},
+		{"?approx=1", http.StatusOK},
 	} {
-		s, ts := newTestServer(t, Config{EngineFault: chaos.PanicFirst(tc.engine, 1, "chaos panic")})
-		sr, status := postSolve(t, ts, "?engine="+tc.engine, instanceJSON(t, workload.MedicalDiagnosis(5, 6)))
-		if status != tc.status || (status == http.StatusOK && sr.SolvedBy != "seq") {
-			t.Fatalf("%s panic: status %d, want %d (solved_by seq on 200)", tc.engine, status, tc.status)
+		s, ts := newTestServer(t, Config{EngineFault: chaos.PanicFirst("exact", 1, "chaos panic")})
+		sr, status := postSolve(t, ts, tc.query, instanceJSON(t, workload.MedicalDiagnosis(5, 6)))
+		if status != tc.status || (status == http.StatusOK && sr.SolvedBy != "approx") {
+			t.Fatalf("%q: exact panic: status %d, want %d (solved_by approx on 200)", tc.query, status, tc.status)
 		}
 		if got := s.metrics.EngineFailures.Load(); got != 1 {
-			t.Fatalf("%s panic: engine_failures = %d, want 1", tc.engine, got)
+			t.Fatalf("%q: exact panic: engine_failures = %d, want 1", tc.query, got)
 		}
-		if sr, status := postSolve(t, ts, "?engine="+tc.engine, instanceJSON(t, workload.MedicalDiagnosis(6, 6))); status != http.StatusOK || sr.SolvedBy != tc.engine {
-			t.Fatalf("%s after its panic: status %d, want 200 from %s", tc.engine, status, tc.engine)
+		if sr, status := postSolve(t, ts, tc.query, instanceJSON(t, workload.MedicalDiagnosis(6, 6))); status != http.StatusOK || sr.SolvedBy != "exact" {
+			t.Fatalf("%q: after the panic: status %d, want 200 from exact", tc.query, status)
 		}
 	}
 }
@@ -203,8 +205,9 @@ func TestCrashResume(t *testing.T) {
 
 // TestRecoverMachineCheckpointOnDefaultEngine: a snapshot an older binary
 // wrote with an engine the service no longer runs — a simulated machine
-// (engine "bvm", a word width) or the retired cluster plane — resumes its
-// frontier on DefaultEngine and installs the certified answer in the cache.
+// (engine "bvm", a word width), the retired cluster plane, or the retired
+// seq/parallel split — resumes its frontier on the exact path and installs
+// the certified answer in the cache.
 func TestRecoverMachineCheckpointOnDefaultEngine(t *testing.T) {
 	canon := Canonicalize(workload.MedicalDiagnosis(14, 8))
 	hash, err := Hash(canon)
@@ -218,7 +221,7 @@ func TestRecoverMachineCheckpointOnDefaultEngine(t *testing.T) {
 	for _, tc := range []struct {
 		engine string
 		width  int
-	}{{"bvm", 24}, {"cluster", 0}} {
+	}{{"bvm", 24}, {"cluster", 0}, {"parallel", 0}} {
 		dir := t.TempDir()
 		w, err := checkpoint.NewWriter(nil, dir, canon, hash, tc.engine, tc.width)
 		if err != nil {
@@ -227,14 +230,14 @@ func TestRecoverMachineCheckpointOnDefaultEngine(t *testing.T) {
 		if _, err := core.SolveCheckpointedCtx(context.Background(), canon, nil, &chaos.Kill{Inner: w, Level: 4}); !errors.Is(err, chaos.ErrKilled) {
 			t.Fatal(err)
 		}
-		s, ts := newTestServer(t, Config{CheckpointDir: dir, DefaultEngine: "parallel"})
+		s, ts := newTestServer(t, Config{CheckpointDir: dir})
 		resumed, discarded, err := s.RecoverCheckpoints(context.Background())
 		if err != nil || resumed != 1 || discarded != 0 {
 			t.Fatalf("%s: recovery resumed=%d discarded=%d err=%v, want 1/0", tc.engine, resumed, discarded, err)
 		}
 		sr, status := postSolve(t, ts, "", instanceJSON(t, canon))
-		if status != http.StatusOK || !sr.Cached || sr.SolvedBy != "parallel" || sr.Cost == nil || *sr.Cost != want.Cost {
-			t.Fatalf("%s: recovered instance: status %d cached %v solved_by %q cost %v, want a cached parallel answer costing %d",
+		if status != http.StatusOK || !sr.Cached || sr.SolvedBy != "exact" || sr.Cost == nil || *sr.Cost != want.Cost {
+			t.Fatalf("%s: recovered instance: status %d cached %v solved_by %q cost %v, want a cached exact answer costing %d",
 				tc.engine, status, sr.Cached, sr.SolvedBy, sr.Cost, want.Cost)
 		}
 	}
@@ -471,9 +474,9 @@ func TestCacheByteBudget(t *testing.T) {
 // gauges end to end.
 func TestStatsExposeResilience(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		EngineFault: chaos.FailFirst("parallel", 1<<30, errInjected),
+		EngineFault: chaos.FailFirst("exact", 1<<30, errInjected),
 	})
-	if _, status := postSolve(t, ts, "?engine=parallel", instanceJSON(t, workload.MedicalDiagnosis(3, 5))); status != http.StatusOK {
+	if _, status := postSolve(t, ts, "?approx=1", instanceJSON(t, workload.MedicalDiagnosis(3, 5))); status != http.StatusOK {
 		t.Fatalf("status %d", status)
 	}
 	resp, err := http.Get(ts.URL + "/v1/stats")
@@ -490,7 +493,7 @@ func TestStatsExposeResilience(t *testing.T) {
 			t.Errorf("stats missing %q", key)
 		}
 	}
-	for _, key := range []string{"breakers", "breaker_rejects", "retries", "cluster_solves"} {
+	for _, key := range []string{"breakers", "breaker_rejects", "retries", "cluster_solves", "approx_fallback"} {
 		if _, ok := stats[key]; ok {
 			t.Errorf("stats still carry retired key %q", key)
 		}

@@ -58,14 +58,6 @@ func (s *Server) handlePolicyPublish(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	engine := q.Get("engine")
-	if engine == "" {
-		engine = s.cfg.DefaultEngine
-	}
-	if err := CheckEngine(engine); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 	if s.rejectRetiredParams(w, q) {
 		return
 	}
@@ -88,7 +80,7 @@ func (s *Server) handlePolicyPublish(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DefaultTimeout)
 	defer cancel()
 	start := time.Now()
-	ent, cached, _, err := s.solveShared(ctx, hash, canon, engine, approx.Spec{Raw: "off"}, s.cfg.DefaultTimeout)
+	ent, cached, _, err := s.solveShared(ctx, hash, canon, "exact", approx.Spec{Raw: "off"}, s.cfg.DefaultTimeout)
 	if err != nil {
 		s.solveError(w, err)
 		return
@@ -128,7 +120,7 @@ func (s *Server) handlePolicyPublish(w http.ResponseWriter, r *http.Request) {
 		Nodes:       len(art.Nodes),
 		Bytes:       art.Bytes(),
 		CertifyMode: s.certifyMode.String(),
-		SolvedBy:    ent.engine,
+		SolvedBy:    ent.rung,
 		Cached:      cached,
 		ElapsedMS:   float64(time.Since(start).Microseconds()) / 1000,
 	}

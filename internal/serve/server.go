@@ -5,9 +5,9 @@
 // queried many times, under response-time expectations), and this package
 // supplies the production shape for them:
 //
-//   - POST /v1/solve  — solve an instio-format instance with a selectable
-//     engine (seq, parallel), per-request deadline, an optional
-//     approx= knob, and optional procedure-tree rendering;
+//   - POST /v1/solve  — solve an instio-format instance exactly, with a
+//     per-request deadline, an optional approx= knob, and optional
+//     procedure-tree rendering;
 //   - POST /v1/eval   — evaluate a stored policy against a weight vector
 //     (the misspecified-prior question served online);
 //   - GET  /healthz, /v1/stats, /debug/vars, /debug/pprof — liveness,
@@ -27,10 +27,11 @@
 // machines (lockstep, goroutine, ccc, bvm) compute the same C(U) as the host
 // DP, only slower, so they are not served: ttsolve -engine runs them.
 //
-// Every solve runs inside this process. A failed attempt falls through a
-// fixed chain — parallel, then seq, then approx when the request enabled it —
-// trying each engine once, so one instance's faults never refuse another
-// instance's request.
+// Every solve runs inside this process, on one exact path: the host DP, each
+// level cut into as many Gosper ranges as the stripe pool has workers to
+// spare for it. A failed exact attempt falls through to approx only when the
+// request enabled it; otherwise it is a 500. Nothing outlives the request, so
+// one instance's faults never refuse another instance's request.
 package serve
 
 import (
@@ -76,9 +77,7 @@ type Config struct {
 	MaxBatch       int           // admission: most instances per /v1/solve/batch request (default 16)
 	PolicyBytes    int64         // byte budget for compiled route-plane policies (default 64 MiB; negative: unbounded)
 	RouteMaxBatch  int           // most sessions or cursors per /v1/route/batch request (default 4096)
-	Workers        int           // Gosper ranges per level for engine=parallel solves and batch groups alike (default GOMAXPROCS)
 	StripeWorkers  int           // dedicated stripe-pool workers for striped/batched sweeps (default 0: share the process-wide pool)
-	DefaultEngine  string        // engine when the request names none (default "seq")
 	CertifyMode    string        // answer certification for every answer: "fast" or "audit" (default "fast")
 	Logger         *slog.Logger  // structured request log (default slog.Default())
 
@@ -94,9 +93,10 @@ type Config struct {
 	RecoverTimeout time.Duration // budget for the startup checkpoint-recovery scan (default 0: caller's context only)
 
 	// Chaos hooks, wired to ttserve's -chaos-* flags; zero in production.
-	EngineFault func(engine string) error // called before each solve attempt; error or panic = engine fault
-	ResultFault func(engine string) bool  // true = silently corrupt this attempt's answer before certification
-	LevelDelay  time.Duration             // artificial pause at every level barrier
+	// Both are keyed by rung: "exact" or "approx".
+	EngineFault func(rung string) error // called before each solve attempt; error or panic = engine fault
+	ResultFault func(rung string) bool  // true = silently corrupt this attempt's answer before certification
+	LevelDelay  time.Duration           // artificial pause at every level barrier
 }
 
 func (c Config) withDefaults() Config {
@@ -105,12 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPending <= 0 {
 		c.MaxPending = 4 * c.MaxConcurrent
-	}
-	// Resolved here, not in the engines: core.SolveBatchCtx reads an unset
-	// width as one range, so an unresolved 0 would run batches on one core
-	// while engine=parallel used all of them.
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 1024
@@ -138,9 +132,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RouteMaxBatch <= 0 {
 		c.RouteMaxBatch = 4096
-	}
-	if c.DefaultEngine == "" {
-		c.DefaultEngine = "seq"
 	}
 	if c.DefaultApprox == "" {
 		c.DefaultApprox = "off"
@@ -199,7 +190,7 @@ type Server struct {
 	keyring  *policy.Keyring // signs and verifies route session cursors
 	routeSID atomic.Uint32   // session ids for new route sessions
 
-	stripe *stripe.Pool // worker pool behind striped Exec, pooled parallel DP, and batch sweeps
+	stripe *stripe.Pool // worker pool behind the exact DP's level ranges and batch sweeps
 
 	baseCtx    context.Context // parent of every solve context; Close cancels it
 	baseCancel context.CancelFunc
@@ -315,8 +306,8 @@ type SolveResponse struct {
 	InstanceHash string  `json:"instance_hash"`
 	K            int     `json:"k"`
 	Actions      int     `json:"actions"`
-	Engine       string  `json:"engine"`              // engine this request asked for
-	SolvedBy     string  `json:"solved_by"`           // engine that produced the solution
+	Engine       string  `json:"engine"`              // rung the request was dispatched to: exact, or approx past the exact budget
+	SolvedBy     string  `json:"solved_by"`           // rung that produced the answer: exact or approx
 	Cached       bool    `json:"cached"`              // served from the LRU without solving
 	Coalesced    bool    `json:"coalesced,omitempty"` // shared a concurrent identical solve
 	CertifyMode  string  `json:"certify_mode"`        // the server's certification mode, which the answer passed: fast or audit
@@ -337,19 +328,6 @@ type SolveResponse struct {
 	ApproxExact  bool    `json:"approx_exact,omitempty"`  // branch-and-bound completed: proven optimal
 }
 
-// CheckEngine reports whether engine is served. Anything else — notably the
-// paper's simulated machines, which compute the same C(U) as the host DP,
-// only slower, and the retired TCP cluster plane — is refused with a pointer
-// to the replacement.
-func CheckEngine(engine string) error {
-	switch engine {
-	case "seq", "parallel":
-		return nil
-	}
-	return fmt.Errorf("engine %q is not served (seq, parallel): use engine=parallel; "+
-		"ttsolve -engine still runs the simulated machines (lockstep, goroutine, ccc, bvm)", engine)
-}
-
 // ParseCertifyMode parses a server certification mode: fast (also "") or
 // audit. Every served answer is certified, so there is no off.
 func ParseCertifyMode(name string) (certify.Mode, error) {
@@ -364,8 +342,15 @@ func ParseCertifyMode(name string) (certify.Mode, error) {
 
 // rejectRetiredParams answers 400 for query parameters the service no longer
 // takes, naming where their behaviour went, and reports whether it did.
+// engine=seq and engine=parallel stay accepted as names of the one exact
+// path; any other engine — the paper's simulated machines, which compute the
+// same C(U) as the host DP, only slower, or the retired TCP cluster plane —
+// is refused.
 func (s *Server) rejectRetiredParams(w http.ResponseWriter, q url.Values) bool {
-	switch {
+	switch e := q.Get("engine"); {
+	case e != "" && e != "seq" && e != "parallel":
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("engine %q is not served: omit engine=, every exact solve runs one path; "+
+			"ttsolve -engine still runs the simulated machines (lockstep, goroutine, ccc, bvm)", e))
 	case q.Has("certify"):
 		httpError(w, http.StatusBadRequest, fmt.Sprintf(
 			"certify= is not a request parameter: every answer is certified in this server's %q mode (ttserve -certify)", s.certifyMode))
@@ -404,14 +389,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	engine := q.Get("engine")
-	if engine == "" {
-		engine = s.cfg.DefaultEngine
-	}
-	if err := CheckEngine(engine); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
 	if s.rejectRetiredParams(w, q) {
 		return
 	}
@@ -437,7 +414,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	solveEngine := engine // the engine actually dispatched; resp.Engine echoes the request
+	rung := "exact"
 	if oerr := s.admit(p); oerr != nil {
 		// Past the exact-DP budget. With approx enabled the instance routes
 		// to the anytime engine (its own, much looser, caps permitting)
@@ -447,7 +424,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			s.rejectOversize(w, oerr, p)
 			return
 		}
-		solveEngine = "approx"
+		rung = "approx"
 	}
 	canon := Canonicalize(p)
 	hash, err := Hash(canon)
@@ -460,7 +437,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	start := time.Now()
-	ent, cached, coalesced, err := s.solveShared(ctx, hash, canon, solveEngine, ap, timeout)
+	ent, cached, coalesced, err := s.solveShared(ctx, hash, canon, rung, ap, timeout)
 	if err != nil {
 		s.solveError(w, err)
 		return
@@ -469,8 +446,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		InstanceHash: ent.hash,
 		K:            canon.K,
 		Actions:      len(canon.Actions),
-		Engine:       engine,
-		SolvedBy:     ent.engine,
+		Engine:       rung,
+		SolvedBy:     ent.rung,
 		Cached:       cached,
 		Coalesced:    coalesced,
 		CertifyMode:  s.certifyMode.String(),
@@ -522,7 +499,7 @@ func (s *Server) admit(p *core.Problem) *oversizeError {
 // one key, cacheKey(hash, ap). The solve runs under its own context (derived from the server, bounded by timeout), so it
 // survives any single client's disconnect while other waiters remain — and
 // stops as soon as the last waiter is gone.
-func (s *Server) solveShared(ctx context.Context, hash string, canon *core.Problem, engine string, ap approx.Spec, timeout time.Duration) (ent *cacheEntry, cached, coalesced bool, err error) {
+func (s *Server) solveShared(ctx context.Context, hash string, canon *core.Problem, rung string, ap approx.Spec, timeout time.Duration) (ent *cacheEntry, cached, coalesced bool, err error) {
 	key := cacheKey(hash, ap)
 	for attempt := 0; ; attempt++ {
 		s.mu.Lock()
@@ -560,7 +537,7 @@ func (s *Server) solveShared(ctx context.Context, hash string, canon *core.Probl
 		c := &flightCall{done: make(chan struct{}), cancel: cancel, waiters: 1}
 		s.flights[key] = c
 		s.mu.Unlock()
-		go s.runSolve(solveCtx, hash, key, c, canon, engine, ap)
+		go s.runSolve(solveCtx, hash, key, c, canon, rung, ap)
 		e, err := s.await(ctx, c)
 		return e, false, false, err
 	}
@@ -587,9 +564,9 @@ func (s *Server) await(ctx context.Context, c *flightCall) (*cacheEntry, error) 
 
 // runSolve executes one admitted solve under the pool semaphore and
 // publishes the result to every waiter and (on success) the cache. The solve
-// itself goes through the resilient path: the fixed fallback chain and
-// durable checkpointing (resilience.go).
-func (s *Server) runSolve(ctx context.Context, hash, key string, c *flightCall, canon *core.Problem, engine string, ap approx.Spec) {
+// itself goes through the resilient path: the approx fallback and durable
+// checkpointing (resilience.go).
+func (s *Server) runSolve(ctx context.Context, hash, key string, c *flightCall, canon *core.Problem, rung string, ap approx.Spec) {
 	defer c.cancel()
 	// A panicking solve must still publish to its waiters — as a failure —
 	// or they block on c.done forever. Successful answers are published in
@@ -599,7 +576,7 @@ func (s *Server) runSolve(ctx context.Context, hash, key string, c *flightCall, 
 		if r := recover(); r != nil {
 			s.mu.Lock()
 			delete(s.flights, key)
-			c.entry, c.err = nil, fmt.Errorf("serve: %s engine panicked: %v", engine, r)
+			c.entry, c.err = nil, fmt.Errorf("serve: %s solve panicked: %v", rung, r)
 			s.mu.Unlock()
 			close(c.done)
 		}
@@ -620,7 +597,7 @@ func (s *Server) runSolve(ctx context.Context, hash, key string, c *flightCall, 
 			return
 		}
 		defer func() { <-s.sem }()
-		ent, err = s.solveResilient(ctx, hash, canon, engine, ap)
+		ent, err = s.solveResilient(ctx, hash, canon, rung, ap)
 	}()
 	s.mu.Lock()
 	delete(s.flights, key)

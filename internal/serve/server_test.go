@@ -123,22 +123,51 @@ func TestLRUCacheEviction(t *testing.T) {
 	}
 }
 
+// TestSolveMatchesCoreAcrossEngines: engine= omitted and the two names the
+// one exact path still answers to, seq and parallel, each solve afresh
+// (cache off) and match core.Solve, solved by exact.
 func TestSolveMatchesCoreAcrossEngines(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, Config{CacheEntries: -1})
 	p := workload.MedicalDiagnosis(11, 6)
 	want, err := core.Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body := instanceJSON(t, p)
-	for _, engine := range []string{"seq", "parallel"} {
-		sr, status := postSolve(t, ts, "?engine="+engine, body)
+	for _, query := range []string{"", "?engine=seq", "?engine=parallel"} {
+		sr, status := postSolve(t, ts, query, body)
 		if status != http.StatusOK {
-			t.Fatalf("engine %s: status %d", engine, status)
+			t.Fatalf("%q: status %d", query, status)
+		}
+		if sr.Cached || sr.Engine != "exact" || sr.SolvedBy != "exact" {
+			t.Fatalf("%q: cached %v engine %q solved_by %q, want a fresh exact solve", query, sr.Cached, sr.Engine, sr.SolvedBy)
 		}
 		if !sr.Adequate || sr.Cost == nil || *sr.Cost != want.Cost {
-			t.Fatalf("engine %s: got %+v, want cost %d", engine, sr, want.Cost)
+			t.Fatalf("%q: got %+v, want cost %d", query, sr, want.Cost)
 		}
+	}
+}
+
+// TestRangesShareThePool pins how many Gosper ranges an exact solve may cut
+// each level into: the stripe pool's width at one solve in flight, and one
+// range each once MaxConcurrent solves hold every slot.
+func TestRangesShareThePool(t *testing.T) {
+	s, _ := newTestServer(t, Config{MaxConcurrent: 4, StripeWorkers: 4})
+	s.sem <- struct{}{}
+	if got := s.ranges(); got != 4 {
+		t.Fatalf("1 solve in flight: %d ranges, want the pool width 4", got)
+	}
+	s.sem <- struct{}{}
+	if got := s.ranges(); got != 2 {
+		t.Fatalf("2 solves in flight: %d ranges, want 2", got)
+	}
+	s.sem <- struct{}{}
+	s.sem <- struct{}{}
+	if got := s.ranges(); got != 1 {
+		t.Fatalf("MaxConcurrent solves in flight: %d ranges, want 1", got)
+	}
+	for range 4 {
+		<-s.sem
 	}
 }
 
@@ -212,13 +241,13 @@ func TestRetiredSurfaceNamesReplacement(t *testing.T) {
 		body        []byte
 		want        []string
 	}{
-		{"/v1/solve", "?engine=lockstep", body, []string{"engine=parallel", "ttsolve -engine"}},
-		{"/v1/solve", "?engine=goroutine", body, []string{"engine=parallel", "ttsolve -engine"}},
-		{"/v1/solve", "?engine=ccc", body, []string{"engine=parallel", "ttsolve -engine"}},
-		{"/v1/solve", "?engine=bvm", body, []string{"engine=parallel", "ttsolve -engine"}},
-		{"/v1/policy", "?engine=bvm", body, []string{"engine=parallel", "ttsolve -engine"}},
-		{"/v1/solve", "?engine=cluster", body, []string{"engine=parallel"}},
-		{"/v1/policy", "?engine=cluster", body, []string{"engine=parallel"}},
+		{"/v1/solve", "?engine=lockstep", body, []string{"omit engine=", "ttsolve -engine"}},
+		{"/v1/solve", "?engine=goroutine", body, []string{"omit engine=", "ttsolve -engine"}},
+		{"/v1/solve", "?engine=ccc", body, []string{"omit engine=", "ttsolve -engine"}},
+		{"/v1/solve", "?engine=bvm", body, []string{"omit engine=", "ttsolve -engine"}},
+		{"/v1/policy", "?engine=bvm", body, []string{"omit engine=", "ttsolve -engine"}},
+		{"/v1/solve", "?engine=cluster", body, []string{"omit engine="}},
+		{"/v1/policy", "?engine=cluster", body, []string{"omit engine="}},
 		{"/v1/solve", "?certify=off", body, []string{`\"fast\" mode`, "ttserve -certify"}},
 		{"/v1/solve", "?certify=audit", body, []string{`\"fast\" mode`, "ttserve -certify"}},
 		{"/v1/solve/batch", "?certify=off", batch, []string{`\"fast\" mode`, "ttserve -certify"}},
@@ -415,8 +444,8 @@ func TestStatsAndDebugVars(t *testing.T) {
 		t.Fatalf("stats missing solves: %v", stats)
 	}
 	hist, ok := stats["engine_latency"].(map[string]any)
-	if !ok || hist["seq"] == nil {
-		t.Fatalf("stats missing seq latency histogram: %v", stats)
+	if !ok || hist["exact"] == nil {
+		t.Fatalf("stats missing exact latency histogram: %v", stats)
 	}
 
 	// /debug/vars serves the expvar page (the global "ttserve" var is owned
