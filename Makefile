@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint fuzz-short golden bench-json bench-smoke bench-diff perfbench-check serve-smoke chaos-smoke certify-smoke route-smoke approx-smoke
+.PHONY: build test race vet lint fuzz-short golden bench-json bench-smoke bench-diff perfbench-check serve-smoke certify-smoke route-smoke approx-smoke
 
 build:
 	$(GO) build ./...
@@ -19,7 +19,7 @@ vet:
 	$(GO) vet ./...
 
 # ttlint is this repo's own analyzer suite (cmd/ttlint, docs/ANALYSIS.md):
-# flushcheck, ctxflow, certorder, panicsafe, durability. It builds from the
+# flushcheck, ctxflow, certorder, panicsafe. It builds from the
 # tree, so the target works offline. staticcheck and govulncheck are not
 # vendored; each degrades to a notice when absent so offline checkouts
 # still make (CI installs and runs them).
@@ -86,13 +86,6 @@ perfbench-check:
 # 422 reject, and a graceful shutdown (see cmd/ttserve/main_test.go).
 serve-smoke:
 	$(GO) test -race -count=1 -run 'TestServeSmoke' -v ./cmd/ttserve
-
-# Crash drill: builds the real ttserve binary, SIGKILLs it mid-solve with
-# durable checkpointing on, restarts it against the same checkpoint
-# directory, and verifies the interrupted solve was finished from disk (see
-# cmd/ttserve/chaos_smoke_test.go and docs/RESILIENCE.md).
-chaos-smoke:
-	$(GO) test -race -count=1 -run 'TestChaosSmoke' -v ./cmd/ttserve
 
 # Live-fire certification drill: boots the real ttserve binary with
 # -certify=fast while a chaos hook corrupts the exact path's first answer,

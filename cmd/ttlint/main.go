@@ -1,8 +1,8 @@
 // Command ttlint is the repo's multichecker: it runs the internal/analysis
-// suite (certorder, ctxflow, durability, flushcheck, panicsafe) over Go
-// packages and reports violations of the invariants this codebase has paid
-// for in incidents — certify-before-cache, context plumbing, best-effort
-// durability, flush-error checking, and worker-pool panic safety.
+// suite (certorder, ctxflow, flushcheck, panicsafe) over Go packages and
+// reports violations of the invariants this codebase has paid for in
+// incidents — certify-before-cache, context plumbing, flush-error checking,
+// and worker-pool panic safety.
 //
 // Standalone:
 //

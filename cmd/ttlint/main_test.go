@@ -97,25 +97,6 @@ func Work(jobs chan int) {
 	wg.Wait()
 }
 `,
-
-		// durability: checkpoint error returned as the solve's error.
-		"checkpoint/checkpoint.go": `package checkpoint
-
-import "errors"
-
-func Persist(level int) error { return errors.New("disk full") }
-`,
-		"internal/store/store.go": `package store
-
-import "lintme/checkpoint"
-
-func SaveThenAnswer(level int) (int, error) {
-	if err := checkpoint.Persist(level); err != nil {
-		return 0, err
-	}
-	return level * 7, nil
-}
-`,
 	}
 	for name, content := range files {
 		path := filepath.Join(dir, filepath.FromSlash(name))
@@ -211,15 +192,15 @@ func TestEndToEndSARIF(t *testing.T) {
 			t.Errorf("result %q has no usable location", res.Message.Text)
 		}
 	}
-	for _, want := range []string{"flushcheck", "ctxflow", "certorder", "panicsafe", "durability"} {
+	for _, want := range []string{"flushcheck", "ctxflow", "certorder", "panicsafe"} {
 		if byRule[want] == 0 {
 			t.Errorf("no SARIF result from analyzer %q; got %v", want, byRule)
 		}
 	}
 	// Every suite analyzer is declared as a rule even when it has findings
 	// from only some of them.
-	if len(run.Tool.Driver.Rules) < 5 {
-		t.Errorf("driver declares %d rules, want >= 5", len(run.Tool.Driver.Rules))
+	if len(run.Tool.Driver.Rules) != 4 {
+		t.Errorf("driver declares %d rules, want 4", len(run.Tool.Driver.Rules))
 	}
 }
 

@@ -8,13 +8,12 @@
 // control (solver semaphore, bounded queue, K/action budget), per-request
 // deadlines that genuinely cancel the O(N·2^K) sweep, and graceful drain on
 // SIGINT/SIGTERM. A failed exact solve falls back to approx only when the
-// request enabled it, and, with -checkpoint-dir, solves write durable
-// mid-sweep checkpoints that a restarted process finishes from disk before
-// serving (docs/RESILIENCE.md).
+// request enabled it (docs/RESILIENCE.md). Nothing is persisted: a crash
+// loses only in-flight solves, which the clients re-ask.
 //
 // Usage:
 //
-//	ttserve [-addr :8080] [-timeout 10s] [-checkpoint-dir /var/lib/ttserve] ...
+//	ttserve [-addr :8080] [-timeout 10s] [-max-k 20] ...
 //
 // Endpoints:
 //
@@ -68,8 +67,6 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 	routeMaxBatch := fs.Int("route-max-batch", 0, "most sessions accepted per /v1/route/batch request (0 = 4096)")
 	drain := fs.Duration("drain", 15*time.Second, "graceful-shutdown drain budget")
 	cacheBytes := fs.Int64("cache-bytes", 0, "LRU byte budget across cached solutions (0 = entry count only)")
-	checkpointDir := fs.String("checkpoint-dir", "", "directory for durable mid-solve checkpoints; crashes resume from here (empty disables)")
-	recoverTimeout := fs.Duration("recover-timeout", 0, "budget for the startup checkpoint-recovery scan and resumes (0 = drain budget)")
 	certifyMode := fs.String("certify", "", "certification every answer passes before caching/serving: fast or audit (empty = fast); a failure counts as an engine fault")
 	approxDefault := fs.String("approx", "", "approx knob for requests that send none: off, a gap ratio >= 1, or a deadline like 200ms (empty = off)")
 	approxMaxK := fs.Int("approx-max-k", 0, "largest universe the approx plane accepts (0 = 26, the Set-type maximum)")
@@ -93,11 +90,6 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 	if _, err := serve.ParseCertifyMode(*certifyMode); err != nil {
 		return fmt.Errorf("ttserve: -certify: %w", err)
 	}
-	// The recovery budget defaults to the drain budget: both bound "how long
-	// may this process do something other than serve".
-	if *recoverTimeout == 0 {
-		*recoverTimeout = *drain
-	}
 
 	logger := slog.New(slog.NewTextHandler(stderr, nil))
 	srv := serve.New(serve.Config{
@@ -114,8 +106,6 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 		PolicyBytes:      *policyBytes,
 		RouteMaxBatch:    *routeMaxBatch,
 		Logger:           logger,
-		CheckpointDir:    *checkpointDir,
-		RecoverTimeout:   *recoverTimeout,
 		CertifyMode:      *certifyMode,
 		DefaultApprox:    *approxDefault,
 		ApproxMaxK:       *approxMaxK,
@@ -125,21 +115,6 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 		ResultFault:      resultFault,
 		LevelDelay:       *chaosLevelDelay,
 	})
-
-	// Before accepting traffic, finish any solve a previous process died in
-	// the middle of: their durable level frontiers are on disk, and resuming
-	// them now means the requests that triggered them hit the cache on retry.
-	if *checkpointDir != "" {
-		// RecoverTimeout bounds the scan and resumes inside the server; on
-		// expiry recovery stops gracefully and the leftovers stay on disk.
-		resumed, discarded, err := srv.RecoverCheckpoints(context.Background())
-		if err != nil {
-			return fmt.Errorf("ttserve: recovering checkpoints: %w", err)
-		}
-		if resumed > 0 || discarded > 0 {
-			logger.Info("checkpoint recovery", "resumed", resumed, "discarded", discarded)
-		}
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -115,6 +117,8 @@ func TestRunRejectsRetiredSettings(t *testing.T) {
 		{"-retries", "2"},
 		{"-breaker-threshold", "3"},
 		{"-no-fallback"},
+		{"-checkpoint-dir", "/tmp/x"},
+		{"-recover-timeout", "1s"},
 	} {
 		err := run(append([]string{"-addr", "127.0.0.1:0"}, args...), io.Discard, nil, nil)
 		if err == nil || !strings.Contains(err.Error(), args[0]) {
@@ -154,4 +158,63 @@ func postSolve(t *testing.T, url string, body []byte, wantStatus int) *serve.Sol
 		t.Fatal(err)
 	}
 	return &sr
+}
+
+// startServer launches the built binary on a random port and returns the
+// running command plus its base URL, parsed from the ready log line.
+func startServer(t *testing.T, bin string, extra ...string) (*exec.Cmd, string) {
+	t.Helper()
+	args := append([]string{"-addr", "127.0.0.1:0"}, extra...)
+	cmd := exec.Command(bin, args...)
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	})
+	addrCh := make(chan string, 1)
+	go func() {
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			line := sc.Text()
+			if strings.Contains(line, "ttserve listening") {
+				for _, f := range strings.Fields(line) {
+					if a, ok := strings.CutPrefix(f, "addr="); ok {
+						addrCh <- a
+					}
+				}
+			}
+		}
+	}()
+	select {
+	case addr := <-addrCh:
+		return cmd, "http://" + addr
+	case <-time.After(30 * time.Second):
+		cmd.Process.Kill()
+		cmd.Wait()
+		t.Fatal("server never logged its listen address")
+		return nil, ""
+	}
+}
+
+func getStats(t *testing.T, url string) map[string]any {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stats: %d", resp.StatusCode)
+	}
+	var out map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -48,8 +48,7 @@ type Pass struct {
 	Path      string // import path being analyzed
 
 	// TestFiles marks which of Files are _test.go files; analyzers whose
-	// invariant is production-only (ctxflow, certorder, durability) skip
-	// them.
+	// invariant is production-only (ctxflow, certorder) skip them.
 	TestFiles map[*ast.File]bool
 
 	diags *[]Diagnostic

@@ -4,7 +4,7 @@
 // repo's offline analysis framework.
 //
 // Layout: <testdata>/src/<importpath>/*.go. Testdata packages may import each
-// other (fake certify/checkpoint packages mimic the real serving stack's
+// other (fake certify packages mimic the real serving stack's
 // shape) and the standard library; stdlib dependencies are type-checked from
 // compiled export data via `go list -export`, so no network and no module
 // cache are needed.

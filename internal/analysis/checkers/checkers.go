@@ -9,7 +9,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/certorder"
 	"repro/internal/analysis/ctxflow"
-	"repro/internal/analysis/durability"
 	"repro/internal/analysis/flushcheck"
 	"repro/internal/analysis/panicsafe"
 )
@@ -18,7 +17,6 @@ import (
 var All = []*analysis.Analyzer{
 	certorder.Analyzer,
 	ctxflow.Analyzer,
-	durability.Analyzer,
 	flushcheck.Analyzer,
 	panicsafe.Analyzer,
 }

@@ -92,8 +92,8 @@ func (a *abft) clamp(v uint64) uint64 {
 	return v
 }
 
-// seed absorbs a restored frontier into the mirror (checkpoint.Decode has
-// already re-derived every entry from the recurrence).
+// seed absorbs a restored frontier into the mirror. The frontier is trusted
+// as handed over: resume does not re-derive it.
 func (a *abft) seed(f *core.Frontier) {
 	for s := range a.c {
 		if bits.OnesCount(uint(s)) <= f.Level {

@@ -182,7 +182,7 @@ func SolveCtx(ctx context.Context, p *core.Problem, width int) (*Result, error) 
 	return solve(ctx, p, Options{Width: width})
 }
 
-// SolveCheckpointedCtx is SolveCtx with durable-solve plumbing. A non-nil
+// SolveCheckpointedCtx is SolveCtx with level-barrier resume plumbing. A non-nil
 // frontier skips rounds 1..f.Level by host-poking the state those rounds
 // would have left on the machine — the M plane of every completed group and
 // the #S = f.Level mark register; the program phases before the main loop

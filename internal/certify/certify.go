@@ -1,8 +1,8 @@
 // Package certify is the engine-independent answer verifier behind the
 // silent-corruption defense (docs/RESILIENCE.md, "Silent data corruption").
 // A stuck PE bit or a broken lateral route in a simulated machine produces a
-// *wrong* answer, not an error — so nothing in the retry/breaker/checkpoint
-// stack notices. This package re-derives what an engine claims from first
+// *wrong* answer, not an error — so nothing in the error-handling path
+// notices. This package re-derives what an engine claims from first
 // principles, using only the recurrence
 //
 //	C(∅)  = 0

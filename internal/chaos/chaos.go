@@ -1,11 +1,12 @@
 // Package chaos is the repository's fault-injection harness: small,
-// deterministic wreckers that the resilience tests aim at the durable-solve
-// stack. It can kill a solve at any level barrier (Kill), run a checkpoint
-// store on a failing disk (FaultFS: ENOSPC, short writes, rename failures),
-// and make a serving engine fail or panic on demand (FailFirst, PanicFirst —
-// shaped for serve.Config.EngineFault). Production code never imports this
-// package; it exists so the tests in this directory and in internal/serve can
-// prove the recovery claims of docs/RESILIENCE.md instead of asserting them.
+// deterministic wreckers that the resilience tests aim at the solvers and
+// the serving path. It can kill a solve at any level barrier (Kill), make a
+// serving rung fail or panic on demand (FailFirst, PanicFirst — shaped for
+// serve.Config.EngineFault), and corrupt its answers (CorruptFirst, for
+// serve.Config.ResultFault). Outside ttserve's -chaos-* flags, production
+// code never calls it; it exists so the tests in this directory and in
+// internal/serve can prove the recovery claims of docs/RESILIENCE.md instead
+// of asserting them.
 package chaos
 
 import (
@@ -18,16 +19,16 @@ import (
 
 // ErrKilled is the sentinel a Kill checkpointer aborts a solve with. Tests
 // treat it as the moral equivalent of SIGKILL: the solve stops between two
-// level barriers, with every checkpoint up to and including Level already
-// durable.
+// level barriers, with every frontier up to and including Level already
+// handed to the inner checkpointer.
 var ErrKilled = errors.New("chaos: killed after checkpoint")
 
-// Kill is a core.Checkpointer that delegates to Inner (typically a
-// checkpoint.Writer) and then, after the checkpoint for Level has been
-// persisted, returns ErrKilled. Because the core/parttsolve/bvmtt solvers
-// abort on a checkpointer error, this simulates a process dying immediately
-// after its last durable write — the worst moment that still has to resume
-// exactly.
+// Kill is a core.Checkpointer that delegates to Inner (in the tests, one
+// that copies the frontier in memory) and then, after Inner has taken the
+// frontier for Level, returns ErrKilled. Because the core/parttsolve/bvmtt
+// solvers abort on a checkpointer error, this simulates a process dying
+// immediately after its last saved frontier — the worst moment that still
+// has to resume exactly.
 type Kill struct {
 	Inner core.Checkpointer // may be nil: kill without persisting anything
 	Level int               // level barrier to die at

@@ -3,13 +3,12 @@ package chaos_test
 import (
 	"context"
 	"errors"
+	"math/bits"
 	"math/rand"
-	"syscall"
 	"testing"
 
 	"repro/internal/bvmtt"
 	"repro/internal/chaos"
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/parttsolve"
 )
@@ -105,10 +104,50 @@ func compare(t *testing.T, label string, p *core.Problem, want *core.Solution, c
 	}
 }
 
-// TestKillAtEveryLevelResume is the tentpole guarantee: kill every engine at
-// every level barrier right after its durable checkpoint, reload that
-// checkpoint from disk, resume on the same engine, and require the result to
-// be bit-identical to an uninterrupted sequential solve.
+// frontierCk is an in-memory core.Checkpointer: at one level barrier it
+// copies the live C plane, the whole resumable state of a solve. Entries
+// above the frontier are overwritten with a poison value, so a resume that
+// read one instead of recomputing it would show up as a wrong answer.
+type frontierCk struct {
+	level int
+	f     *core.Frontier
+}
+
+const poison = 0xdead
+
+func (m *frontierCk) CheckpointLevel(level int, sol *core.Solution) error {
+	if level != m.level {
+		return nil
+	}
+	c := append([]uint64(nil), sol.C...)
+	for s := range c {
+		if bits.OnesCount(uint(s)) > level {
+			c[s] = poison
+		}
+	}
+	m.f = &core.Frontier{Level: level, C: c}
+	return nil
+}
+
+// killAt runs eng on p until the kill at level and returns the frontier
+// its last barrier handed over.
+func killAt(t *testing.T, eng engine, p *core.Problem, level int) *core.Frontier {
+	t.Helper()
+	ck := &frontierCk{level: level}
+	_, _, _, err := eng.run(context.Background(), p, nil, &chaos.Kill{Inner: ck, Level: level})
+	if !errors.Is(err, chaos.ErrKilled) {
+		t.Fatalf("%s: kill at level %d not delivered: %v", eng.name, level, err)
+	}
+	if ck.f == nil {
+		t.Fatalf("%s: no frontier recorded at level %d", eng.name, level)
+	}
+	return ck.f
+}
+
+// TestKillAtEveryLevelResume is the resume guarantee: kill every engine at
+// every level barrier right after it hands over its frontier, resume on the
+// same engine from that frontier, and require the result to be
+// bit-identical to an uninterrupted sequential solve.
 func TestKillAtEveryLevelResume(t *testing.T) {
 	ctx := context.Background()
 	for _, eng := range engines() {
@@ -117,32 +156,9 @@ func TestKillAtEveryLevelResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hash, err := checkpoint.ProblemHash(p)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for level := 1; level < p.K; level++ {
-			dir := t.TempDir()
-			w, err := checkpoint.NewWriter(nil, dir, p, hash, eng.name, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, _, _, err = eng.run(ctx, p, nil, &chaos.Kill{Inner: w, Level: level})
-			if !errors.Is(err, chaos.ErrKilled) {
-				t.Fatalf("%s: kill at level %d not delivered: %v", eng.name, level, err)
-			}
-			snaps, discard, err := checkpoint.Scan(nil, dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(snaps) != 1 || len(discard) != 0 {
-				t.Fatalf("%s level %d: scan found %d snapshots, %d discards", eng.name, level, len(snaps), len(discard))
-			}
-			snap := snaps[0]
-			if snap.Level != level || snap.Engine != eng.name || snap.Hash != hash {
-				t.Fatalf("%s: snapshot %+v after kill at level %d", eng.name, snap, level)
-			}
-			cost, c, choice, err := eng.run(ctx, snap.Problem, snap.Frontier, nil)
+			f := killAt(t, eng, p, level)
+			cost, c, choice, err := eng.run(ctx, p, f, nil)
 			if err != nil {
 				t.Fatalf("%s: resume from level %d: %v", eng.name, level, err)
 			}
@@ -151,10 +167,10 @@ func TestKillAtEveryLevelResume(t *testing.T) {
 	}
 }
 
-// TestCrossEngineResume proves a frontier is engine-portable: a checkpoint
-// holds C alone, so one written by the sequential engine and one written by
-// the bit-level bvm engine each resume on every engine, and the machine
-// engines recompute the restored argmins themselves.
+// TestCrossEngineResume proves a frontier is engine-portable: it holds C
+// alone, so one taken from the sequential engine and one taken from the
+// bit-level bvm engine each resume on every engine, and the machine engines
+// recompute the restored argmins themselves.
 func TestCrossEngineResume(t *testing.T) {
 	ctx := context.Background()
 	p := genProblem(17, 4, 5)
@@ -162,29 +178,13 @@ func TestCrossEngineResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hash, err := checkpoint.ProblemHash(p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, writer := range engines() {
 		if writer.name != "seq" && writer.name != "bvm" {
 			continue
 		}
-		dir := t.TempDir()
-		w, err := checkpoint.NewWriter(nil, dir, p, hash, writer.name, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _, _, err = writer.run(ctx, p, nil, &chaos.Kill{Inner: w, Level: 2})
-		if !errors.Is(err, chaos.ErrKilled) {
-			t.Fatal(err)
-		}
-		snap, err := checkpoint.Load(nil, w.Path())
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := killAt(t, writer, p, 2)
 		for _, eng := range engines() {
-			cost, c, choice, err := eng.run(ctx, p, snap.Frontier, nil)
+			cost, c, choice, err := eng.run(ctx, p, f, nil)
 			if err != nil {
 				t.Fatalf("%s frontier on %s: %v", writer.name, eng.name, err)
 			}
@@ -193,85 +193,8 @@ func TestCrossEngineResume(t *testing.T) {
 	}
 }
 
-// TestDiskFullMidSolve runs the checkpoint store on a disk that fills up
-// mid-solve, leaving torn temp residue. The solve surfaces ENOSPC, the last
-// published checkpoint survives intact, the torn file is quarantined by
-// Scan, and the resume is bit-identical.
-func TestDiskFullMidSolve(t *testing.T) {
-	ctx := context.Background()
-	p := genProblem(29, 5, 4)
-	want, err := core.Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hash, err := checkpoint.ProblemHash(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	ffs := &chaos.FaultFS{FailWriteAt: 3, TornBytes: 9}
-	w, err := checkpoint.NewWriter(ffs, dir, p, hash, "seq", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = core.SolveCheckpointedCtx(ctx, p, nil, w)
-	if !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("disk-full not surfaced: %v", err)
-	}
-	if ffs.Writes() != 3 {
-		t.Fatalf("%d writes, want 3 (two published levels, one failure)", ffs.Writes())
-	}
-	snaps, discard, err := checkpoint.Scan(nil, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 1 || snaps[0].Level != 2 {
-		t.Fatalf("surviving snapshots: %+v", snaps)
-	}
-	if len(discard) != 1 {
-		t.Fatalf("torn temp file not quarantined: %v", discard)
-	}
-	sol, err := core.SolveCheckpointedCtx(ctx, p, snaps[0].Frontier, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compare(t, "resume after ENOSPC", p, want, sol.Cost, sol.C, nil)
-}
-
-// TestRenameFailure breaks the publish step itself: the write of the temp
-// file succeeds but the atomic rename fails, so the previous published
-// checkpoint must remain the live one.
-func TestRenameFailure(t *testing.T) {
-	ctx := context.Background()
-	p := genProblem(29, 5, 4)
-	hash, err := checkpoint.ProblemHash(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	ffs := &chaos.FaultFS{FailRenameAt: 2}
-	w, err := checkpoint.NewWriter(ffs, dir, p, hash, "seq", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = core.SolveCheckpointedCtx(ctx, p, nil, w)
-	if !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("rename failure not surfaced: %v", err)
-	}
-	snaps, discard, err := checkpoint.Scan(nil, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 1 || snaps[0].Level != 1 {
-		t.Fatalf("surviving snapshots: %+v", snaps)
-	}
-	if len(discard) != 1 {
-		t.Fatalf("unpublished temp file not quarantined: %v", discard)
-	}
-}
-
-// TestKillWithoutCheckpointer: dying with no durable state is still safe —
-// there is nothing to scan and a fresh solve is simply correct.
+// TestKillWithoutCheckpointer: dying with no saved frontier is still safe —
+// there is nothing to resume from and a fresh solve is simply correct.
 func TestKillWithoutCheckpointer(t *testing.T) {
 	p := genProblem(7, 5, 4)
 	_, err := core.SolveCheckpointedCtx(context.Background(), p, nil, &chaos.Kill{Level: 2})

@@ -45,7 +45,7 @@ func SolveCtx(ctx context.Context, p *Problem) (*Solution, error) {
 	return solve(ctx, p, 1, nil, nil, nil)
 }
 
-// SolveCheckpointedCtx is SolveCtx with durable-solve plumbing: a non-nil
+// SolveCheckpointedCtx is SolveCtx with level-barrier resume plumbing: a non-nil
 // frontier restores C for every level <= f.Level and restarts the sweep at
 // f.Level+1, and a non-nil ck fires at every completed level barrier j < K
 // (all sets of the level are final, none of the next level started). Cost, C

@@ -60,9 +60,8 @@ func newABFT(kn *core.Kernel, p *core.Problem, paddedA []core.Action, logN int) 
 }
 
 // seed absorbs a restored frontier and its recomputed argmins into the
-// mirror: resume trusts the checkpoint layer's own validation
-// (checkpoint.Decode re-derives every frontier entry from the recurrence
-// before handing it out).
+// mirror. The frontier is trusted as handed over: resume does not re-derive
+// it.
 func (a *abft) seed(f *core.Frontier, choice []int32) {
 	for s := range a.c {
 		if bits.OnesCount(uint(s)) <= f.Level {

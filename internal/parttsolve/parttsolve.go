@@ -148,7 +148,7 @@ type Options struct {
 	Verify bool
 }
 
-// SolveCheckpointedCtx is SolveCtx with durable-solve plumbing. A non-nil
+// SolveCheckpointedCtx is SolveCtx with level-barrier resume plumbing. A non-nil
 // frontier skips rounds 1..f.Level by restoring the machine state those
 // rounds would have produced — the M and MI planes for every completed group
 // (MI recomputed from the frontier's C with core.Kernel) and the #S = f.Level

@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"sort"
 
-	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/instio"
 )
 
 // Canonicalize returns a copy of p with the action list order-normalized:
@@ -31,10 +34,13 @@ func Canonicalize(p *core.Problem) *core.Problem {
 }
 
 // Hash returns the canonical instance hash: SHA-256 over the instio wire
-// form of the canonicalized instance. It delegates to the checkpoint
-// package's ProblemHash so cache keys and checkpoint-file hashes are the
-// same function by construction — a crash-resumed checkpoint lands in the
-// cache slot future requests for the instance will look up.
+// form of the canonicalized instance, hex-encoded. Hashing the wire bytes
+// ties the key to the exact format clients speak.
 func Hash(canon *core.Problem) (string, error) {
-	return checkpoint.ProblemHash(canon)
+	var buf bytes.Buffer
+	if err := instio.Write(&buf, canon, ""); err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return hex.EncodeToString(sum[:]), nil
 }

@@ -100,12 +100,6 @@ type Metrics struct {
 	RouteBadCursor  atomic.Int64 // cursors rejected: malformed, tampered, or bound to an evicted artifact
 	EvalMalformed   atomic.Int64 // 422: /v1/eval policy parsed but encodes no valid procedure
 
-	// Durable checkpoints (resilience.go).
-	CheckpointLevels     atomic.Int64 // level frontiers durably written
-	CheckpointErrors     atomic.Int64 // persistence failures (swallowed, solve continues)
-	CheckpointsResumed   atomic.Int64 // interrupted solves finished from disk at startup
-	CheckpointsDiscarded atomic.Int64 // corrupt/torn checkpoint files deleted at startup
-
 	mu        sync.Mutex
 	perEngine map[string]*latencyHist
 }
@@ -152,40 +146,36 @@ func (m *Metrics) Snapshot() map[string]any {
 	}
 	m.mu.Unlock()
 	return map[string]any{
-		"requests":              m.Requests.Load(),
-		"solves":                m.Solves.Load(),
-		"cache_hits":            m.CacheHits.Load(),
-		"cache_misses":          m.CacheMisses.Load(),
-		"coalesced":             m.Coalesced.Load(),
-		"reject_oversize":       m.RejectOversize.Load(),
-		"reject_busy":           m.RejectBusy.Load(),
-		"reject_draining":       m.RejectDraining.Load(),
-		"timeouts":              m.Timeouts.Load(),
-		"client_gone":           m.ClientGone.Load(),
-		"failures":              m.Failures.Load(),
-		"batch_requests":        m.BatchRequests.Load(),
-		"batch_groups":          m.BatchGroups.Load(),
-		"batch_repriced":        m.BatchRepriced.Load(),
-		"batch_fallback":        m.BatchFallback.Load(),
-		"engine_failures":       m.EngineFailures.Load(),
-		"fallbacks":             m.Fallbacks.Load(),
-		"certify_pass":          m.CertifyPass.Load(),
-		"certify_fail":          m.CertifyFail.Load(),
-		"approx_served":         m.ApproxServed.Load(),
-		"approx_exact":          m.ApproxExact.Load(),
-		"approx_gap_milli_max":  m.approxGapMax.Load(),
-		"approx_gap_milli_sum":  m.approxGapSum.Load(),
-		"policy_publishes":      m.PolicyPublishes.Load(),
-		"route_sessions":        m.RouteSessions.Load(),
-		"route_steps":           m.RouteSteps.Load(),
-		"route_done":            m.RouteDone.Load(),
-		"route_bad_cursor":      m.RouteBadCursor.Load(),
-		"eval_malformed":        m.EvalMalformed.Load(),
-		"checkpoint_levels":     m.CheckpointLevels.Load(),
-		"checkpoint_errors":     m.CheckpointErrors.Load(),
-		"checkpoints_resumed":   m.CheckpointsResumed.Load(),
-		"checkpoints_discarded": m.CheckpointsDiscarded.Load(),
-		"engine_latency":        engines,
+		"requests":             m.Requests.Load(),
+		"solves":               m.Solves.Load(),
+		"cache_hits":           m.CacheHits.Load(),
+		"cache_misses":         m.CacheMisses.Load(),
+		"coalesced":            m.Coalesced.Load(),
+		"reject_oversize":      m.RejectOversize.Load(),
+		"reject_busy":          m.RejectBusy.Load(),
+		"reject_draining":      m.RejectDraining.Load(),
+		"timeouts":             m.Timeouts.Load(),
+		"client_gone":          m.ClientGone.Load(),
+		"failures":             m.Failures.Load(),
+		"batch_requests":       m.BatchRequests.Load(),
+		"batch_groups":         m.BatchGroups.Load(),
+		"batch_repriced":       m.BatchRepriced.Load(),
+		"batch_fallback":       m.BatchFallback.Load(),
+		"engine_failures":      m.EngineFailures.Load(),
+		"fallbacks":            m.Fallbacks.Load(),
+		"certify_pass":         m.CertifyPass.Load(),
+		"certify_fail":         m.CertifyFail.Load(),
+		"approx_served":        m.ApproxServed.Load(),
+		"approx_exact":         m.ApproxExact.Load(),
+		"approx_gap_milli_max": m.approxGapMax.Load(),
+		"approx_gap_milli_sum": m.approxGapSum.Load(),
+		"policy_publishes":     m.PolicyPublishes.Load(),
+		"route_sessions":       m.RouteSessions.Load(),
+		"route_steps":          m.RouteSteps.Load(),
+		"route_done":           m.RouteDone.Load(),
+		"route_bad_cursor":     m.RouteBadCursor.Load(),
+		"eval_malformed":       m.EvalMalformed.Load(),
+		"engine_latency":       engines,
 	}
 }
 

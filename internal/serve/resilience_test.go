@@ -2,22 +2,16 @@ package serve
 
 import (
 	"bytes"
-	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/workload"
 )
@@ -107,271 +101,10 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestCheckpointLifecycle: a solve with a checkpoint directory writes level
-// frontiers while running and removes the file once the answer exists.
-func TestCheckpointLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	s, ts := newTestServer(t, Config{CheckpointDir: dir})
-	p := workload.MedicalDiagnosis(7, 9)
-	if _, status := postSolve(t, ts, "?engine=seq", instanceJSON(t, p)); status != http.StatusOK {
-		t.Fatalf("status %d", status)
-	}
-	if got := s.metrics.CheckpointLevels.Load(); got != int64(p.K-1) {
-		t.Fatalf("wrote %d levels, want %d", got, p.K-1)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 {
-		t.Fatalf("checkpoint residue after a finished solve: %v", ents)
-	}
-}
-
-// TestCheckpointDiskFailureDoesNotFailSolve: persistence is best-effort in
-// the serving path — a full disk costs durability, not answers.
-func TestCheckpointDiskFailureDoesNotFailSolve(t *testing.T) {
-	dir := t.TempDir()
-	s, ts := newTestServer(t, Config{
-		CheckpointDir: dir,
-		CheckpointFS:  &chaos.FaultFS{FailWriteAt: 1, WriteErr: syscall.ENOSPC},
-	})
-	p := workload.MedicalDiagnosis(11, 8)
-	want, err := core.Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, status := postSolve(t, ts, "?engine=seq", instanceJSON(t, p))
-	if status != http.StatusOK || sr.Cost == nil || *sr.Cost != want.Cost {
-		t.Fatalf("status %d cost %v, want 200/%d", status, sr.Cost, want.Cost)
-	}
-	if s.metrics.CheckpointErrors.Load() == 0 {
-		t.Fatal("disk failure not counted")
-	}
-}
-
-// TestCrashResume is the crash-recovery path end to end, in-process: a solve
-// killed at a level barrier leaves its durable frontier; a freshly started
-// server recovers it before serving, the instance is answered from cache,
-// and the consumed checkpoint plus a planted corrupt one are cleaned up.
-func TestCrashResume(t *testing.T) {
-	dir := t.TempDir()
-	canon := Canonicalize(workload.MedicalDiagnosis(13, 9))
-	hash, err := Hash(canon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.Solve(canon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// "Crash": die right after level 5's durable write.
-	w, err := checkpoint.NewWriter(nil, dir, canon, hash, "seq", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := core.SolveCheckpointedCtx(context.Background(), canon, nil, &chaos.Kill{Inner: w, Level: 5}); !errors.Is(err, chaos.ErrKilled) {
-		t.Fatal(err)
-	}
-	// Plant garbage the scan must quarantine.
-	if err := os.WriteFile(filepath.Join(dir, "junk.ckpt"), []byte("TTCKjunk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s, ts := newTestServer(t, Config{CheckpointDir: dir})
-	resumed, discarded, err := s.RecoverCheckpoints(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed != 1 || discarded != 1 {
-		t.Fatalf("resumed=%d discarded=%d, want 1/1", resumed, discarded)
-	}
-	sr, status := postSolve(t, ts, "", instanceJSON(t, canon))
-	if status != http.StatusOK || !sr.Cached || sr.Cost == nil || *sr.Cost != want.Cost {
-		t.Fatalf("recovered instance: status %d cached %v cost %v, want cached %d", status, sr.Cached, sr.Cost, want.Cost)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 {
-		t.Fatalf("checkpoint dir not clean after recovery: %v", ents)
-	}
-	if s.metrics.CheckpointsResumed.Load() != 1 || s.metrics.CheckpointsDiscarded.Load() != 1 {
-		t.Fatalf("resume counters %d/%d, want 1/1",
-			s.metrics.CheckpointsResumed.Load(), s.metrics.CheckpointsDiscarded.Load())
-	}
-}
-
-// TestRecoverMachineCheckpointOnDefaultEngine: a snapshot an older binary
-// wrote with an engine the service no longer runs — a simulated machine
-// (engine "bvm", a word width), the retired cluster plane, or the retired
-// seq/parallel split — resumes its frontier on the exact path and installs
-// the certified answer in the cache.
-func TestRecoverMachineCheckpointOnDefaultEngine(t *testing.T) {
-	canon := Canonicalize(workload.MedicalDiagnosis(14, 8))
-	hash, err := Hash(canon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.Solve(canon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		engine string
-		width  int
-	}{{"bvm", 24}, {"cluster", 0}, {"parallel", 0}} {
-		dir := t.TempDir()
-		w, err := checkpoint.NewWriter(nil, dir, canon, hash, tc.engine, tc.width)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := core.SolveCheckpointedCtx(context.Background(), canon, nil, &chaos.Kill{Inner: w, Level: 4}); !errors.Is(err, chaos.ErrKilled) {
-			t.Fatal(err)
-		}
-		s, ts := newTestServer(t, Config{CheckpointDir: dir})
-		resumed, discarded, err := s.RecoverCheckpoints(context.Background())
-		if err != nil || resumed != 1 || discarded != 0 {
-			t.Fatalf("%s: recovery resumed=%d discarded=%d err=%v, want 1/0", tc.engine, resumed, discarded, err)
-		}
-		sr, status := postSolve(t, ts, "", instanceJSON(t, canon))
-		if status != http.StatusOK || !sr.Cached || sr.SolvedBy != "exact" || sr.Cost == nil || *sr.Cost != want.Cost {
-			t.Fatalf("%s: recovered instance: status %d cached %v solved_by %q cost %v, want a cached exact answer costing %d",
-				tc.engine, status, sr.Cached, sr.SolvedBy, sr.Cost, want.Cost)
-		}
-	}
-}
-
-// TestRecoverTimeoutBoundsSlowScan: a slow checkpoint disk must not stall
-// startup forever. With RecoverTimeout set, recovery stops gracefully —
-// no error, unfinished files left on disk for the next start — and without
-// it the same directory recovers fully.
-func TestRecoverTimeoutBoundsSlowScan(t *testing.T) {
-	dir := t.TempDir()
-	plant := func(seed int64) {
-		canon := Canonicalize(workload.MedicalDiagnosis(seed, 6))
-		hash, err := Hash(canon)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := checkpoint.NewWriter(nil, dir, canon, hash, "seq", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := core.SolveCheckpointedCtx(context.Background(), canon, nil, &chaos.Kill{Inner: w, Level: 2}); !errors.Is(err, chaos.ErrKilled) {
-			t.Fatal(err)
-		}
-	}
-	plant(4)
-	plant(5)
-
-	slow, _ := newTestServer(t, Config{
-		CheckpointDir:  dir,
-		CheckpointFS:   &chaos.FaultFS{ReadDelay: 300 * time.Millisecond},
-		RecoverTimeout: 100 * time.Millisecond,
-	})
-	start := time.Now()
-	resumed, _, err := slow.RecoverCheckpoints(context.Background())
-	if err != nil {
-		t.Fatalf("budget expiry must be graceful, got %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("bounded recovery took %v", elapsed)
-	}
-	if resumed != 0 {
-		t.Fatalf("resumed %d solves inside a 100ms budget", resumed)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 2 {
-		t.Fatalf("%d checkpoints left on disk, want both untouched", len(ents))
-	}
-
-	// The same directory, unhurried: both interrupted solves finish.
-	fresh, _ := newTestServer(t, Config{CheckpointDir: dir})
-	resumed, discarded, err := fresh.RecoverCheckpoints(context.Background())
-	if err != nil || resumed != 2 || discarded != 0 {
-		t.Fatalf("full recovery = %d resumed, %d discarded, err %v; want 2/0/nil", resumed, discarded, err)
-	}
-}
-
-// version1Checkpoint is a durable frontier in the version-1 layout an older
-// binary wrote: the same meta and cost frames, a has_choice flag, and a
-// trailing int32 argmin frame.
-func version1Checkpoint(t *testing.T, canon *core.Problem, hash string, level int) []byte {
-	t.Helper()
-	sol, err := core.Solve(canon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := checkpoint.Encode(canon, hash, "seq", 0, level, sol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	metaJSON, rest, err := checkpoint.NextFrame(img[8:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	costs, _, err := checkpoint.NextFrame(rest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(metaJSON, &m); err != nil {
-		t.Fatal(err)
-	}
-	m["has_choice"] = true
-	if metaJSON, err = json.Marshal(m); err != nil {
-		t.Fatal(err)
-	}
-	var choices []byte
-	for range len(costs) / 8 {
-		choices = binary.LittleEndian.AppendUint32(choices, 0)
-	}
-	out := binary.LittleEndian.AppendUint32(append([]byte(nil), img[:4]...), 1)
-	return checkpoint.AppendFrame(checkpoint.AppendFrame(checkpoint.AppendFrame(out, metaJSON), costs), choices)
-}
-
-// TestVersion1CheckpointSolvesFromScratch: a checkpoint left by the older
-// format is refused as corrupt — by the startup scan and by the per-solve
-// resume lookup alike — and the instance is solved from scratch with the
-// right answer.
-func TestVersion1CheckpointSolvesFromScratch(t *testing.T) {
-	canon := Canonicalize(workload.MedicalDiagnosis(13, 9))
-	hash, err := Hash(canon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.Solve(canon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, scan := range []bool{false, true} {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, hash+checkpoint.Ext), version1Checkpoint(t, canon, hash, 4), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, ts := newTestServer(t, Config{CheckpointDir: dir})
-		if scan {
-			resumed, discarded, err := s.RecoverCheckpoints(context.Background())
-			if err != nil || resumed != 0 || discarded != 1 {
-				t.Fatalf("recovery resumed=%d discarded=%d err=%v, want 0/1", resumed, discarded, err)
-			}
-		}
-		sr, status := postSolve(t, ts, "?engine=seq", instanceJSON(t, canon))
-		if status != http.StatusOK || sr.Cached || sr.Cost == nil || *sr.Cost != want.Cost {
-			t.Fatalf("scan=%v: status %d cached %v cost %v, want a fresh solve costing %d",
-				scan, status, sr.Cached, sr.Cost, want.Cost)
-		}
-	}
-}
-
 // TestShedRetryAfter: a full admission queue sheds with a Retry-After
 // derived from queue depth, and a draining server sheds immediately; both
-// land in their own stats counter.
+// land in their own stats counter. The chaos LevelDelay holds the queue
+// slot: it pauses the slow solve at each of its K-1 level barriers.
 func TestShedRetryAfter(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		MaxConcurrent: 1,
@@ -379,9 +112,10 @@ func TestShedRetryAfter(t *testing.T) {
 		LevelDelay:    100 * time.Millisecond,
 	})
 	slow := workload.MedicalDiagnosis(17, 8)
-	done := make(chan struct{})
+	done := make(chan time.Duration, 1)
 	go func() {
-		defer close(done)
+		start := time.Now()
+		defer func() { done <- time.Since(start) }()
 		postSolve(t, ts, "", instanceJSON(t, slow))
 	}()
 	// Wait until the slow solve holds the queue slot, then overflow it with
@@ -418,7 +152,9 @@ func TestShedRetryAfter(t *testing.T) {
 	if s.metrics.RejectBusy.Load() == 0 {
 		t.Fatal("busy shed not counted")
 	}
-	<-done
+	if took, want := <-done, time.Duration(slow.K-1)*s.cfg.LevelDelay; took < want {
+		t.Fatalf("slow solve took %v, want at least %v of level delays", took, want)
+	}
 
 	s.SetDraining(true)
 	resp, err = http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(instanceJSON(t, slow)))
@@ -488,12 +224,13 @@ func TestStatsExposeResilience(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"cache_bytes", "cache_entries", "fallbacks", "engine_failures", "reject_draining", "checkpoint_levels", "pending"} {
+	for _, key := range []string{"cache_bytes", "cache_entries", "fallbacks", "engine_failures", "reject_draining", "pending"} {
 		if _, ok := stats[key]; !ok {
 			t.Errorf("stats missing %q", key)
 		}
 	}
-	for _, key := range []string{"breakers", "breaker_rejects", "retries", "cluster_solves", "approx_fallback"} {
+	for _, key := range []string{"breakers", "breaker_rejects", "retries", "cluster_solves", "approx_fallback",
+		"checkpoint_levels", "checkpoint_errors", "checkpoints_resumed", "checkpoints_discarded"} {
 		if _, ok := stats[key]; ok {
 			t.Errorf("stats still carry retired key %q", key)
 		}

@@ -53,7 +53,6 @@ import (
 
 	"repro/internal/approx"
 	"repro/internal/certify"
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/instio"
 	"repro/internal/policy"
@@ -86,11 +85,6 @@ type Config struct {
 	ApproxMaxK       int    // approx admission: largest universe accepted (default core.MaxK — every K the Set type expresses)
 	ApproxMaxActions int    // approx admission: most actions accepted (default 256)
 	ApproxNodes      int64  // branch-and-bound node budget per solve (default 1<<20; negative disables B&B, greedy only)
-
-	// Durable checkpoints (docs/RESILIENCE.md).
-	CheckpointDir  string        // durable level-frontier snapshots land here ("" disables)
-	CheckpointFS   checkpoint.FS // checkpoint filesystem (nil: real disk; tests inject chaos.FaultFS)
-	RecoverTimeout time.Duration // budget for the startup checkpoint-recovery scan (default 0: caller's context only)
 
 	// Chaos hooks, wired to ttserve's -chaos-* flags; zero in production.
 	// Both are keyed by rung: "exact" or "approx".
@@ -564,8 +558,8 @@ func (s *Server) await(ctx context.Context, c *flightCall) (*cacheEntry, error) 
 
 // runSolve executes one admitted solve under the pool semaphore and
 // publishes the result to every waiter and (on success) the cache. The solve
-// itself goes through the resilient path: the approx fallback and durable
-// checkpointing (resilience.go).
+// itself goes through the resilient path: the approx fallback and
+// certification (resilience.go).
 func (s *Server) runSolve(ctx context.Context, hash, key string, c *flightCall, canon *core.Problem, rung string, ap approx.Spec) {
 	defer c.cancel()
 	// A panicking solve must still publish to its waiters — as a failure —
