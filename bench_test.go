@@ -112,11 +112,13 @@ func BenchmarkE9SequentialDP(b *testing.B) {
 }
 
 // BenchmarkSolveDP — the exact sweep every engine shares: one cost plane,
-// levels in Gosper order, each cell one compiled-kernel Cell call. Random
+// levels in Gosper order, each cell one compiled-kernel Cost call. Random
 // runs at the k=16 serving sweet spot and the k=20 cache-pressure regime
 // (8 MiB plane, past L2); the three domain generators run at k=16, so the
 // four k=16 rows are the instance mix the serving benchmark's cold path
-// solves. ns/cell is the time per (subset, action) evaluation of M[S,i].
+// solves. ns/cell divides the time by every (subset, action) pair of the
+// recurrence, N·(2^k−1), including the pairs Cost's early exit skips, so
+// rows stay comparable across kernel versions.
 func BenchmarkSolveDP(b *testing.B) {
 	cases := []struct {
 		name string

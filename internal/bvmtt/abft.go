@@ -108,7 +108,7 @@ func (a *abft) advance(j int) {
 	size := 1 << uint(a.k)
 	v := uint32(1)<<uint(j) - 1
 	for v < uint32(size) {
-		a.c[v], _ = a.kn.Cell(a.c, core.Set(v))
+		a.c[v] = a.kn.Cost(a.c, core.Set(v))
 		c := v & -v
 		r := v + c
 		v = (r^v)>>2/c | r

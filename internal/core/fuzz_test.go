@@ -5,34 +5,44 @@ import "testing"
 // FuzzSolveAgreement drives the three independent solvers (bottom-up DP,
 // memoized recursion, exhaustive enumeration) plus tree extraction with
 // fuzzer-shaped instances and requires exact agreement everywhere.
+// Instances reach k = 6 and 8 actions, weights and costs may be zero, and
+// an action may repeat the previous one's cost, so the sweep's cost-ordered
+// early exit meets ties, zero products and long sorted runs end to end.
 func FuzzSolveAgreement(f *testing.F) {
-	f.Add(uint8(2), uint16(0b01), uint16(0b10), uint8(1), uint8(1), uint8(7), uint8(3))
-	f.Add(uint8(3), uint16(0b101), uint16(0b011), uint8(5), uint8(2), uint8(1), uint8(9))
-	f.Add(uint8(4), uint16(0b1111), uint16(0b0001), uint8(0), uint8(4), uint8(2), uint8(2))
-	f.Fuzz(func(t *testing.T, kSeed uint8, set1, set2 uint16, c1, c2, w1, w2 uint8) {
-		k := int(kSeed)%3 + 2 // 2..4
+	// k, then k weights, then the count of fuzzed actions (each set, kind,
+	// cost), then the universal treatment's cost.
+	f.Add([]byte{0, 7, 3, 1, 0b01, 0, 1, 0b10, 1, 2, 90})
+	f.Add([]byte{1, 1, 9, 1, 1, 0b101, 0, 5, 0b011, 1, 2, 90})
+	f.Add([]byte{2, 2, 2, 2, 2, 1, 0b1111, 0, 0, 0b0001, 1, 4, 90})
+	f.Add([]byte{4, 3, 0, 5, 4, 3, 1, 6,
+		0b000111, 0, 2, 0b111000, 0x40, 0, 0b010101, 0, 3, 0b000001, 0x81, 9,
+		0b100000, 0x81, 9, 0b001100, 0x40, 0, 0b110011, 0x80, 7, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := fuzzBytes(data)
+		k := int(b.byte())%5 + 2 // 2..6
 		u := Universe(k)
 		p := &Problem{K: k, Weights: make([]uint64, k)}
 		for j := range p.Weights {
-			if j%2 == 0 {
-				p.Weights[j] = uint64(w1)%20 + 1
-			} else {
-				p.Weights[j] = uint64(w2)%20 + 1
+			p.Weights[j] = uint64(b.byte()) % 20
+		}
+		n := int(b.byte())%7 + 1 // plus the universal treatment: 2..8 actions
+		for i := 0; i < n; i++ {
+			set, kind, cost := b.byte(), b.byte(), b.byte()
+			a := Action{Set: Set(set) & u, Treatment: kind&1 != 0, Cost: uint64(cost) % 40}
+			if a.Set == 0 {
+				a.Set = SetOf(i % k)
 			}
+			switch kind >> 6 {
+			case 1:
+				a.Cost = 0
+			case 2: // repeat the previous action's cost
+				if i > 0 {
+					a.Cost = p.Actions[i-1].Cost
+				}
+			}
+			p.Actions = append(p.Actions, a)
 		}
-		a1 := Set(set1) & u
-		a2 := Set(set2) & u
-		if a1 == 0 {
-			a1 = SetOf(0)
-		}
-		if a2 == 0 {
-			a2 = SetOf(k - 1)
-		}
-		p.Actions = []Action{
-			{Name: "x", Set: a1, Cost: uint64(c1) % 40},
-			{Name: "y", Set: a2, Cost: uint64(c2)%40 + 1, Treatment: true},
-			{Name: "all", Set: u, Cost: 90, Treatment: true},
-		}
+		p.Actions = append(p.Actions, Action{Name: "all", Set: u, Cost: uint64(b.byte()) % 100, Treatment: true})
 		sol, err := Solve(p)
 		if err != nil {
 			t.Fatalf("Solve: %v", err)

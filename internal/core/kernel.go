@@ -1,10 +1,14 @@
 package core
 
-import "math/bits"
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+)
 
 // Kernel is a Problem compiled for the recurrence's inner loop. Compile
-// validates the problem once and packs everything Cell reads into a single
-// allocation:
+// validates the problem once and packs everything Cell and Cost read into a
+// single allocation:
 //
 //   - per-byte weight tables, so that p(S) = Σ_b W_b[byte_b(S)] costs one
 //     lookup per byte of S (at most four, since K <= MaxK = 26) instead of
@@ -12,14 +16,22 @@ import "math/bits"
 //   - one 8-byte record per action, in action order: the action's set in
 //     bits 0..25, the treatment flag in bit 31, and its cost in the high
 //     word (Validate bounds costs by maxInput < 2^32). The loop never
-//     touches the 40-byte Action structs or their names.
+//     touches the 40-byte Action structs or their names;
+//   - the same records again, stably sorted by cost, for Cost's early exit.
+//
+// The two loops serve different callers. Cost is for sweeps, which need
+// only C(S): it prices cheapest first and stops early. Cell is for argmins
+// (tree extraction, policies, Explain, and the parttsolve machine's
+// frontier and ABFT mirror, which audit choices): it prices every action in
+// index order so that ties go to the lowest index.
 //
 // A Kernel is immutable after Compile and safe for concurrent use. It
 // aliases nothing in the Problem, so later edits to the Problem do not reach
 // it.
 type Kernel struct {
 	words int      // weight-table words at the head of mem: 256 per byte of S
-	mem   []uint64 // weight tables, then one record per action
+	n     int      // actions: records per copy
+	mem   []uint64 // weight tables, the records in action order, then by cost
 }
 
 // treatBit marks a treatment in a record. It lies above every object bit, so
@@ -46,7 +58,8 @@ func compile(p *Problem) (Kernel, error) {
 		return Kernel{}, err
 	}
 	words := (p.K + 7) / 8 << 8
-	mem := make([]uint64, words+len(p.Actions))
+	n := len(p.Actions)
+	mem := make([]uint64, words+2*n)
 	// Table b holds the weight of every subset of objects 8b..8b+7, built
 	// by doubling: the subsets containing object 8b+i are those without it
 	// plus its weight.
@@ -62,14 +75,18 @@ func compile(p *Problem) (Kernel, error) {
 			}
 		}
 	}
-	recs := mem[words:]
+	recs := mem[words : words+n]
 	for i, a := range p.Actions {
 		recs[i] = a.Cost<<32 | uint64(a.Set)
 		if a.Treatment {
 			recs[i] |= treatBit
 		}
 	}
-	return Kernel{words: words, mem: mem}, nil
+	// Stable, so equal costs keep action order.
+	byCost := mem[words+n:]
+	copy(byCost, recs)
+	slices.SortStableFunc(byCost, func(a, b uint64) int { return cmp.Compare(a>>32, b>>32) })
+	return Kernel{words: words, n: n, mem: mem}, nil
 }
 
 // Weight returns p(S), the total weight of the objects in s.
@@ -97,12 +114,54 @@ func (kn Kernel) Weight(s Set) uint64 {
 // <). It returns (Inf, -1) when no action applies or every applicable one
 // prices at Inf. The plane may hold any uint64 values, Inf included: the
 // additions saturate exactly, and the product t_i·p(S) needs no guard
-// because Compile admits only problems within Validate's bounds. Every exact
-// solver, the frontier and plane verifiers, the machine engines' ABFT
-// mirrors, and tree extraction evaluate the recurrence through this one
-// method.
+// because Compile admits only problems within Validate's bounds. Callers
+// that need the choice use this method; sweeps that keep only C(S) use
+// Cost.
 func (kn Kernel) Cell(c []uint64, s Set) (cost uint64, choice int32) {
-	return kn.cell(c, s, 0, len(kn.mem)-kn.words)
+	return kn.cell(c, s, 0, kn.n)
+}
+
+// Cost is Cell's cost without its choice, for sweeps. It prices the actions
+// cheapest first and stops at the first applicable one whose t_i·p(S) alone
+// reaches the best M[S,i] so far: every plane entry is >= 0 and the
+// additions saturate upward, so M[S,i] >= t_i·p(S) >= best for that action
+// and every later one, and none of them can be strictly cheaper. The result
+// equals Cell's cost on every plane, Inf entries included. The body repeats
+// cell's rather than sharing a helper, which the compiler does not inline,
+// and tests the exit inside each branch, after that branch's exclusion: a
+// shared helper and one combined exclusion test both measured slower
+// (EXPERIMENTS.md, "Cost-ordered early exit").
+func (kn Kernel) Cost(c []uint64, s Set) uint64 {
+	ps := kn.Weight(s)
+	best := Inf
+	for _, r := range kn.mem[kn.words+kn.n:] {
+		inter := s & Set(r)
+		diff := s &^ Set(r)
+		var m uint64
+		if r&treatBit != 0 {
+			if inter == 0 {
+				continue // treats nothing in S: excluded
+			}
+			tp := r >> 32 * ps
+			if tp >= best {
+				break // this action and every later one price at >= best
+			}
+			m = addSat(tp, c[diff])
+		} else {
+			if inter == 0 || diff == 0 {
+				continue // does not split S: excluded
+			}
+			tp := r >> 32 * ps
+			if tp >= best {
+				break
+			}
+			m = addSat(tp, addSat(c[inter], c[diff]))
+		}
+		if m < best {
+			best = m
+		}
+	}
+	return best
 }
 
 // cell is Cell over actions lo..hi-1 only; Explain prices one action at a

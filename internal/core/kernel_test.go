@@ -3,6 +3,9 @@ package core
 import (
 	"encoding/binary"
 	"math/big"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -186,7 +189,8 @@ func (b *fuzzBytes) cost() uint64 {
 // and near-Inf entries, which is what the frontier verifier feeds Cell
 // from untrusted input. Weights may be zero and actions
 // may repeat or complement one another, so ties and exclusions are
-// exercised; universes reach past one weight table (K up to 10).
+// exercised; universes reach past one weight table (K up to 10). Cost, the
+// sweeps' early-exit loop, must return refCell's cost on the same planes.
 func FuzzKernelCell(f *testing.F) {
 	f.Add([]byte{2, 1, 2, 3, 0x03, 0, 9, 0x01, 0x81, 5, 0, 7, 0, 0, 0, 0})
 	f.Add([]byte{5, 0, 0, 0, 0, 0, 4, 0x1f, 0, 0x01, 7, 0x1f, 0, 0x05, 7, 0x0f, 0, 0x02, 3})
@@ -230,6 +234,9 @@ func FuzzKernelCell(f *testing.F) {
 			if gotC != wantC || gotI != wantI {
 				t.Fatalf("Cell(%b) = (%d, %d), reference (%d, %d)", s, gotC, gotI, wantC, wantI)
 			}
+			if got := kn.Cost(c, Set(s)); got != wantC {
+				t.Fatalf("Cost(%b) = %d, reference %d", s, got, wantC)
+			}
 			var ps uint64
 			for j := 0; j < k; j++ {
 				if Set(s).Has(j) {
@@ -241,4 +248,40 @@ func FuzzKernelCell(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestKernelCostOrder pins the records Cost walks: a permutation of the
+// action-order records, non-decreasing in cost, with equal costs in action
+// order. It compares them with an order built independently, by (cost,
+// index), on problems with many repeated costs.
+func TestKernelCostOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for trial := 0; trial < 200; trial++ {
+		k := rng.Intn(MaxK) + 1
+		p := randomProblem(rng, k, rng.Intn(40)+1)
+		for i := range p.Actions {
+			p.Actions[i].Cost = uint64(rng.Intn(4)) // few distinct costs: many ties
+		}
+		kn, err := Compile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(p.Actions)
+		byIndex := kn.mem[kn.words : kn.words+n]
+		order := make([]int, n)
+		for i := range order {
+			order[i] = i
+		}
+		sort.Slice(order, func(a, b int) bool {
+			ca, cb := p.Actions[order[a]].Cost, p.Actions[order[b]].Cost
+			return ca < cb || ca == cb && order[a] < order[b]
+		})
+		want := make([]uint64, n)
+		for j, i := range order {
+			want[j] = byIndex[i]
+		}
+		if got := kn.mem[kn.words+n:]; !slices.Equal(got, want) {
+			t.Fatalf("trial %d: cost-ordered records %x, want %x", trial, got, want)
+		}
+	}
 }

@@ -23,9 +23,11 @@ type Solution struct {
 	// Solution (the perfbench module passes it to certify.Check, which
 	// treats nil as "no choices to audit") still builds.
 	Choice []int32
-	// Ops counts elementary operations (one per (S, action) evaluation plus
-	// one per subset for the final minimum), the T_1 of the paper's speedup
-	// S = T_1/T_p.
+	// Ops is the paper's T_1 = (2^K−1)(N+1): one operation per (S, action)
+	// evaluation plus one per subset for the final minimum, the numerator of
+	// its speedup S = T_1/T_p. It counts the full recurrence, not the
+	// evaluations a sweep performs: Kernel.Cost's early exit skips many, and
+	// Ops stays the paper's figure so that speedups remain comparable.
 	Ops int64
 }
 
@@ -82,7 +84,7 @@ func poolWidth(workers int, pool *stripe.Pool) (int, *stripe.Pool) {
 
 // solve is the one G=1 sweep behind every exact entry point: the problem
 // compiled once, and a pooled cost plane, optionally seeded from a frontier,
-// filled by Kernel.Cell under the level driver.
+// filled by Kernel.Cost under the level driver.
 func solve(ctx context.Context, p *Problem, ranges int, pool *stripe.Pool, f *Frontier, ck Checkpointer) (*Solution, error) {
 	kn, err := compile(p)
 	if err != nil {
@@ -109,7 +111,7 @@ func solve(ctx context.Context, p *Problem, ranges int, pool *stripe.Pool, f *Fr
 	// before any superset reads it.
 	c[0] = 0
 	d := &sweep{k: p.K, ranges: ranges, work: len(p.Actions), pool: pool,
-		visit: func(_ int, s Set) { c[s], _ = kn.Cell(c, s) }}
+		visit: func(_ int, s Set) { c[s] = kn.Cost(c, s) }}
 	if ck != nil {
 		d.barrier = func(level int) error {
 			if err := ck.CheckpointLevel(level, sol); err != nil {
