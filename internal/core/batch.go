@@ -95,7 +95,7 @@ func SolveBatchCtx(ctx context.Context, ps []*Problem, workers int, pool *stripe
 			costG[i*G+g] = a.Cost
 		}
 	}
-	recs := kns[0].mem[kns[0].words : kns[0].words+n] // lattice structure: the records in action order
+	recs := kns[0].records() // lattice structure: the records in action order
 	// scratch[r] holds range r's p_g(S) for the current subset.
 	scratch := make([][]uint64, workers)
 	for r := range scratch {

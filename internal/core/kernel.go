@@ -10,14 +10,18 @@ import (
 // validates the problem once and packs everything Cell and Cost read into a
 // single allocation:
 //
-//   - per-byte weight tables, so that p(S) = Σ_b W_b[byte_b(S)] costs one
-//     lookup per byte of S (at most four, since K <= MaxK = 26) instead of
-//     one add per member;
+//   - per-byte tables of (weight, floor) pairs, so that p(S) =
+//     Σ_b W_b[byte_b(S)] costs one lookup per byte of S (at most four,
+//     since K <= MaxK = 26) instead of one add per member, and the floor
+//     L(S) = Σ_{x∈S} w_x·τ_x, with τ_x the cost of the cheapest treatment
+//     containing x, comes from the same cache line; an object no treatment
+//     covers makes every floor entry that holds it Inf;
 //   - one 8-byte record per action, in action order: the action's set in
 //     bits 0..25, the treatment flag in bit 31, and its cost in the high
 //     word (Validate bounds costs by maxInput < 2^32). The loop never
 //     touches the 40-byte Action structs or their names;
-//   - the same records again, stably sorted by cost, for Cost's early exit.
+//   - the same records again, treatments first and then tests, each group
+//     stably sorted by cost, for Cost's early exits.
 //
 // The two loops serve different callers. Cost is for sweeps, which need
 // only C(S): it prices cheapest first and stops early. Cell is for argmins
@@ -29,9 +33,10 @@ import (
 // aliases nothing in the Problem, so later edits to the Problem do not reach
 // it.
 type Kernel struct {
-	words int      // weight-table words at the head of mem: 256 per byte of S
+	words int      // table words at the head of mem: 512 per byte of S
 	n     int      // actions: records per copy
-	mem   []uint64 // weight tables, the records in action order, then by cost
+	nt    int      // treatments: the cost-ordered copy's tests start here
+	mem   []uint64 // (weight, floor) tables, records in action order, then by kind and cost
 }
 
 // treatBit marks a treatment in a record. It lies above every object bit, so
@@ -57,48 +62,80 @@ func compile(p *Problem) (Kernel, error) {
 	if err := p.Validate(); err != nil {
 		return Kernel{}, err
 	}
-	words := (p.K + 7) / 8 << 8
+	words := (p.K + 7) / 8 << 9
 	n := len(p.Actions)
 	mem := make([]uint64, words+2*n)
-	// Table b holds the weight of every subset of objects 8b..8b+7, built
-	// by doubling: the subsets containing object 8b+i are those without it
-	// plus its weight.
-	for b := 0; b < words>>8; b++ {
-		t := mem[b<<8 : (b+1)<<8]
-		for i, half := 0, 1; i < 8; i, half = i+1, half<<1 {
-			var w uint64
-			if j := 8*b + i; j < p.K {
-				w = p.Weights[j]
-			}
-			for x := 0; x < half; x++ {
-				t[half+x] = t[x] + w
-			}
-		}
+	// floor[x] becomes w_x·τ_x, or Inf while no treatment covers x.
+	var floor [MaxK]uint64
+	for x := range floor {
+		floor[x] = Inf
 	}
+	nt := 0
 	recs := mem[words : words+n]
 	for i, a := range p.Actions {
 		recs[i] = a.Cost<<32 | uint64(a.Set)
-		if a.Treatment {
-			recs[i] |= treatBit
+		if !a.Treatment {
+			continue
+		}
+		recs[i] |= treatBit
+		nt++
+		for x := 0; x < p.K; x++ {
+			if a.Set.Has(x) {
+				floor[x] = min(floor[x], a.Cost)
+			}
 		}
 	}
-	// Stable, so equal costs keep action order.
+	for x, w := range p.Weights {
+		if floor[x] != Inf {
+			floor[x] *= w // <= maxInput², exact
+		}
+	}
+	byteTables(mem[:words], p.Weights, 0)
+	byteTables(mem[:words], floor[:p.K], 1)
+	// Stable, so equal costs keep action order within each group.
 	byCost := mem[words+n:]
 	copy(byCost, recs)
-	slices.SortStableFunc(byCost, func(a, b uint64) int { return cmp.Compare(a>>32, b>>32) })
-	return Kernel{words: words, n: n, mem: mem}, nil
+	slices.SortStableFunc(byCost, func(a, b uint64) int {
+		if c := cmp.Compare(b&treatBit, a&treatBit); c != 0 {
+			return c // treatments first
+		}
+		return cmp.Compare(a>>32, b>>32)
+	})
+	return Kernel{words: words, n: n, nt: nt, mem: mem}, nil
+}
+
+// byteTables fills one lane of the interleaved tables t: entry x of byte
+// b's table, at t[(b<<8|x)<<1|lane], is the saturating sum of v over the
+// objects 8b+i for the bits i set in x. Each table is built by doubling: the
+// subsets containing object 8b+i are those without it, plus v[8b+i].
+func byteTables(t, v []uint64, lane int) {
+	for e := 0; e < len(t)>>1; e += 256 { // e = b<<8
+		for i, half := 0, 1; i < 8; i, half = i+1, half<<1 {
+			var w uint64
+			if j := e>>5 + i; j < len(v) {
+				w = v[j]
+			}
+			for x := 0; x < half; x++ {
+				t[(e+half+x)<<1|lane] = addSat(t[(e+x)<<1|lane], w)
+			}
+		}
+	}
 }
 
 // Weight returns p(S), the total weight of the objects in s.
 func (kn Kernel) Weight(s Set) uint64 {
 	var sum uint64
 	x := uint32(s)
-	for b := 0; b < kn.words; b += 256 { // table b/256 reads byte b/256 of s
-		sum += kn.mem[b|int(x&255)]
+	for b := 0; b < kn.words; b += 512 { // table b/512 reads byte b/512 of s
+		sum += kn.mem[b|int(x&255)<<1]
 		x >>= 8
 	}
 	return sum
 }
+
+// records returns the action records in action order, the lattice that
+// SolveBatchCtx's G > 1 loop walks.
+func (kn Kernel) records() []uint64 { return kn.mem[kn.words : kn.words+kn.n] }
 
 // Cell evaluates the recurrence at one nonempty set s of the compiled
 // universe against a cost plane c whose entries are final for every proper
@@ -121,43 +158,82 @@ func (kn Kernel) Cell(c []uint64, s Set) (cost uint64, choice int32) {
 	return kn.cell(c, s, 0, kn.n)
 }
 
-// Cost is Cell's cost without its choice, for sweeps. It prices the actions
-// cheapest first and stops at the first applicable one whose t_i·p(S) alone
-// reaches the best M[S,i] so far: every plane entry is >= 0 and the
-// additions saturate upward, so M[S,i] >= t_i·p(S) >= best for that action
-// and every later one, and none of them can be strictly cheaper. The result
-// equals Cell's cost on every plane, Inf entries included. The body repeats
-// cell's rather than sharing a helper, which the compiler does not inline,
-// and tests the exit inside each branch, after that branch's exclusion: a
-// shared helper and one combined exclusion test both measured slower
-// (EXPERIMENTS.md, "Cost-ordered early exit").
+// Cost is Cell's cost without its choice, for sweeps. It prices the
+// treatments cheapest first, then the tests cheapest first, and stops each
+// walk early:
+//
+//   - a treatment's M[S,i] >= t_i·p(S), since plane entries are >= 0 and
+//     the additions saturate upward, so the treatments stop at the first
+//     applicable one with t_i·p(S) >= best;
+//   - a test's M[S,i] = t_i·p(S) + c[S∩T_i] + c[S−T_i] >= t_i·p(S) + L(S)
+//     whenever c[X] >= L(X) for both parts, because L is additive over the
+//     disjoint parts; so the tests stop at the first applicable one with
+//     t_i·p(S) + L(S) >= best.
+//
+// Neither stop skips an action that is strictly cheaper than the best, so:
+//
+//   - Cost equals Cell's cost on any plane with c[X] >= L(X) for every
+//     proper subset X of s.
+//   - Cost is never below Cell's cost on any plane: it returns the minimum
+//     over a subset of the M[S,i] that Cell minimizes over.
+//
+// Every plane a sweep builds meets the first rule, by induction over the
+// levels. The base is C(∅) = 0 = L(∅). For X ≠ ∅, assume C(Y) >= L(Y) for
+// every proper subset Y; then every applicable action prices at >= L(X):
+//
+//   - a treatment T adds t·p(X) >= Σ_{x∈X∩T} w_x·τ_x, since t >= τ_x for
+//     every x it contains, to C(X−T) >= L(X−T);
+//   - a test adds t·p(X) >= 0 to C(X∩T) + C(X−T) >= L(X∩T) + L(X−T) = L(X).
+//
+// So C(X) = min_i M[X,i] >= L(X), and C(X) = Inf >= L(X) when no action
+// applies. (An object that no treatment covers has τ_x = Inf: it stays in
+// some part under every action, so every set holding it costs Inf.) The
+// sweeps, and the ABFT mirror that re-runs them over true values, thus get
+// Cell's costs exactly; an arbitrary plane, such as FuzzKernelCell feeds,
+// may read higher.
+//
+// The body repeats cell's rather than sharing a helper, which the compiler
+// does not inline, and tests each exit inside its loop, after that loop's
+// exclusion: a shared helper and one combined exclusion test both measured
+// slower (EXPERIMENTS.md, "Cost-ordered early exit"). It slices mem in
+// place rather than through a method, whose receiver copy also measured
+// slower (EXPERIMENTS.md, "Treatment-floor bound").
 func (kn Kernel) Cost(c []uint64, s Set) uint64 {
-	ps := kn.Weight(s)
+	// p(S) and L(S) in one pass. Finite floor entries are at most
+	// 8·maxInput², so only an Inf entry can saturate L(S).
+	var ps, lb uint64
+	x := uint32(s)
+	for b := 0; b < kn.words; b += 512 {
+		i := b | int(x&255)<<1
+		ps += kn.mem[i]
+		lb = addSat(lb, kn.mem[i+1])
+		x >>= 8
+	}
 	best := Inf
-	for _, r := range kn.mem[kn.words+kn.n:] {
+	recs := kn.mem[kn.words+kn.n:] // the cost-ordered copy
+	for _, r := range recs[:kn.nt] {
+		if s&Set(r) == 0 {
+			continue // treats nothing in S: excluded
+		}
+		tp := r >> 32 * ps
+		if tp >= best {
+			break // this treatment and every later one price at >= best
+		}
+		if m := addSat(tp, c[s&^Set(r)]); m < best {
+			best = m
+		}
+	}
+	for _, r := range recs[kn.nt:] {
 		inter := s & Set(r)
 		diff := s &^ Set(r)
-		var m uint64
-		if r&treatBit != 0 {
-			if inter == 0 {
-				continue // treats nothing in S: excluded
-			}
-			tp := r >> 32 * ps
-			if tp >= best {
-				break // this action and every later one price at >= best
-			}
-			m = addSat(tp, c[diff])
-		} else {
-			if inter == 0 || diff == 0 {
-				continue // does not split S: excluded
-			}
-			tp := r >> 32 * ps
-			if tp >= best {
-				break
-			}
-			m = addSat(tp, addSat(c[inter], c[diff]))
+		if inter == 0 || diff == 0 {
+			continue // does not split S: excluded
 		}
-		if m < best {
+		tp := r >> 32 * ps
+		if addSat(tp, lb) >= best {
+			break // this test and every later one price at >= best
+		}
+		if m := addSat(tp, addSat(c[inter], c[diff])); m < best {
 			best = m
 		}
 	}

@@ -138,6 +138,29 @@ func refCell(p *Problem, c []uint64, s Set) (uint64, int32) {
 	return best, choice
 }
 
+// refFloor is a literal L(X) = Σ_{x∈X} w_x·τ_x, with τ_x the cost of the
+// cheapest treatment containing x, computed from the Problem alone: Inf if
+// X holds an object no treatment covers, whatever its weight.
+func refFloor(p *Problem, x Set) uint64 {
+	var sum uint64
+	for j := 0; j < p.K; j++ {
+		if !x.Has(j) {
+			continue
+		}
+		tau := Inf
+		for _, a := range p.Actions {
+			if a.Treatment && a.Set.Has(j) && a.Cost < tau {
+				tau = a.Cost
+			}
+		}
+		if tau == Inf {
+			return Inf
+		}
+		sum = satAdd(sum, satMul(p.Weights[j], tau))
+	}
+	return sum
+}
+
 // fuzzBytes hands out fuzzer bytes, then zeros once they run out.
 type fuzzBytes []byte
 
@@ -190,7 +213,9 @@ func (b *fuzzBytes) cost() uint64 {
 // from untrusted input. Weights may be zero and actions
 // may repeat or complement one another, so ties and exclusions are
 // exercised; universes reach past one weight table (K up to 10). Cost, the
-// sweeps' early-exit loop, must return refCell's cost on the same planes.
+// sweeps' early-exit loop, must never return less than refCell's cost, and
+// must return it exactly once every entry is raised to at least refFloor,
+// the bound its test exit relies on.
 func FuzzKernelCell(f *testing.F) {
 	f.Add([]byte{2, 1, 2, 3, 0x03, 0, 9, 0x01, 0x81, 5, 0, 7, 0, 0, 0, 0})
 	f.Add([]byte{5, 0, 0, 0, 0, 0, 4, 0x1f, 0, 0x01, 7, 0x1f, 0, 0x05, 7, 0x0f, 0, 0x02, 3})
@@ -228,14 +253,24 @@ func FuzzKernelCell(f *testing.F) {
 		for s := range c {
 			c[s] = b.cost()
 		}
+		// The same plane raised to the treatment floor, where Cost must
+		// match the reference exactly.
+		lifted := make([]uint64, len(c))
+		for s := range c {
+			lifted[s] = max(c[s], refFloor(p, Set(s)))
+		}
 		for s := range c {
 			gotC, gotI := kn.Cell(c, Set(s))
 			wantC, wantI := refCell(p, c, Set(s))
 			if gotC != wantC || gotI != wantI {
 				t.Fatalf("Cell(%b) = (%d, %d), reference (%d, %d)", s, gotC, gotI, wantC, wantI)
 			}
-			if got := kn.Cost(c, Set(s)); got != wantC {
-				t.Fatalf("Cost(%b) = %d, reference %d", s, got, wantC)
+			if got := kn.Cost(c, Set(s)); got < wantC {
+				t.Fatalf("Cost(%b) = %d, below the reference %d", s, got, wantC)
+			}
+			liftedC, _ := refCell(p, lifted, Set(s))
+			if got := kn.Cost(lifted, Set(s)); got != liftedC {
+				t.Fatalf("Cost(%b) = %d on the floor-lifted plane, reference %d", s, got, liftedC)
 			}
 			var ps uint64
 			for j := 0; j < k; j++ {
@@ -250,10 +285,12 @@ func FuzzKernelCell(f *testing.F) {
 	})
 }
 
-// TestKernelCostOrder pins the records Cost walks: a permutation of the
-// action-order records, non-decreasing in cost, with equal costs in action
-// order. It compares them with an order built independently, by (cost,
-// index), on problems with many repeated costs.
+// TestKernelCostOrder pins the record copies: records() decodes to the
+// actions in order, and the records Cost walks are a permutation of them,
+// treatments before tests, each group non-decreasing in cost with equal
+// costs in action order, and the tests starting at kn.nt. It compares them
+// with an order built independently, by (kind, cost, index), on problems
+// with many repeated costs.
 func TestKernelCostOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for trial := 0; trial < 200; trial++ {
@@ -267,14 +304,24 @@ func TestKernelCostOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := len(p.Actions)
-		byIndex := kn.mem[kn.words : kn.words+n]
+		byIndex := kn.records()
 		order := make([]int, n)
-		for i := range order {
+		treatments := 0
+		for i, a := range p.Actions {
+			if r := byIndex[i]; Set(r)&Universe(MaxK) != a.Set || r>>32 != a.Cost || r&treatBit != 0 != a.Treatment {
+				t.Fatalf("trial %d: record %d is %x, not action %+v", trial, i, r, a)
+			}
 			order[i] = i
+			if a.Treatment {
+				treatments++
+			}
 		}
 		sort.Slice(order, func(a, b int) bool {
-			ca, cb := p.Actions[order[a]].Cost, p.Actions[order[b]].Cost
-			return ca < cb || ca == cb && order[a] < order[b]
+			x, y := p.Actions[order[a]], p.Actions[order[b]]
+			if x.Treatment != y.Treatment {
+				return x.Treatment
+			}
+			return x.Cost < y.Cost || x.Cost == y.Cost && order[a] < order[b]
 		})
 		want := make([]uint64, n)
 		for j, i := range order {
@@ -282,6 +329,9 @@ func TestKernelCostOrder(t *testing.T) {
 		}
 		if got := kn.mem[kn.words+n:]; !slices.Equal(got, want) {
 			t.Fatalf("trial %d: cost-ordered records %x, want %x", trial, got, want)
+		}
+		if kn.nt != treatments {
+			t.Fatalf("trial %d: tests start at %d, want %d", trial, kn.nt, treatments)
 		}
 	}
 }
