@@ -41,6 +41,7 @@ fuzz-short:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzKernelCell$$' -fuzztime 30s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzSolveAgreement$$' -fuzztime 30s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzSolveBatch$$' -fuzztime 30s
+	$(GO) test ./internal/instio/ -run '^$$' -fuzz 'FuzzRead$$' -fuzztime 30s
 
 # Regenerate the bvmcheck golden reports after an intentional format change.
 golden:
@@ -56,12 +57,13 @@ bench-json:
 		| $(GO) run ./cmd/benchjson > BENCH_bvm.json
 
 # One-iteration benchmark smoke: exercises every route kernel, Apply3 fast
-# path, striped Exec, the single and batched DP sweeps, and the certification
-# pipeline under the bench harness so a silent fallback to the scalar path
-# (or a kernel panic on any geometry, or a certifier regression) fails CI
-# fast.
+# path, striped Exec, the single and batched DP sweeps, the certification
+# pipeline, the instance decoder and the in-process cache-hit handler under
+# the bench harness so a silent fallback to the scalar path (or a kernel
+# panic on any geometry, or a certifier regression) fails CI fast.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkExecPerRoute|BenchmarkExecStriped|BenchmarkApply3|BenchmarkE3CycleID|BenchmarkCertifyOverhead|BenchmarkSolveDP|BenchmarkSolveBatch|BenchmarkRouteStep' -benchtime 1x ./internal/bvm ./internal/bitvec ./internal/policy .
+	$(GO) test -run '^$$' -bench 'BenchmarkReadInstance|BenchmarkSolveHit' -benchtime 1x ./internal/instio ./internal/serve
 
 # Regression gate against the committed baseline: rerun the suite, render it
 # to JSON, and diff against BENCH_bvm.json. The threshold is generous (CI

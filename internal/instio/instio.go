@@ -1,5 +1,5 @@
 // Package instio reads and writes test-and-treatment instances in a small
-// JSON wire format, shared by cmd/ttsolve and cmd/ttgen:
+// JSON wire format, shared by cmd/ttsolve, cmd/ttgen and ttserve:
 //
 //	{
 //	  "comment": "optional free text",
@@ -11,9 +11,38 @@
 //	}
 //
 // Objects are referred to by index (the universe size is the weight count).
+//
+// Write emits the form json.Encoder produces with SetIndent("", "  "), byte
+// for byte; serve.Hash hashes those bytes, so the format is also the cache
+// key. Append builds the same bytes without reflection.
+//
+// Read and ReadBatch read their input whole and parse it in one pass with a
+// small scanner that builds the core.Problem directly. The scanner accepts
+// exactly this grammar (ws is any run of space, tab, CR and LF):
+//
+//	instance = ws "{" [ member { "," member } ] ws "}" ws    (end of input)
+//	member   = ws key ws ":" value                           (each key at most once)
+//	key      = "comment" | "weights" | "actions"             (in an instance)
+//	         | "name" | "objects" | "cost" | "treatment"     (in an action)
+//	         | "comment" | "instances"                       (in a batch)
+//	string   = '"' { byte 0x20..0x7f except '"' and '\' } '"'
+//	integer  = "0" | digit1-9 { digit }                      (at most 9 digits)
+//	bool     = "true" | "false"
+//
+// with arrays of integers (weights, objects; an object index below 32),
+// arrays of action objects, and arrays of instances, each possibly empty.
+// Anything else — an escape, non-ASCII text, null, an unknown, duplicate or
+// case-variant key, a sign, fraction or exponent, bytes after the closing
+// brace, malformed JSON — and any instance that fails validation makes the
+// scanner decline, and the same bytes go to encoding/json with
+// DisallowUnknownFields, which decides them exactly as it always has.
+// encoding/json is therefore the only source of parse and validation errors,
+// and the scanner only ever accepts input that encoding/json decodes to the
+// same Problem (FuzzRead checks both).
 package instio
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -35,15 +64,17 @@ type wireProblem struct {
 	Actions []wireAction `json:"actions"`
 }
 
-// Read parses and validates an instance.
+// Read parses and validates an instance. It reads r to the end; an error
+// from r is returned wrapped, so callers can match it with errors.As.
 func Read(r io.Reader) (*core.Problem, error) {
-	var w wireProblem
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&w); err != nil {
-		return nil, fmt.Errorf("instio: parsing instance: %w", err)
+	body, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("instio: reading instance: %w", err)
 	}
-	return fromWire(w)
+	if p, ok := scanInstance(body); ok {
+		return p, nil
+	}
+	return decodeInstance(body)
 }
 
 // wireBatch is the /v1/solve/batch request body: several instances in one
@@ -57,10 +88,33 @@ type wireBatch struct {
 
 // ReadBatch parses and validates a batch envelope
 // ({"instances": [<instance>, ...]}); errors name the offending instance by
-// its position in the envelope.
+// its position in the envelope. It reads r to the end, as Read does.
 func ReadBatch(r io.Reader) ([]*core.Problem, error) {
+	body, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("instio: reading batch: %w", err)
+	}
+	if ps, ok := scanBatch(body); ok {
+		return ps, nil
+	}
+	return decodeBatch(body)
+}
+
+// decodeInstance is Read's encoding/json path.
+func decodeInstance(body []byte) (*core.Problem, error) {
+	var w wireProblem
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&w); err != nil {
+		return nil, fmt.Errorf("instio: parsing instance: %w", err)
+	}
+	return fromWire(w)
+}
+
+// decodeBatch is ReadBatch's encoding/json path.
+func decodeBatch(body []byte) ([]*core.Problem, error) {
 	var b wireBatch
-	dec := json.NewDecoder(r)
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&b); err != nil {
 		return nil, fmt.Errorf("instio: parsing batch: %w", err)
@@ -117,42 +171,20 @@ func ReadFile(path string) (*core.Problem, error) {
 
 // Write serializes an instance with stable, human-diffable formatting.
 func Write(w io.Writer, p *core.Problem, comment string) error {
-	wp, err := toWire(p, comment)
+	b, err := Append(nil, p, comment)
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(wp)
+	_, err = w.Write(b)
+	return err
 }
 
 // WriteBatch serializes a batch envelope in ReadBatch's wire form.
 func WriteBatch(w io.Writer, ps []*core.Problem, comment string) error {
-	b := wireBatch{Comment: comment, Instances: make([]wireProblem, len(ps))}
-	for i, p := range ps {
-		wp, err := toWire(p, "")
-		if err != nil {
-			return fmt.Errorf("instio: batch instance %d: %w", i, err)
-		}
-		b.Instances[i] = wp
+	b, err := appendBatch(nil, ps, comment)
+	if err != nil {
+		return err
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
-}
-
-func toWire(p *core.Problem, comment string) (wireProblem, error) {
-	if err := p.Validate(); err != nil {
-		return wireProblem{}, err
-	}
-	wp := wireProblem{Comment: comment, Weights: p.Weights}
-	for _, a := range p.Actions {
-		wp.Actions = append(wp.Actions, wireAction{
-			Name:      a.Name,
-			Objects:   a.Set.Objects(),
-			Cost:      a.Cost,
-			Treatment: a.Treatment,
-		})
-	}
-	return wp, nil
+	_, err = w.Write(b)
+	return err
 }

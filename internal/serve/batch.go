@@ -128,7 +128,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ps, err := instio.ReadBatch(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		bodyError(w, err)
 		return
 	}
 	if len(ps) == 0 {

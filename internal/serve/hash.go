@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"sort"
@@ -37,10 +36,11 @@ func Canonicalize(p *core.Problem) *core.Problem {
 // form of the canonicalized instance, hex-encoded. Hashing the wire bytes
 // ties the key to the exact format clients speak.
 func Hash(canon *core.Problem) (string, error) {
-	var buf bytes.Buffer
-	if err := instio.Write(&buf, canon, ""); err != nil {
+	var buf [8 << 10]byte // fits a k = 16 instance's wire form; a larger one spills to the heap
+	b, err := instio.Append(buf[:0], canon, "")
+	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(buf.Bytes())
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
 }

@@ -63,7 +63,7 @@ func (s *Server) handlePolicyPublish(w http.ResponseWriter, r *http.Request) {
 	}
 	p, err := instio.Read(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		bodyError(w, err)
 		return
 	}
 	if oerr := s.admit(p); oerr != nil {

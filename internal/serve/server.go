@@ -405,7 +405,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	p, err := instio.Read(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		bodyError(w, err)
 		return
 	}
 	rung := "exact"
@@ -786,4 +786,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func httpError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
+}
+
+// bodyError answers a request whose instance body instio refused: 413 when
+// the body ran past maxBodyBytes, 400 when it is malformed or invalid.
+func bodyError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, status, err.Error())
 }

@@ -304,6 +304,42 @@ func TestSolveBadRequests(t *testing.T) {
 	}
 }
 
+// TestBodyOverLimitIs413 sends each instance endpoint a body one byte past
+// maxBodyBytes: a well-formed instance padded with whitespace, so only its
+// size is wrong. The same body one byte shorter is accepted.
+func TestBodyOverLimitIs413(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	p := workload.MedicalDiagnosis(1, 5)
+	var batch bytes.Buffer
+	if err := instio.WriteBatch(&batch, []*core.Problem{p}, ""); err != nil {
+		t.Fatal(err)
+	}
+	for path, body := range map[string][]byte{
+		"/v1/solve":       instanceJSON(t, p),
+		"/v1/solve/batch": batch.Bytes(),
+		"/v1/policy":      instanceJSON(t, p),
+	} {
+		for pad, want := range map[int]int{
+			maxBodyBytes - len(body):     http.StatusOK,
+			maxBodyBytes - len(body) + 1: http.StatusRequestEntityTooLarge,
+		} {
+			padded := append(bytes.Clone(body), bytes.Repeat([]byte(" "), pad)...)
+			resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(padded))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Errorf("%s, %d-byte body: status %d, want %d: %s", path, len(padded), resp.StatusCode, want, msg)
+			}
+			if want == http.StatusRequestEntityTooLarge && !strings.Contains(string(msg), "too large") {
+				t.Errorf("%s: 413 body does not say the body is too large: %s", path, msg)
+			}
+		}
+	}
+}
+
 func TestSolveInadequateInstance(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	// No treatment can reach object 1: C(U) = Inf.
