@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -66,5 +68,80 @@ func TestDesignIndexCoversAllExperiments(t *testing.T) {
 		if !strings.Contains(design, "| "+e.ID+" |") && !strings.Contains(design, "**"+e.ID+"**") {
 			t.Errorf("experiment %s (%s) missing from DESIGN.md", e.ID, e.Name)
 		}
+	}
+}
+
+// timedTables are the experiments whose tables hold host wall-clock
+// columns, with those columns; maskedReport blanks them so that the rest of
+// the report can be pinned byte for byte.
+var timedTables = map[string]struct {
+	gen  func() (*Table, error)
+	cols []string
+}{
+	"A4": {AblationEngines, []string{"lockstep", "goroutines", "ratio"}},
+}
+
+// maskedReport renders every experiment of All() as RunAll does, with the
+// columns of timedTables replaced by "*".
+func maskedReport() (string, error) {
+	var sb strings.Builder
+	for _, e := range All() {
+		timed, ok := timedTables[e.ID]
+		if !ok {
+			if err := e.Run(&sb); err != nil {
+				return "", err
+			}
+			sb.WriteString("\n")
+			continue
+		}
+		t, err := timed.gen()
+		if err != nil {
+			return "", err
+		}
+		for _, name := range timed.cols {
+			i := slices.Index(t.Header, name)
+			if i < 0 {
+				return "", fmt.Errorf("%s has no column %q to mask", e.ID, name)
+			}
+			for _, row := range t.Rows {
+				row[i] = "*"
+			}
+		}
+		sb.WriteString(t.Render() + "\n")
+	}
+	return sb.String(), nil
+}
+
+// TestReportMatchesGolden pins the full reproduction report (ttbench -run
+// all, which docs/report.txt records) with its host timings masked: every
+// figure, step count, instruction count and cost of E1–E21 and A1–A4.
+// Regenerate with: go test ./internal/experiments -run Golden -update-golden
+func TestReportMatchesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full experiment sweep in -short mode")
+	}
+	got, err := maskedReport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "report.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update-golden): %v", err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("report differs from %s at line %d:\ngot:  %s\nwant: %s", path, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("report has %d lines, %s has %d", len(gl), path, len(wl))
 	}
 }
