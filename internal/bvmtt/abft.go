@@ -26,9 +26,9 @@ import (
 // saturating +/× all commute with that monotone clamp, so the comparison is
 // exact, not approximate.
 //
-// On a violation the machine is rebuilt by host pokes from the mirror — the
-// frontier-restore machinery extended to every recomputable plane, including
-// the streamed-in problem planes — and the round re-runs once. A fault that
+// On a violation every recomputable plane, the streamed-in problem planes
+// included, is rebuilt by host pokes from the mirror, and the round re-runs
+// once. A fault that
 // re-asserts itself (a stuck PE bit is re-forced after every instruction, a
 // broken lateral zeroes every route through it) fails the second check and
 // the solve refuses with a certify.LevelError rather than return a wrong
@@ -90,16 +90,6 @@ func (a *abft) clamp(v uint64) uint64 {
 		return a.inf
 	}
 	return v
-}
-
-// seed absorbs a restored frontier into the mirror. The frontier is trusted
-// as handed over: resume does not re-derive it.
-func (a *abft) seed(f *core.Frontier) {
-	for s := range a.c {
-		if bits.OnesCount(uint(s)) <= f.Level {
-			a.c[s] = f.C[s]
-		}
-	}
 }
 
 // advance computes the true level-j values into the mirror with the kernel
@@ -208,8 +198,8 @@ func (a *abft) verify(m *bvm.Machine, lay layout, j int) *certify.Report {
 }
 
 // repair rebuilds every recomputable machine plane from the trusted mirror
-// as if round j-1 had just completed: the M plane and mark register (the
-// frontier-restore poke), the PS/TP planes, and the streamed-in problem
+// as if round j-1 had just completed: the M plane and mark register, the
+// PS/TP planes, and the streamed-in problem
 // planes (processor IDs, T_i membership, kind/padding flags, costs). Only
 // state a re-run recomputes anyway (R, Q, scratch, E) is left alone. Host
 // pokes execute no instructions, so a stuck bit — re-forced after every

@@ -3,7 +3,6 @@ package bvmtt
 import (
 	"context"
 	"errors"
-	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -219,29 +218,4 @@ func TestBVMABFTUnverifiedFaultEscapes(t *testing.T) {
 	}
 	// The wrong answer sailed through: exactly what Options.Verify and the
 	// serve-side certifier exist to stop.
-}
-
-// TestBVMABFTVerifiedResume: a verified solve resumed from a mid-sweep
-// frontier seeds its mirror from the checkpoint and still matches the DP.
-func TestBVMABFTVerifiedResume(t *testing.T) {
-	p := randomProblem(rand.New(rand.NewSource(86)), 4, 5)
-	want, err := core.Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := &core.Frontier{Level: 2, C: make([]uint64, len(want.C))}
-	for s := range want.C {
-		if bits.OnesCount(uint(s)) <= 2 {
-			f.C[s] = want.C[s]
-		} else {
-			f.C[s] = core.Inf
-		}
-	}
-	res, err := SolveOpts(context.Background(), p, Options{Frontier: f, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cost != want.Cost || res.Repairs != 0 {
-		t.Fatalf("resumed verified solve: cost %d (want %d), repairs %d", res.Cost, want.Cost, res.Repairs)
-	}
 }

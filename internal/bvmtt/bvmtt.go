@@ -18,7 +18,6 @@ package bvmtt
 import (
 	"context"
 	"fmt"
-	"math/bits"
 
 	"repro/internal/bitvec"
 	"repro/internal/bvm"
@@ -140,10 +139,6 @@ type Options struct {
 	Width int
 	// Record captures the executed instruction stream into Result.Program.
 	Record bool
-	// Frontier resumes from a restored level frontier (cost-only suffices).
-	Frontier *core.Frontier
-	// Checkpointer fires after every completed round j < K.
-	Checkpointer core.Checkpointer
 	// Verify enables the ABFT layer (abft.go): running checksums over the
 	// frozen M word plane plus direct host verification of the new level,
 	// the mark register, and the PS/TP planes at every round barrier, with
@@ -182,19 +177,6 @@ func SolveCtx(ctx context.Context, p *core.Problem, width int) (*Result, error) 
 	return solve(ctx, p, Options{Width: width})
 }
 
-// SolveCheckpointedCtx is SolveCtx with level-barrier resume plumbing. A non-nil
-// frontier skips rounds 1..f.Level by host-poking the state those rounds
-// would have left on the machine — the M plane of every completed group and
-// the #S = f.Level mark register; the program phases before the main loop
-// (load, p(S), TP) re-execute as BVM instructions and are deterministic. A
-// cost-only frontier suffices: the BVM program tracks no argmins. A non-nil
-// ck fires after every round j < k with the cost plane read off the machine.
-// Costs are bit-identical to an uninterrupted run;
-// instruction counts reflect only the rounds actually executed.
-func SolveCheckpointedCtx(ctx context.Context, p *core.Problem, width int, f *core.Frontier, ck core.Checkpointer) (*Result, error) {
-	return solve(ctx, p, Options{Width: width, Frontier: f, Checkpointer: ck})
-}
-
 // SolveRecorded is Solve with instruction capture: Result.Program holds the
 // complete recorded program, ready for static analysis (bvmcheck) or replay.
 func SolveRecorded(p *core.Problem, width int) (*Result, error) {
@@ -208,7 +190,7 @@ func SolveRecordedCtx(ctx context.Context, p *core.Problem, width int) (*Result,
 }
 
 func solve(ctx context.Context, p *core.Problem, opt Options) (*Result, error) {
-	width, record, f, ck := opt.Width, opt.Record, opt.Frontier, opt.Checkpointer
+	width, record := opt.Width, opt.Record
 	kn, err := core.Compile(p)
 	if err != nil {
 		return nil, err
@@ -223,11 +205,6 @@ func solve(ctx context.Context, p *core.Problem, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("bvmtt: width %d outside [2,32]", width)
 	}
 	k := p.K
-	if f != nil {
-		if err := f.Validate(k); err != nil {
-			return nil, err
-		}
-	}
 	minLogN := 1
 	for 1<<uint(minLogN) < len(p.Actions) {
 		minLogN++
@@ -335,39 +312,9 @@ func solve(ctx context.Context, p *core.Problem, opt Options) (*Result, error) {
 	markPair := []bvmalg.Pair{{Src: bvm.R(lay.mark), Shadow: bvm.R(lay.cond2)}}
 	rqPairs := append(bvmalg.WordPairs(lay.r, lay.sh1), bvmalg.WordPairs(lay.q, lay.sh2)...)
 
-	startRound := 1
-	if f != nil {
-		// Restore the machine to its state after round f.Level. The min-reduce
-		// of step (5) is an all-reduce over the action dimensions, so every PE
-		// of a completed group holds C(S): poke it into the whole group, with
-		// core.Inf mapped to the word infinity. The mark register becomes the
-		// #S = f.Level predicate the next first-kind propagation starts from.
-		mark := bitvec.New(m.N())
-		for pe := 0; pe < m.N(); pe++ {
-			s := pe >> uint(logN)
-			pc := bits.OnesCount(uint(s))
-			mark.Set(pe, pc == f.Level)
-			if pc > f.Level {
-				continue
-			}
-			w := f.C[s]
-			if w == core.Inf {
-				w = inf
-			} else if w >= inf {
-				return nil, fmt.Errorf("bvmtt: checkpointed cost %d saturates %d-bit words", w, width)
-			}
-			m.SetUint(lay.m.Base, width, pe, w)
-		}
-		m.Poke(bvm.R(lay.mark), mark)
-		startRound = f.Level + 1
-	}
-
 	var ab *abft
 	if opt.Verify {
 		ab = newABFT(kn, p, actions, logN, width, inf)
-		if f != nil {
-			ab.seed(f)
-		}
 	}
 
 	// runRound executes one complete round j (steps 1–5). It is re-runnable:
@@ -421,7 +368,7 @@ func solve(ctx context.Context, p *core.Problem, opt Options) (*Result, error) {
 	}
 
 	var repairs int
-	for j := startRound; j <= k; j++ {
+	for j := 1; j <= k; j++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -444,12 +391,6 @@ func solve(ctx context.Context, p *core.Problem, opt Options) (*Result, error) {
 				repairs++
 			}
 			m.MarkRecording(bvm.MarkABFTBarrier, wordRegs(lay.m)...)
-		}
-		if ck != nil && j < k {
-			sol := &core.Solution{C: readCostPlane(m, lay, width, k, logN, inf)}
-			if err := ck.CheckpointLevel(j, sol); err != nil {
-				return nil, fmt.Errorf("bvmtt: checkpoint at level %d: %w", j, err)
-			}
 		}
 	}
 

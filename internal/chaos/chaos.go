@@ -1,12 +1,12 @@
 // Package chaos is the repository's fault-injection harness: small,
 // deterministic wreckers that the resilience tests aim at the solvers and
-// the serving path. It can kill a solve at any level barrier (Kill), make a
-// serving rung fail or panic on demand (FailFirst, PanicFirst — shaped for
-// serve.Config.EngineFault), and corrupt its answers (CorruptFirst, for
-// serve.Config.ResultFault). Outside ttserve's -chaos-* flags, production
-// code never calls it; it exists so the tests in this directory and in
-// internal/serve can prove the recovery claims of docs/RESILIENCE.md instead
-// of asserting them.
+// the serving path. It can kill an exact solve mid-sweep through its progress
+// hook (Kill), make a serving rung fail or panic on demand (FailFirst,
+// PanicFirst — shaped for serve.Config.EngineFault), and corrupt its answers
+// (CorruptFirst, for serve.Config.ResultFault). Outside ttserve's -chaos-*
+// flags, production code never calls it; it exists so the tests in this
+// directory and in internal/serve can prove the recovery claims of
+// docs/RESILIENCE.md instead of asserting them.
 package chaos
 
 import (
@@ -17,34 +17,22 @@ import (
 	"repro/internal/core"
 )
 
-// ErrKilled is the sentinel a Kill checkpointer aborts a solve with. Tests
-// treat it as the moral equivalent of SIGKILL: the solve stops between two
-// level barriers, with every frontier up to and including Level already
-// handed to the inner checkpointer.
-var ErrKilled = errors.New("chaos: killed after checkpoint")
+// ErrKilled is the error a Kill hook aborts a solve with: the moral
+// equivalent of SIGKILL between two level barriers. Nothing of the solve
+// survives it, so the next solve of the instance starts from scratch.
+var ErrKilled = errors.New("chaos: killed mid-solve")
 
-// Kill is a core.Checkpointer that delegates to Inner (in the tests, one
-// that copies the frontier in memory) and then, after Inner has taken the
-// frontier for Level, returns ErrKilled. Because the core/parttsolve/bvmtt
-// solvers abort on a checkpointer error, this simulates a process dying
-// immediately after its last saved frontier — the worst moment that still
-// has to resume exactly.
-type Kill struct {
-	Inner core.Checkpointer // may be nil: kill without persisting anything
-	Level int               // level barrier to die at
-}
-
-// CheckpointLevel implements core.Checkpointer.
-func (k *Kill) CheckpointLevel(level int, sol *core.Solution) error {
-	if k.Inner != nil {
-		if err := k.Inner.CheckpointLevel(level, sol); err != nil {
-			return err
+// Kill returns a core.Progress hook that fails the solve with ErrKilled at
+// its n-th report and lets every earlier report pass. A solve of K objects
+// reports K−1 times, so Kill(n) with n >= K never fires.
+func Kill(n int) core.Progress {
+	reports := 0
+	return func(done, total uint64) error {
+		if reports++; reports == n {
+			return fmt.Errorf("%w (%d of %d sets done)", ErrKilled, done, total)
 		}
+		return nil
 	}
-	if level == k.Level {
-		return fmt.Errorf("%w (level %d)", ErrKilled, level)
-	}
-	return nil
 }
 
 // FailFirst returns an engine-fault hook (for serve.Config.EngineFault) that

@@ -76,7 +76,7 @@ func SolveBatchCtx(ctx context.Context, ps []*Problem, workers int, pool *stripe
 	workers, pool = poolWidth(workers, pool)
 	G := len(ps)
 	if G == 1 {
-		sol, err := solve(ctx, ps[0], workers, pool, nil, nil)
+		sol, err := solve(ctx, ps[0], workers, pool, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -139,7 +139,7 @@ func SolveBatchCtx(ctx context.Context, ps []*Problem, workers int, pool *stripe
 			}
 		}
 	}}
-	if err := d.run(ctx, 1); err != nil {
+	if err := d.run(ctx); err != nil {
 		return nil, err
 	}
 

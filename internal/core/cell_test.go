@@ -36,10 +36,6 @@ func TestExtractionOnEveryEntryPoint(t *testing.T) {
 		}
 		wantRows := Explain(p, seq, Universe(k))
 
-		ck := &captureCk{}
-		if _, err := SolveCheckpointedCtx(ctx, p, nil, ck); err != nil {
-			t.Fatal(err)
-		}
 		batch := func(g int) func() (*Solution, error) {
 			return func() (*Solution, error) {
 				group := []*Problem{p}
@@ -58,7 +54,7 @@ func TestExtractionOnEveryEntryPoint(t *testing.T) {
 			run  func() (*Solution, error)
 		}
 		cases := []entry{
-			{"seq", func() (*Solution, error) { return SolveCheckpointedCtx(ctx, p, nil, nil) }},
+			{"seq", func() (*Solution, error) { return SolveCtx(ctx, p) }},
 			{"batch G=1", batch(1)},
 			{"batch G=2", batch(2)},
 			{"batch G=5", batch(5)},
@@ -66,11 +62,6 @@ func TestExtractionOnEveryEntryPoint(t *testing.T) {
 		for _, w := range []int{1, 2, 4} {
 			cases = append(cases, entry{fmt.Sprintf("parallel/%d", w), func() (*Solution, error) {
 				return SolveParallelPooledCtx(ctx, p, w, nil, nil, nil)
-			}})
-		}
-		for _, f := range ck.frontiers {
-			cases = append(cases, entry{fmt.Sprintf("resume@%d", f.Level), func() (*Solution, error) {
-				return SolveParallelPooledCtx(ctx, p, 2, nil, f, nil)
 			}})
 		}
 		for _, c := range cases {

@@ -25,8 +25,8 @@ import (
 //
 // The two loops serve different callers. Cost is for sweeps, which need
 // only C(S): it prices cheapest first and stops early. Cell is for argmins
-// (tree extraction, policies, Explain, and the parttsolve machine's
-// frontier and ABFT mirror, which audit choices): it prices every action in
+// (tree extraction, policies, Explain, and the parttsolve machine's ABFT
+// mirror, which audits choices): it prices every action in
 // index order so that ties go to the lowest index.
 //
 // A Kernel is immutable after Compile and safe for concurrent use. It

@@ -44,30 +44,45 @@ func Solve(p *Problem) (*Solution, error) {
 // stops the O(N·2^K) sweep promptly. On cancellation the context's error is
 // returned and the partial table is discarded.
 func SolveCtx(ctx context.Context, p *Problem) (*Solution, error) {
-	return solve(ctx, p, 1, nil, nil, nil)
+	return solve(ctx, p, 1, nil, nil)
 }
 
-// SolveCheckpointedCtx is SolveCtx with level-barrier resume plumbing: a non-nil
-// frontier restores C for every level <= f.Level and restarts the sweep at
-// f.Level+1, and a non-nil ck fires at every completed level barrier j < K
-// (all sets of the level are final, none of the next level started). Cost, C
-// and Ops are bit-identical to an uninterrupted Solve.
-func SolveCheckpointedCtx(ctx context.Context, p *Problem, f *Frontier, ck Checkpointer) (*Solution, error) {
-	return solve(ctx, p, 1, nil, f, ck)
+// Progress is a sweep's progress hook. The sweep calls it at every level
+// barrier but the last, on the goroutine that called the solver, with the
+// number of nonempty subsets whose cost is final (done) out of 2^K−1
+// (total); it never sees the cost plane. An error from it aborts the solve,
+// which returns the error wrapped and no Solution.
+type Progress func(done, total uint64) error
+
+// noFrontier is the type of the slot where SolveCheckpointedCtx and
+// SolveParallelPooledCtx took a resume frontier before engine resume was
+// retired. No other package can name it, so only an untyped nil fits. The
+// slot is kept for the perfbench module (its own go.mod, so `go test ./...`
+// does not build it), which passes nil there at perfbench/workloads.go:827
+// and perfbench/replay.go:111 and :114; it goes with the next perfbench
+// change.
+type noFrontier struct{}
+
+// SolveCheckpointedCtx is SolveCtx with a progress hook; a nil hook makes it
+// SolveCtx. The third argument must be nil (see noFrontier).
+func SolveCheckpointedCtx(ctx context.Context, p *Problem, _ *noFrontier, progress Progress) (*Solution, error) {
+	return solve(ctx, p, 1, nil, progress)
 }
 
-// SolveParallelPooledCtx is SolveCheckpointedCtx with each level split into
-// up to `workers` Gosper rank ranges run on a stripe pool — the natural way
-// to run the backward induction on shared-memory hardware (the paper's
-// machine is internal/parttsolve). `workers` <= 0 selects GOMAXPROCS; it
-// sets the unit of load balancing, not how many goroutines exist, so
-// concurrent solves share one bounded worker set. A level too small to repay
-// the pool's hand-off runs inline as one range. A nil pool selects the
-// process-wide one. A panic in any range is recovered and returned as an
-// error. Results are bit-identical to Solve for every worker count.
-func SolveParallelPooledCtx(ctx context.Context, p *Problem, workers int, pool *stripe.Pool, f *Frontier, ck Checkpointer) (*Solution, error) {
+// SolveParallelPooledCtx is SolveCtx with each level split into up to
+// `workers` Gosper rank ranges run on a stripe pool — the natural way to run
+// the backward induction on shared-memory hardware (the paper's machine is
+// internal/parttsolve). `workers` <= 0 selects GOMAXPROCS; it sets the unit
+// of load balancing, not how many goroutines exist, so concurrent solves
+// share one bounded worker set. A level too small to repay the pool's
+// hand-off runs inline as one range. A nil pool selects the process-wide
+// one. A panic in any range is recovered and returned as an error. Results
+// are bit-identical to Solve for every worker count. The fifth argument must
+// be nil (see noFrontier); a non-nil progress hook is called as Progress
+// says.
+func SolveParallelPooledCtx(ctx context.Context, p *Problem, workers int, pool *stripe.Pool, _ *noFrontier, progress Progress) (*Solution, error) {
 	workers, pool = poolWidth(workers, pool)
-	return solve(ctx, p, workers, pool, f, ck)
+	return solve(ctx, p, workers, pool, progress)
 }
 
 // poolWidth resolves the parallel entry points' defaults: `workers` <= 0
@@ -83,9 +98,9 @@ func poolWidth(workers int, pool *stripe.Pool) (int, *stripe.Pool) {
 }
 
 // solve is the one G=1 sweep behind every exact entry point: the problem
-// compiled once, and a pooled cost plane, optionally seeded from a frontier,
-// filled by Kernel.Cost under the level driver.
-func solve(ctx context.Context, p *Problem, ranges int, pool *stripe.Pool, f *Frontier, ck Checkpointer) (*Solution, error) {
+// compiled once, and a pooled cost plane filled by Kernel.Cost under the
+// level driver.
+func solve(ctx context.Context, p *Problem, ranges int, pool *stripe.Pool, progress Progress) (*Solution, error) {
 	kn, err := compile(p)
 	if err != nil {
 		return nil, err
@@ -93,34 +108,16 @@ func solve(ctx context.Context, p *Problem, ranges int, pool *stripe.Pool, f *Fr
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	from := 1
-	if f != nil {
-		if err := f.Validate(p.K); err != nil {
-			return nil, err
-		}
-		from = f.Level + 1
-	}
 	size := 1 << uint(p.K)
 	sol := &Solution{C: getU64(p.K), Ops: int64(size-1) * int64(len(p.Actions)+1)}
 	c := sol.C
-	if f != nil {
-		copy(c, f.C)
-	}
 	// The pooled plane comes back dirty. C(∅) is the only cell read before
 	// the sweep writes it; every other cell is written at its own level,
 	// before any superset reads it.
 	c[0] = 0
-	d := &sweep{k: p.K, ranges: ranges, work: len(p.Actions), pool: pool,
+	d := &sweep{k: p.K, ranges: ranges, work: len(p.Actions), pool: pool, progress: progress,
 		visit: func(_ int, s Set) { c[s] = kn.Cost(c, s) }}
-	if ck != nil {
-		d.barrier = func(level int) error {
-			if err := ck.CheckpointLevel(level, sol); err != nil {
-				return fmt.Errorf("core: checkpoint at level %d: %w", level, err)
-			}
-			return nil
-		}
-	}
-	if err := d.run(ctx, from); err != nil {
+	if err := d.run(ctx); err != nil {
 		sol.Release()
 		return nil, err
 	}

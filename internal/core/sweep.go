@@ -43,8 +43,8 @@ type sweep struct {
 	// visit fills one subset's table entries; r is the index of the range
 	// it belongs to, so a visitor can keep per-range scratch.
 	visit func(r int, s Set)
-	// barrier, when non-nil, runs after each completed level j < K.
-	barrier func(level int) error
+	// progress, when non-nil, runs at each level barrier but the last.
+	progress Progress
 
 	failed atomic.Bool // set by the first failure; ranges bail at their next poll
 	once   sync.Once
@@ -65,14 +65,15 @@ func (d *sweep) fail(err error) {
 	})
 }
 
-// run sweeps levels from..K. Each level gets as many ranges as it has
+// run sweeps levels 1..K. Each level gets as many ranges as it has
 // multiples of minRangeEvals of work, at most d.ranges and at least one. It
 // polls ctx every ctxStride subsets inside each range and at every level
 // barrier, recovers a panic in any range as an error, and returns the first
 // failure.
-func (d *sweep) run(ctx context.Context, from int) error {
+func (d *sweep) run(ctx context.Context) error {
 	rs := make([]gosperRange, 0, d.ranges)
-	for level := from; level <= d.k; level++ {
+	done, all := uint64(0), uint64(1)<<uint(d.k)-1
+	for level := 1; level <= d.k; level++ {
 		total := binomial(d.k, level)
 		n := min(uint64(d.ranges), max(1, total*uint64(d.work)/minRangeEvals))
 		chunk := (total + n - 1) / n
@@ -95,9 +96,10 @@ func (d *sweep) run(ctx context.Context, from int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if d.barrier != nil && level < d.k {
-			if err := d.barrier(level); err != nil {
-				return err
+		done += total
+		if d.progress != nil && done < all {
+			if err := d.progress(done, all); err != nil {
+				return fmt.Errorf("core: progress hook at %d of %d sets: %w", done, all, err)
 			}
 		}
 	}

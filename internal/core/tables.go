@@ -48,8 +48,8 @@ func putU64(t []uint64) {
 }
 
 // Release returns the solution's cost plane to the per-size pools and clears
-// it. The solution (and any alias of its plane, including a Frontier built
-// from it) must not be used afterwards. Safe on nil.
+// it. The solution (and any alias of its plane) must not be used
+// afterwards. Safe on nil.
 func (s *Solution) Release() {
 	if s == nil {
 		return

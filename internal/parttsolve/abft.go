@@ -20,8 +20,7 @@ import (
 // weights (the probability-conservation invariant p(S∩T)+p(S−T) = p(S) holds
 // by construction for the host's sums, so any machine deviation is
 // corruption). A violation triggers one localized repair — the machine is
-// rebuilt from the trusted mirror exactly like a frontier restore — and a
-// re-run of the damaged round; a second violation means the fault is
+// rebuilt from the trusted mirror — and a re-run of the damaged round; a second violation means the fault is
 // persistent (a stuck PE bit, a broken route) and the solve refuses with a
 // typed certify.LevelError instead of returning a wrong answer.
 
@@ -57,18 +56,6 @@ func newABFT(kn *core.Kernel, p *core.Problem, paddedA []core.Action, logN int) 
 		a.choice[s] = -1
 	}
 	return a
-}
-
-// seed absorbs a restored frontier and its recomputed argmins into the
-// mirror. The frontier is trusted as handed over: resume does not re-derive
-// it.
-func (a *abft) seed(f *core.Frontier, choice []int32) {
-	for s := range a.c {
-		if bits.OnesCount(uint(s)) <= f.Level {
-			a.c[s] = f.C[s]
-			a.choice[s] = choice[s]
-		}
-	}
 }
 
 // advance computes the true level-j values into the mirror with the kernel

@@ -135,33 +135,3 @@ func TestABFTUnverifiedCorruptionEscapes(t *testing.T) {
 	// The wrong answer sailed through: exactly what serve-side certification
 	// and Options.Verify exist to stop.
 }
-
-// TestABFTVerifiedResume: a verified solve resumed from a mid-sweep frontier
-// seeds its mirror from the checkpoint and still matches the DP.
-func TestABFTVerifiedResume(t *testing.T) {
-	p := randomProblem(rand.New(rand.NewSource(75)), 4, 5)
-	want, err := core.Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := Solve(p, Lockstep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Build a level-2 frontier from the completed planes.
-	f := &core.Frontier{Level: 2, C: make([]uint64, len(full.C))}
-	for s := range full.C {
-		if popcount(s) <= 2 {
-			f.C[s] = full.C[s]
-		} else {
-			f.C[s] = core.Inf
-		}
-	}
-	res, err := SolveOpts(context.Background(), p, Lockstep, Options{Frontier: f, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cost != want.Cost || res.Repairs != 0 {
-		t.Fatalf("resumed verified solve: cost %d (want %d), repairs %d", res.Cost, want.Cost, res.Repairs)
-	}
-}

@@ -130,15 +130,11 @@ func Solve(p *core.Problem, kind EngineKind) (*Result, error) {
 // full set of ASCEND passes, the natural preemption point of the simulated
 // machine), so deadlines stop a long simulation between rounds.
 func SolveCtx(ctx context.Context, p *core.Problem, kind EngineKind) (*Result, error) {
-	return SolveCheckpointedCtx(ctx, p, kind, nil, nil)
+	return SolveOpts(ctx, p, kind, Options{})
 }
 
 // Options bundles the optional plumbing of a parallel solve.
 type Options struct {
-	// Frontier resumes from a restored level frontier.
-	Frontier *core.Frontier
-	// Checkpointer fires after every completed round j < K.
-	Checkpointer core.Checkpointer
 	// Verify enables the ABFT layer (abft.go): a host-side shadow DP checks
 	// the machine's full architectural state at every round barrier, repairs
 	// one transient corruption per round by rebuilding the machine from the
@@ -148,22 +144,8 @@ type Options struct {
 	Verify bool
 }
 
-// SolveCheckpointedCtx is SolveCtx with level-barrier resume plumbing. A non-nil
-// frontier skips rounds 1..f.Level by restoring the machine state those
-// rounds would have produced — the M and MI planes for every completed group
-// (MI recomputed from the frontier's C with core.Kernel) and the #S = f.Level
-// group mark; everything else (p(S), TP, the R/Q scratch) is recomputed, so
-// the restored machine is indistinguishable from one that ran the skipped
-// rounds. A non-nil ck fires after every round j < k with the C plane
-// extracted from the machine. Results are bit-identical to an uninterrupted
-// run.
-func SolveCheckpointedCtx(ctx context.Context, p *core.Problem, kind EngineKind, f *core.Frontier, ck core.Checkpointer) (*Result, error) {
-	return SolveOpts(ctx, p, kind, Options{Frontier: f, Checkpointer: ck})
-}
-
 // SolveOpts runs the parallel algorithm with the full option set.
 func SolveOpts(ctx context.Context, p *core.Problem, kind EngineKind, opt Options) (*Result, error) {
-	f, ck := opt.Frontier, opt.Checkpointer
 	kn, err := core.Compile(p)
 	if err != nil {
 		return nil, err
@@ -172,11 +154,6 @@ func SolveOpts(ctx context.Context, p *core.Problem, kind EngineKind, opt Option
 		return nil, err
 	}
 	k := p.K
-	if f != nil {
-		if err := f.Validate(k); err != nil {
-			return nil, err
-		}
-	}
 	logN := 1
 	for 1<<uint(logN) < len(p.Actions) {
 		logN++
@@ -263,40 +240,9 @@ func SolveOpts(ctx context.Context, p *core.Problem, kind EngineKind, opt Option
 		c.TP = core.SatMul(actions[addr&iMask].Cost, c.PS)
 	})
 
-	startRound := 1
-	var fChoice []int32
-	if f != nil {
-		// Restore the machine to its state after round f.Level: every PE of a
-		// completed group (#S <= f.Level) holds C(S) and its argmin — the
-		// min-reduce of step (5) is an all-reduce over the action dimensions,
-		// so the whole group agrees — and the group mark is the #S = f.Level
-		// predicate the next first-kind propagation advances from. The
-		// argmins are the lowest-index minimizers the skipped rounds would
-		// have left, recomputed from the frontier.
-		fChoice = make([]int32, len(f.C))
-		for s := range fChoice {
-			fChoice[s] = -1
-			if s != 0 && popcount(s) <= f.Level {
-				_, fChoice[s] = kn.Cell(f.C, core.Set(s))
-			}
-		}
-		local(eng, res, func(addr int, c *Cell) {
-			s := addr >> uint(logN)
-			pc := popcount(s)
-			if pc <= f.Level {
-				c.M, c.MI = f.C[s], fChoice[s]
-			}
-			c.Mark = pc == f.Level
-		})
-		startRound = f.Level + 1
-	}
-
 	var ab *abft
 	if opt.Verify {
 		ab = newABFT(kn, p, actions, logN)
-		if f != nil {
-			ab.seed(f, fChoice)
-		}
 	}
 
 	// runRound executes one complete round j (steps 1–5). It is re-runnable:
@@ -384,9 +330,9 @@ func SolveOpts(ctx context.Context, p *core.Problem, kind EngineKind, opt Option
 	}
 
 	// repair rebuilds the machine from the ABFT mirror as if round j-1 had
-	// just completed — the same reconstruction a frontier restore performs,
-	// extended to every recomputable plane (PS, TP, scratch), so only a fault
-	// that re-asserts itself during the re-run can survive.
+	// just completed — the M/MI planes and group mark of every group, and
+	// every recomputable plane (PS, TP, scratch) — so only a fault that
+	// re-asserts itself during the re-run can survive.
 	repair := func(j int) {
 		local(eng, res, func(addr int, c *Cell) {
 			s := addr >> uint(logN)
@@ -404,7 +350,7 @@ func SolveOpts(ctx context.Context, p *core.Problem, kind EngineKind, opt Option
 		})
 	}
 
-	for j := startRound; j <= k; j++ {
+	for j := 1; j <= k; j++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -424,12 +370,6 @@ func SolveOpts(ctx context.Context, p *core.Problem, kind EngineKind, opt Option
 					return nil, &certify.LevelError{Engine: kind.String(), Level: j, Report: rep}
 				}
 				res.Repairs++
-			}
-		}
-		if ck != nil && j < k {
-			c, _ := extractPlanes(eng, k, logN)
-			if err := ck.CheckpointLevel(j, &core.Solution{C: c}); err != nil {
-				return nil, fmt.Errorf("parttsolve: checkpoint at level %d: %w", j, err)
 			}
 		}
 	}

@@ -138,29 +138,23 @@ func certifySeed(hash string) int64 {
 	return int64(s)
 }
 
-// levelPause returns the chaos LevelDelay hook as a core.Checkpointer that
-// pauses at every level barrier, or nil when no delay is configured.
-func (s *Server) levelPause(ctx context.Context) core.Checkpointer {
-	if s.cfg.LevelDelay <= 0 {
+// levelPause returns the chaos LevelDelay hook: a progress hook that pauses
+// at every level barrier of an exact solve, or nil when no delay is
+// configured. The pause ends early, aborting the solve, when the solve's
+// context does.
+func (s *Server) levelPause(ctx context.Context) core.Progress {
+	delay := s.cfg.LevelDelay
+	if delay <= 0 {
 		return nil
 	}
-	return &delayCk{ctx: ctx, delay: s.cfg.LevelDelay}
-}
-
-// delayCk is the chaos harness's artificial per-level slowness. The pause
-// ends early, aborting the solve, when the solve's context does.
-type delayCk struct {
-	ctx   context.Context
-	delay time.Duration
-}
-
-func (d *delayCk) CheckpointLevel(int, *core.Solution) error {
-	t := time.NewTimer(d.delay)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-d.ctx.Done():
-		return d.ctx.Err()
+	return func(uint64, uint64) error {
+		t := time.NewTimer(delay)
+		defer t.Stop()
+		select {
+		case <-t.C:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
@@ -167,6 +168,32 @@ func TestShedRetryAfter(t *testing.T) {
 	}
 	if s.metrics.RejectDraining.Load() != 1 {
 		t.Fatalf("reject_draining = %d, want 1", s.metrics.RejectDraining.Load())
+	}
+}
+
+// TestLevelDelaySkipsBatchGroups: the chaos LevelDelay pauses single exact
+// solves only. core.SolveBatchCtx takes no progress hook, so under an
+// hour-long delay a batch — a group of three and a group of one — is still
+// answered by the batch path, while a single solve is held until its
+// deadline.
+func TestLevelDelaySkipsBatchGroups(t *testing.T) {
+	_, ts := newTestServer(t, Config{LevelDelay: time.Hour})
+	group := sameLatticeVariants(rand.New(rand.NewSource(3)), workload.MedicalDiagnosis(3, 6), 3)
+	batch := append(group, workload.BinaryTestingUniform(6, 5))
+	br, status := postBatch(t, ts, "?timeout_ms=10000", batchJSON(t, batch))
+	if status != http.StatusOK {
+		t.Fatalf("batch status %d", status)
+	}
+	if br.Groups != 2 || br.Fallbacks != 0 {
+		t.Fatalf("groups %d fallbacks %d, want 2 groups and no fallback", br.Groups, br.Fallbacks)
+	}
+	for i, it := range br.Items {
+		if it.SolvedBy != "batch" || it.Error != "" {
+			t.Fatalf("instance %d: solved_by %q error %q, want batch", i, it.SolvedBy, it.Error)
+		}
+	}
+	if _, status := postSolve(t, ts, "?timeout_ms=50", instanceJSON(t, workload.MedicalDiagnosis(4, 6))); status != http.StatusGatewayTimeout {
+		t.Fatalf("single solve under the delay: status %d, want 504", status)
 	}
 }
 
