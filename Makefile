@@ -63,7 +63,7 @@ bench-json:
 # panic on any geometry, or a certifier regression) fails CI fast.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkExecPerRoute|BenchmarkExecStriped|BenchmarkApply3|BenchmarkE3CycleID|BenchmarkCertifyOverhead|BenchmarkSolveDP|BenchmarkSolveBatch|BenchmarkRouteStep' -benchtime 1x ./internal/bvm ./internal/bitvec ./internal/policy .
-	$(GO) test -run '^$$' -bench 'BenchmarkReadInstance|BenchmarkSolveHit' -benchtime 1x ./internal/instio ./internal/serve
+	$(GO) test -run '^$$' -bench 'BenchmarkReadInstance|BenchmarkSolveHit|BenchmarkSolveParallelK16' -benchtime 1x ./internal/instio ./internal/serve ./internal/core
 
 # Regression gate against the committed baseline: rerun the suite, render it
 # to JSON, and diff against BENCH_bvm.json. The threshold is generous (CI

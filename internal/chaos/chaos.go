@@ -18,7 +18,7 @@ import (
 )
 
 // ErrKilled is the error a Kill hook aborts a solve with: the moral
-// equivalent of SIGKILL between two level barriers. Nothing of the solve
+// equivalent of SIGKILL between two progress reports. Nothing of the solve
 // survives it, so the next solve of the instance starts from scratch.
 var ErrKilled = errors.New("chaos: killed mid-solve")
 

@@ -64,20 +64,27 @@ func TestSolveCheckpointedMatchesSolve(t *testing.T) {
 	}
 }
 
-// TestProgressReports pins what the hook sees: K−1 reports, one per level
-// barrier but the last, whatever the range count; done strictly increasing
-// and equal to Σ_{1≤i≤j} C(K,i) after level j; total always 2^K−1.
+// TestProgressReports pins what the hook sees: K−1 reports whatever the
+// range count, done strictly increasing, total always 2^K−1. A one-range
+// sweep visits sets in numeric order and reports done = 2^j−1 for
+// j = 1..K−1; a multi-range sweep reports at each level barrier but the
+// last, done = Σ_{1≤i≤j} C(K,i) after level j.
 func TestProgressReports(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, k := range []int{1, 2, 6, 9} {
 		p := randomProblem(rng, k, 7)
-		var want []report
+		var numeric, levels []report
 		done, total := uint64(0), uint64(1)<<uint(k)-1
 		for j := 1; j < k; j++ {
+			numeric = append(numeric, report{uint64(1)<<uint(j) - 1, total})
 			done += binomial(k, j)
-			want = append(want, report{done, total})
+			levels = append(levels, report{done, total})
 		}
 		for _, ranges := range []int{1, 2, 4} {
+			want := levels
+			if ranges == 1 {
+				want = numeric
+			}
 			var got []report
 			sol, err := SolveParallelPooledCtx(context.Background(), p, ranges, nil, nil, recordProgress(&got, 0))
 			if err != nil {

@@ -32,26 +32,29 @@ type Solution struct {
 }
 
 // Solve runs the backward-induction dynamic program (the paper's sequential
-// baseline, after Garey) level by level in popcount order: every C(S) at
-// level j reads only strictly smaller sets, which earlier levels finished.
-// Time O(N·2^K), space one 2^K cost plane.
+// baseline, after Garey) in numeric order, s = 1..2^K−1: every C(S) reads
+// only proper subsets of S, which are numerically smaller and so already
+// final. Time O(N·2^K), space one 2^K cost plane.
 func Solve(p *Problem) (*Solution, error) {
 	return SolveCtx(context.Background(), p)
 }
 
 // SolveCtx is Solve with cancellation: the context is polled every ctxStride
-// subsets and at every level barrier, so a deadline or client disconnect
-// stops the O(N·2^K) sweep promptly. On cancellation the context's error is
-// returned and the partial table is discarded.
+// subsets, so a deadline or client disconnect stops the O(N·2^K) sweep
+// promptly. On cancellation the context's error is returned and the partial
+// table is discarded.
 func SolveCtx(ctx context.Context, p *Problem) (*Solution, error) {
 	return solve(ctx, p, 1, nil, nil)
 }
 
-// Progress is a sweep's progress hook. The sweep calls it at every level
-// barrier but the last, on the goroutine that called the solver, with the
-// number of nonempty subsets whose cost is final (done) out of 2^K−1
-// (total); it never sees the cost plane. An error from it aborts the solve,
-// which returns the error wrapped and no Solution.
+// Progress is a sweep's progress hook. The sweep calls it K−1 times, on the
+// goroutine that called the solver, with the number of nonempty subsets
+// whose cost is final (done, strictly increasing) out of 2^K−1 (total); it
+// never sees the cost plane. A one-range sweep, which visits sets in numeric
+// order, reports done = 2^j−1 for j = 1..K−1, once every subset of the first
+// j objects is final. A multi-range sweep reports at each popcount level
+// barrier but the last, done = Σ_{1≤i≤j} C(K,i). An error from the hook
+// aborts the solve, which returns the error wrapped and no Solution.
 type Progress func(done, total uint64) error
 
 // noFrontier is the type of the slot where SolveCheckpointedCtx and
@@ -69,13 +72,14 @@ func SolveCheckpointedCtx(ctx context.Context, p *Problem, _ *noFrontier, progre
 	return solve(ctx, p, 1, nil, progress)
 }
 
-// SolveParallelPooledCtx is SolveCtx with each level split into up to
-// `workers` Gosper rank ranges run on a stripe pool — the natural way to run
-// the backward induction on shared-memory hardware (the paper's machine is
-// internal/parttsolve). `workers` <= 0 selects GOMAXPROCS; it sets the unit
-// of load balancing, not how many goroutines exist, so concurrent solves
-// share one bounded worker set. A level too small to repay the pool's
-// hand-off runs inline as one range. A nil pool selects the process-wide
+// SolveParallelPooledCtx is SolveCtx with each popcount level split into up
+// to `workers` Gosper rank ranges run on a stripe pool — the natural way to
+// run the backward induction on shared-memory hardware (the paper's machine
+// is internal/parttsolve). `workers` <= 0 selects GOMAXPROCS; it sets the
+// unit of load balancing, not how many goroutines exist, so concurrent
+// solves share one bounded worker set. A level too small to repay the pool's
+// hand-off runs inline as one range, and `workers` == 1 runs SolveCtx's
+// numeric-order sweep. A nil pool selects the process-wide
 // one. A panic in any range is recovered and returned as an error. Results
 // are bit-identical to Solve for every worker count. The fifth argument must
 // be nil (see noFrontier); a non-nil progress hook is called as Progress
@@ -98,8 +102,9 @@ func poolWidth(workers int, pool *stripe.Pool) (int, *stripe.Pool) {
 }
 
 // solve is the one G=1 sweep behind every exact entry point: the problem
-// compiled once, and a pooled cost plane filled by Kernel.Cost under the
-// level driver.
+// compiled once, and a pooled cost plane filled by Kernel.Cost, in numeric
+// order when the solve has one range and under the level driver when it has
+// more.
 func solve(ctx context.Context, p *Problem, ranges int, pool *stripe.Pool, progress Progress) (*Solution, error) {
 	kn, err := compile(p)
 	if err != nil {
@@ -112,12 +117,17 @@ func solve(ctx context.Context, p *Problem, ranges int, pool *stripe.Pool, progr
 	sol := &Solution{C: getU64(p.K), Ops: int64(size-1) * int64(len(p.Actions)+1)}
 	c := sol.C
 	// The pooled plane comes back dirty. C(∅) is the only cell read before
-	// the sweep writes it; every other cell is written at its own level,
-	// before any superset reads it.
+	// the sweep writes it; every other cell is written before any superset
+	// reads it.
 	c[0] = 0
-	d := &sweep{k: p.K, ranges: ranges, work: len(p.Actions), pool: pool, progress: progress,
-		visit: func(_ int, s Set) { c[s] = kn.Cost(c, s) }}
-	if err := d.run(ctx); err != nil {
+	if ranges <= 1 {
+		err = sweepOne(ctx, kn, c, p.K, progress)
+	} else {
+		d := &sweep{k: p.K, ranges: ranges, work: len(p.Actions), pool: pool, progress: progress,
+			visit: func(_ int, s Set) { c[s] = kn.Cost(c, s) }}
+		err = d.run(ctx)
+	}
+	if err != nil {
 		sol.Release()
 		return nil, err
 	}

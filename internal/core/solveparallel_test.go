@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"os"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -271,33 +272,41 @@ func TestSolveParallelCtxCancellation(t *testing.T) {
 // TestSolveParallelWorkerPanicPropagates injects a panic into one worker's
 // range via the test hook: the pool must shut down and surface the panic as
 // an error instead of deadlocking the level barrier (wg.Done was unreachable
-// before the recover fix).
+// before the recover fix). At one range the hook fires once, at the start of
+// the one-range sweep, and the panic must come back as the same error.
 func TestSolveParallelWorkerPanicPropagates(t *testing.T) {
-	var fired atomic.Bool
-	sweepRangeHook = func(start Set) {
-		if start.Size() == 2 && fired.CompareAndSwap(false, true) {
-			panic("injected fault") // blow up somewhere mid-DP, not level 1
-		}
-	}
 	defer func() { sweepRangeHook = nil }()
-
 	rng := rand.New(rand.NewSource(65))
 	p := randomProblem(rng, 10, 8)
-	done := make(chan error, 1)
-	go func() {
-		_, err := SolveParallelPooledCtx(context.Background(), p, 4, nil, nil, nil)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "panicked") {
-			t.Fatalf("err = %v, want worker-panicked error", err)
+	for _, tc := range []struct {
+		ranges int
+		size   int // popcount of the range start that panics
+	}{
+		{4, 2}, // blow up somewhere mid-DP, not level 1
+		{1, 1}, // the one-range sweep's only hook call
+	} {
+		var fired atomic.Bool
+		sweepRangeHook = func(start Set) {
+			if start.Size() == tc.size && fired.CompareAndSwap(false, true) {
+				panic("injected fault")
+			}
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("SolveParallel deadlocked after a worker panic")
-	}
-	if !fired.Load() {
-		t.Fatal("fault never injected")
+		done := make(chan error, 1)
+		go func() {
+			_, err := SolveParallelPooledCtx(context.Background(), p, tc.ranges, nil, nil, nil)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "panicked") {
+				t.Fatalf("ranges=%d: err = %v, want worker-panicked error", tc.ranges, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("ranges=%d: SolveParallel deadlocked after a worker panic", tc.ranges)
+		}
+		if !fired.Load() {
+			t.Fatalf("ranges=%d: fault never injected", tc.ranges)
+		}
 	}
 }
 
@@ -355,11 +364,15 @@ func TestStatsErrors(t *testing.T) {
 	}
 }
 
+// BenchmarkSolveParallelK16 runs the multi-range level driver: at least two
+// ranges per level, so that it does not fall to the one-range sweep on a
+// single-CPU host.
 func BenchmarkSolveParallelK16(b *testing.B) {
 	p := randomProblem(rand.New(rand.NewSource(62)), 16, 32)
+	workers := max(2, runtime.GOMAXPROCS(0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveParallelPooledCtx(context.Background(), p, 0, nil, nil, nil); err != nil {
+		if _, err := SolveParallelPooledCtx(context.Background(), p, workers, nil, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,9 +15,10 @@ import (
 const ctxStride = 1 << 12
 
 // sweepRangeHook, when non-nil, is called at the start of every Gosper range
-// the level driver runs. Test-only: it lets the fault-injection tests panic
-// inside a worker and prove the sweep fails cleanly instead of deadlocking,
-// and lets the range-rule tests count the ranges of each level.
+// the level driver runs, and once, with the set {0}, at the start of the
+// one-range sweep. Test-only: it lets the fault-injection tests panic inside
+// a worker and prove the sweep fails cleanly instead of deadlocking, and lets
+// the range-rule tests count the ranges of each level.
 var sweepRangeHook func(start Set)
 
 // minRangeEvals is the least work, in (set, action, instance) evaluations,
@@ -29,17 +30,55 @@ var sweepRangeHook func(start Set)
 // split every level.
 var minRangeEvals uint64 = 1 << 12
 
-// sweep is the level driver every DP sweep runs under. Subsets are visited
-// level by level in popcount order: every C(S) at level j depends only on
-// strictly smaller sets, so the sets of one level are independent. No level
-// is materialized: each is cut into equal rank ranges of the Gosper sequence
-// (numeric order within a popcount), whose starts come from combinadic
-// unranking, and each range streams through its sets with Gosper's hack.
+// sweepOne is the exact sweep of a solve with one range: Garey's backward
+// induction in numeric order, s = 1..2^K−1, one direct Kernel.Cost call per
+// set. It needs no level driver, because every proper subset of S is
+// numerically smaller than S. The sets below 2^j are the subsets of the
+// first j objects, so all of them are final once s reaches 2^j−1; the
+// progress hook runs there, for j = 1..K−1, as often as the level driver
+// runs it. Numeric order beat Gosper levels visited inline on three of the
+// four domains (EXPERIMENTS.md, "One-range sweep"). It polls ctx every
+// ctxStride sets and returns a panic as the level driver does.
+func sweepOne(ctx context.Context, kn Kernel, c []uint64, k int, progress Progress) (err error) {
+	defer func() {
+		if x := recover(); x != nil {
+			err = fmt.Errorf("core: solver worker panicked: %v", x)
+		}
+	}()
+	if h := sweepRangeHook; h != nil {
+		h(1)
+	}
+	all := uint64(1)<<uint(k) - 1
+	for hi := uint64(2); hi <= all+1; hi <<= 1 {
+		for lo := hi / 2; lo < hi; lo += ctxStride {
+			for s := lo; s < min(lo+ctxStride, hi); s++ {
+				c[s] = kn.Cost(c, Set(s))
+			}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if progress != nil && hi-1 < all {
+			if err := progress(hi-1, all); err != nil {
+				return fmt.Errorf("core: progress hook at %d of %d sets: %w", hi-1, all, err)
+			}
+		}
+	}
+	return nil
+}
+
+// sweep is the level driver that multi-range solves and the G > 1 batch
+// loop run under. Subsets are visited level by level in popcount order:
+// every C(S) at level j depends only on strictly smaller sets, so the sets
+// of one level are independent. No level is materialized: each is cut into
+// equal rank ranges of the Gosper sequence (numeric order within a
+// popcount), whose starts come from combinadic unranking, and each range
+// streams through its sets with Gosper's hack.
 type sweep struct {
 	k      int
-	ranges int          // most Gosper rank ranges per level
-	work   int          // evaluations per set: actions × instances
-	pool   *stripe.Pool // nil: ranges run inline, in order
+	ranges int // most Gosper rank ranges per level
+	work   int // evaluations per set: actions × instances
+	pool   *stripe.Pool
 	// visit fills one subset's table entries; r is the index of the range
 	// it belongs to, so a visitor can keep per-range scratch.
 	visit func(r int, s Set)
@@ -81,7 +120,7 @@ func (d *sweep) run(ctx context.Context) error {
 		for lo := uint64(0); lo < total; lo += chunk {
 			rs = append(rs, gosperRange{start: nthSubset(lo, level), count: min(chunk, total-lo)})
 		}
-		if d.pool != nil && len(rs) > 1 {
+		if len(rs) > 1 {
 			// Run is the level barrier: level j+1 reads level j's values
 			// only after every range of level j has finished.
 			d.pool.Run(len(rs), func(i int) { d.walk(ctx, i, rs[i]) })

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -313,15 +312,16 @@ func TestLookupAndNames(t *testing.T) {
 	}
 }
 
+// TestRunAllProducesEverySection: the report has a section for every
+// experiment. It reads the same sweep as TestReportMatchesGolden.
 func TestRunAllProducesEverySection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep in -short mode")
 	}
-	var buf bytes.Buffer
-	if err := RunAll(&buf); err != nil {
+	out, err := maskedReport()
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
 	for _, e := range All() {
 		if !strings.Contains(out, "== "+e.ID+" ") {
 			t.Errorf("RunAll output missing section %s", e.ID)

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -81,36 +82,35 @@ var timedTables = map[string]struct {
 	"A4": {AblationEngines, []string{"lockstep", "goroutines", "ratio"}},
 }
 
-// maskedReport renders every experiment of All() as RunAll does, with the
-// columns of timedTables replaced by "*".
-func maskedReport() (string, error) {
-	var sb strings.Builder
-	for _, e := range All() {
-		timed, ok := timedTables[e.ID]
-		if !ok {
-			if err := e.Run(&sb); err != nil {
-				return "", err
-			}
-			sb.WriteString("\n")
-			continue
+// maskedReport is RunAll's output with the columns of timedTables replaced
+// by "*". It runs the full sweep once per test binary, and both
+// TestRunAllProducesEverySection and TestReportMatchesGolden read it.
+var maskedReport = sync.OnceValues(func() (string, error) {
+	exps := All()
+	for i, e := range exps {
+		if timed, ok := timedTables[e.ID]; ok {
+			exps[i] = tableExp(e.ID, e.Name, func() (*Table, error) {
+				t, err := timed.gen()
+				if err != nil {
+					return nil, err
+				}
+				for _, name := range timed.cols {
+					c := slices.Index(t.Header, name)
+					if c < 0 {
+						return nil, fmt.Errorf("%s has no column %q to mask", e.ID, name)
+					}
+					for _, row := range t.Rows {
+						row[c] = "*"
+					}
+				}
+				return t, nil
+			})
 		}
-		t, err := timed.gen()
-		if err != nil {
-			return "", err
-		}
-		for _, name := range timed.cols {
-			i := slices.Index(t.Header, name)
-			if i < 0 {
-				return "", fmt.Errorf("%s has no column %q to mask", e.ID, name)
-			}
-			for _, row := range t.Rows {
-				row[i] = "*"
-			}
-		}
-		sb.WriteString(t.Render() + "\n")
 	}
-	return sb.String(), nil
-}
+	var sb strings.Builder
+	err := runAll(&sb, exps)
+	return sb.String(), err
+})
 
 // TestReportMatchesGolden pins the full reproduction report (ttbench -run
 // all, which docs/report.txt records) with its host timings masked: every

@@ -88,8 +88,11 @@ func Names() []string {
 }
 
 // RunAll executes every experiment, writing each section to w.
-func RunAll(w io.Writer) error {
-	for _, e := range All() {
+func RunAll(w io.Writer) error { return runAll(w, All()) }
+
+// runAll runs exps in order, each section followed by a blank line.
+func runAll(w io.Writer, exps []Experiment) error {
+	for _, e := range exps {
 		if err := e.Run(w); err != nil {
 			return fmt.Errorf("experiments: %s (%s): %w", e.ID, e.Name, err)
 		}

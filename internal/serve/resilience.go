@@ -139,7 +139,7 @@ func certifySeed(hash string) int64 {
 }
 
 // levelPause returns the chaos LevelDelay hook: a progress hook that pauses
-// at every level barrier of an exact solve, or nil when no delay is
+// at each of an exact solve's K−1 progress reports, or nil when no delay is
 // configured. The pause ends early, aborting the solve, when the solve's
 // context does.
 func (s *Server) levelPause(ctx context.Context) core.Progress {

@@ -90,7 +90,7 @@ type Config struct {
 	// Both are keyed by rung: "exact" or "approx".
 	EngineFault func(rung string) error // called before each solve attempt; error or panic = engine fault
 	ResultFault func(rung string) bool  // true = silently corrupt this attempt's answer before certification
-	LevelDelay  time.Duration           // artificial pause at every level barrier of a single exact solve; batch groups never pause
+	LevelDelay  time.Duration           // artificial pause at each of the K−1 progress reports of a single exact solve; batch groups never pause
 }
 
 func (c Config) withDefaults() Config {
