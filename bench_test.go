@@ -173,14 +173,18 @@ func BenchmarkSolveReuse(b *testing.B) {
 }
 
 // BenchmarkSolveBatch — shared-lattice batching: G instances differing
-// only in costs and weights, solved one by one versus in a single
-// enumerate-once, re-price-per-instance sweep. The batched row pays the
-// enumeration (Gosper, S∩T_i/S−T_i, exclusions) once per group, but it
-// prices every action for every instance, while each solo sweep's
-// Kernel.Cost stops early in cost order. Solo is therefore the faster row:
-// on a 2-vCPU Xeon (go1.24.0, one worker), medians of 5 alternating runs,
-// batched took 21.1 ms against solo's 6.1 ms (ROADMAP, batch loop
-// verdict).
+// only in costs and weights (Random k = 14, G = 8), solved one by one and
+// through core.SolveBatch on one and on two workers. The batch path splits
+// the group into min(workers, G) shards that run the solo sweep, so at one
+// worker it matches the solo row and at two it runs two shards at once. On
+// a 2-vCPU Xeon (go1.24.0), medians [min, max] of 5 alternating runs
+// against the earlier enumerate-once, re-price-per-instance loop, which got
+// none of Kernel.Cost's early exits:
+//
+//	row             re-price loop         shards
+//	solo/G8          5.25 [5.02, 5.66]     4.94 [4.81, 5.41] ms
+//	batched/G8      20.38 [19.58, 25.83]   5.15 [4.82, 5.73] ms
+//	batched/G8/w2   14.12 [13.68, 15.10]   3.06 [2.93, 3.19] ms
 func BenchmarkSolveBatch(b *testing.B) {
 	const k, G = 14, 8
 	base := workload.Random(2, k, 16, 16)
@@ -207,17 +211,23 @@ func BenchmarkSolveBatch(b *testing.B) {
 			}
 		}
 	})
-	b.Run(fmt.Sprintf("batched/G%d", G), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sols, err := core.SolveBatch(group, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, s := range sols {
-				s.Release()
-			}
+	for _, workers := range []int{1, 2} {
+		name := fmt.Sprintf("batched/G%d", G)
+		if workers > 1 {
+			name += fmt.Sprintf("/w%d", workers)
 		}
-	})
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sols, err := core.SolveBatch(group, workers)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, s := range sols {
+					s.Release()
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkE10CCCAscend / BenchmarkE10HypercubeAscend — the slowdown pair on

@@ -18,7 +18,7 @@
 // Endpoints:
 //
 //	POST /v1/solve?timeout_ms=...&tree=1&approx=off|RATIO|DEADLINE
-//	POST /v1/solve/batch?timeout_ms=...&tree=1 — solve related instances together, amortizing shared-lattice enumeration (docs/SERVING.md)
+//	POST /v1/solve/batch?timeout_ms=...&tree=1 — solve related instances together, each shared-lattice group split across the pool (docs/SERVING.md)
 //	POST /v1/eval                     — price a stored policy under a weight vector
 //	POST /v1/policy                   — solve, certify, and publish a compiled route policy
 //	GET  /v1/policies                 — list resident policy versions

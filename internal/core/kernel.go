@@ -16,18 +16,18 @@ import (
 //     L(S) = Σ_{x∈S} w_x·τ_x, with τ_x the cost of the cheapest treatment
 //     containing x, comes from the same cache line; an object no treatment
 //     covers makes every floor entry that holds it Inf;
-//   - one 8-byte record per action, in action order: the action's set in
-//     bits 0..25, the treatment flag in bit 31, and its cost in the high
-//     word (Validate bounds costs by maxInput < 2^32). The loop never
-//     touches the 40-byte Action structs or their names;
+//   - one 8-byte record per action, in action order, for Cell: the
+//     action's set in bits 0..25, the treatment flag in bit 31, and its
+//     cost in the high word (Validate bounds costs by maxInput < 2^32).
+//     The loop never touches the 40-byte Action structs or their names;
 //   - the same records again, treatments first and then tests, each group
 //     stably sorted by cost, for Cost's early exits.
 //
-// The two loops serve different callers. Cost is for sweeps, which need
-// only C(S): it prices cheapest first and stops early. Cell is for argmins
-// (tree extraction, policies, Explain, and the parttsolve machine's ABFT
-// mirror, which audits choices): it prices every action in
-// index order so that ties go to the lowest index.
+// The two loops serve different callers. Cost is for sweeps, solo and
+// batched alike, which need only C(S): it prices cheapest first and stops
+// early. Cell is for argmins (tree extraction, policies, Explain, and the
+// parttsolve machine's ABFT mirror, which audits choices): it prices every
+// action in index order so that ties go to the lowest index.
 //
 // A Kernel is immutable after Compile and safe for concurrent use. It
 // aliases nothing in the Problem, so later edits to the Problem do not reach
@@ -132,10 +132,6 @@ func (kn Kernel) Weight(s Set) uint64 {
 	}
 	return sum
 }
-
-// records returns the action records in action order, the lattice that
-// SolveBatchCtx's G > 1 loop walks.
-func (kn Kernel) records() []uint64 { return kn.mem[kn.words : kn.words+kn.n] }
 
 // Cell evaluates the recurrence at one nonempty set s of the compiled
 // universe against a cost plane c whose entries are final for every proper

@@ -285,7 +285,7 @@ func FuzzKernelCell(f *testing.F) {
 	})
 }
 
-// TestKernelCostOrder pins the record copies: records() decodes to the
+// TestKernelCostOrder pins the record copies: the first decodes to the
 // actions in order, and the records Cost walks are a permutation of them,
 // treatments before tests, each group non-decreasing in cost with equal
 // costs in action order, and the tests starting at kn.nt. It compares them
@@ -304,7 +304,7 @@ func TestKernelCostOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := len(p.Actions)
-		byIndex := kn.records()
+		byIndex := kn.mem[kn.words : kn.words+n]
 		order := make([]int, n)
 		treatments := 0
 		for i, a := range p.Actions {

@@ -123,8 +123,8 @@ func solve(ctx context.Context, p *Problem, ranges int, pool *stripe.Pool, progr
 	if ranges <= 1 {
 		err = sweepOne(ctx, kn, c, p.K, progress)
 	} else {
-		d := &sweep{k: p.K, ranges: ranges, work: len(p.Actions), pool: pool, progress: progress,
-			visit: func(_ int, s Set) { c[s] = kn.Cost(c, s) }}
+		d := &sweep{k: p.K, ranges: ranges, actions: len(p.Actions), pool: pool, progress: progress,
+			visit: func(s Set) { c[s] = kn.Cost(c, s) }}
 		err = d.run(ctx)
 	}
 	if err != nil {

@@ -23,15 +23,15 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// levelRanges solves ps with at most `workers` ranges per level under the
+// levelRanges solves p with at most `workers` ranges per level under the
 // shipped floor and returns how many ranges each level ran.
-func levelRanges(t *testing.T, workers int, ps ...*Problem) []int64 {
+func levelRanges(t *testing.T, workers int, p *Problem) []int64 {
 	t.Helper()
-	counts := make([]atomic.Int64, ps[0].K+1)
+	counts := make([]atomic.Int64, p.K+1)
 	sweepRangeHook = func(start Set) { counts[start.Size()].Add(1) }
 	minRangeEvals = shippedMinRangeEvals
 	defer func() { sweepRangeHook, minRangeEvals = nil, 1 }()
-	if _, err := SolveBatchCtx(context.Background(), ps, workers, nil); err != nil {
+	if _, err := SolveParallelPooledCtx(context.Background(), p, workers, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]int64, len(counts))
@@ -42,9 +42,9 @@ func levelRanges(t *testing.T, workers int, ps ...*Problem) []int64 {
 }
 
 // TestSweepRangeRule pins the range floor: a level gets one range per
-// minRangeEvals of (set, action, instance) evaluations, capped at the
-// requested width, so small levels, small K and small batches run inline
-// while the wide middle levels of a large instance split.
+// minRangeEvals of (set, action) evaluations, capped at the requested width,
+// so small levels and small K run inline while the wide middle levels of a
+// large instance split.
 func TestSweepRangeRule(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	// K=12 with 30 actions: level 1 is 12×30 = 360 evaluations, one range;
@@ -64,16 +64,54 @@ func TestSweepRangeRule(t *testing.T) {
 			t.Errorf("K=6 level %d ran %d ranges, want 1", level+1, n)
 		}
 	}
-	// A batch counts every instance: K=10's level 5 is 252×30 = 7560
-	// evaluations alone (one range) and 30240 for four instances (capped at
-	// 4 ranges).
-	base := randomProblem(rng, 10, 29)
-	if got := levelRanges(t, 4, base)[5]; got != 1 {
-		t.Errorf("K=10 level 5 alone ran %d ranges, want 1", got)
+}
+
+// TestSolveBatchShards pins the shard rule: a group of G instances on
+// `workers` ranges runs min(workers, G) shards, each instance on
+// max(1, workers/G) ranges.
+func TestSolveBatchShards(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	base := randomProblem(rng, 8, 6)
+	group := func(G int) []*Problem {
+		ps := []*Problem{base}
+		for len(ps) < G {
+			ps = append(ps, repriced(rng, base))
+		}
+		return ps
 	}
-	group := []*Problem{base, repriced(rng, base), repriced(rng, base), repriced(rng, base)}
-	if got := levelRanges(t, 4, group...)[5]; got != 4 {
-		t.Errorf("K=10 level 5 of a 4-instance batch ran %d ranges, want 4", got)
+	// G=4 on 2 workers: four one-range sweeps, whose hook fires once each,
+	// with {0}, and no level driver.
+	var ones, others atomic.Int64
+	sweepRangeHook = func(start Set) {
+		if start == 1 {
+			ones.Add(1)
+		} else {
+			others.Add(1)
+		}
+	}
+	defer func() { sweepRangeHook = nil }()
+	if _, err := SolveBatchCtx(context.Background(), group(4), 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	if ones.Load() != 4 || others.Load() != 0 {
+		t.Errorf("G=4 at 2 workers: %d one-range sweeps and %d other range starts, want 4 and 0",
+			ones.Load(), others.Load())
+	}
+	// G=2 on 4 workers: each instance gets 2 ranges, so under the package
+	// tests' floor of one evaluation every level of both instances splits
+	// in two (level 8 holds one set and stays whole).
+	counts := make([]atomic.Int64, base.K+1)
+	sweepRangeHook = func(start Set) { counts[start.Size()].Add(1) }
+	if _, err := SolveBatchCtx(context.Background(), group(2), 4, nil); err != nil {
+		t.Fatal(err)
+	}
+	for level := 1; level < base.K; level++ {
+		if n := counts[level].Load(); n != 4 {
+			t.Errorf("G=2 at 4 workers: level %d ran %d ranges, want 2 per instance", level, n)
+		}
+	}
+	if n := counts[base.K].Load(); n != 2 {
+		t.Errorf("G=2 at 4 workers: level %d ran %d ranges, want 1 per instance", base.K, n)
 	}
 }
 
@@ -273,7 +311,8 @@ func TestSolveParallelCtxCancellation(t *testing.T) {
 // range via the test hook: the pool must shut down and surface the panic as
 // an error instead of deadlocking the level barrier (wg.Done was unreachable
 // before the recover fix). At one range the hook fires once, at the start of
-// the one-range sweep, and the panic must come back as the same error.
+// the one-range sweep, and the panic must come back as the same error; a
+// batch returns a panic in one instance's sweep the same way.
 func TestSolveParallelWorkerPanicPropagates(t *testing.T) {
 	defer func() { sweepRangeHook = nil }()
 	rng := rand.New(rand.NewSource(65))
@@ -307,6 +346,23 @@ func TestSolveParallelWorkerPanicPropagates(t *testing.T) {
 		if !fired.Load() {
 			t.Fatalf("ranges=%d: fault never injected", tc.ranges)
 		}
+	}
+
+	// A batch of two on one worker runs one shard, which sweeps the
+	// instances in turn: the hook's second call is the second instance's
+	// one-range sweep.
+	var calls atomic.Int64
+	sweepRangeHook = func(Set) {
+		if calls.Add(1) == 2 {
+			panic("injected fault")
+		}
+	}
+	_, err := SolveBatchCtx(context.Background(), []*Problem{p, repriced(rng, p)}, 1, nil)
+	if err == nil || !strings.Contains(err.Error(), "solver worker panicked") {
+		t.Fatalf("batch: err = %v, want worker-panicked error", err)
+	}
+	if calls.Load() != 2 {
+		t.Fatalf("batch: hook ran %d times, want 2", calls.Load())
 	}
 }
 

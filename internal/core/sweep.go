@@ -21,13 +21,13 @@ const ctxStride = 1 << 12
 // the range-rule tests count the ranges of each level.
 var sweepRangeHook func(start Set)
 
-// minRangeEvals is the least work, in (set, action, instance) evaluations,
-// that earns a Gosper range of its own: handing a range to the pool and
-// meeting it at the barrier costs about as much as this many evaluations, so
-// a smaller level runs inline as one range. It was chosen from the idle
-// one-range against two-range times in EXPERIMENTS.md ("Exact engine
-// verdict"). A variable only so that the package tests can lower it and
-// split every level.
+// minRangeEvals is the least work, in (set, action) evaluations, that earns
+// a Gosper range of its own: handing a range to the pool and meeting it at
+// the barrier costs about as much as this many evaluations, so a smaller
+// level runs inline as one range. It was chosen from the idle one-range
+// against two-range times in EXPERIMENTS.md ("Exact engine verdict"). A
+// variable only so that the package tests can lower it and split every
+// level.
 var minRangeEvals uint64 = 1 << 12
 
 // sweepOne is the exact sweep of a solve with one range: Garey's backward
@@ -67,21 +67,19 @@ func sweepOne(ctx context.Context, kn Kernel, c []uint64, k int, progress Progre
 	return nil
 }
 
-// sweep is the level driver that multi-range solves and the G > 1 batch
-// loop run under. Subsets are visited level by level in popcount order:
-// every C(S) at level j depends only on strictly smaller sets, so the sets
-// of one level are independent. No level is materialized: each is cut into
-// equal rank ranges of the Gosper sequence (numeric order within a
-// popcount), whose starts come from combinadic unranking, and each range
-// streams through its sets with Gosper's hack.
+// sweep is the level driver that multi-range solves run under. Subsets are
+// visited level by level in popcount order: every C(S) at level j depends
+// only on strictly smaller sets, so the sets of one level are independent.
+// No level is materialized: each is cut into equal rank ranges of the
+// Gosper sequence (numeric order within a popcount), whose starts come from
+// combinadic unranking, and each range streams through its sets with
+// Gosper's hack.
 type sweep struct {
-	k      int
-	ranges int // most Gosper rank ranges per level
-	work   int // evaluations per set: actions × instances
-	pool   *stripe.Pool
-	// visit fills one subset's table entries; r is the index of the range
-	// it belongs to, so a visitor can keep per-range scratch.
-	visit func(r int, s Set)
+	k       int
+	ranges  int // most Gosper rank ranges per level
+	actions int // evaluations per set
+	pool    *stripe.Pool
+	visit   func(s Set) // fills one subset's cost
 	// progress, when non-nil, runs at each level barrier but the last.
 	progress Progress
 
@@ -114,7 +112,7 @@ func (d *sweep) run(ctx context.Context) error {
 	done, all := uint64(0), uint64(1)<<uint(d.k)-1
 	for level := 1; level <= d.k; level++ {
 		total := binomial(d.k, level)
-		n := min(uint64(d.ranges), max(1, total*uint64(d.work)/minRangeEvals))
+		n := min(uint64(d.ranges), max(1, total*uint64(d.actions)/minRangeEvals))
 		chunk := (total + n - 1) / n
 		rs = rs[:0]
 		for lo := uint64(0); lo < total; lo += chunk {
@@ -123,11 +121,9 @@ func (d *sweep) run(ctx context.Context) error {
 		if len(rs) > 1 {
 			// Run is the level barrier: level j+1 reads level j's values
 			// only after every range of level j has finished.
-			d.pool.Run(len(rs), func(i int) { d.walk(ctx, i, rs[i]) })
+			d.pool.Run(len(rs), func(i int) { d.walk(ctx, rs[i]) })
 		} else {
-			for i, r := range rs {
-				d.walk(ctx, i, r)
-			}
+			d.walk(ctx, rs[0])
 		}
 		if d.failed.Load() {
 			return d.err
@@ -146,7 +142,7 @@ func (d *sweep) run(ctx context.Context) error {
 }
 
 // walk visits every set of one range.
-func (d *sweep) walk(ctx context.Context, i int, rg gosperRange) {
+func (d *sweep) walk(ctx context.Context, rg gosperRange) {
 	defer func() {
 		if x := recover(); x != nil {
 			d.fail(fmt.Errorf("core: solver worker panicked: %v", x))
@@ -169,7 +165,7 @@ func (d *sweep) walk(ctx context.Context, i int, rg gosperRange) {
 				return
 			}
 		}
-		d.visit(i, Set(v))
+		d.visit(Set(v))
 		// Gosper: next higher number with the same popcount.
 		c := v & -v
 		r := v + c

@@ -15,30 +15,29 @@ import (
 	"repro/internal/instio"
 )
 
-// POST /v1/solve/batch: solve several related instances in one request,
-// amortizing the exponential enumeration across instances that share a subset
-// lattice (same K, same per-index (Set, Treatment) after canonicalization —
-// the "re-priced" workloads of the paper's applications: yesterday's
-// diagnosis instance under today's prevalences, the same breakdown structure
-// under new repair quotes).
+// POST /v1/solve/batch: solve several related instances in one request. The
+// typical batch shares a subset lattice (same K, same per-index (Set,
+// Treatment) after canonicalization — the "re-priced" workloads of the
+// paper's applications: yesterday's diagnosis instance under today's
+// prevalences, the same breakdown structure under new repair quotes).
 //
 // The handler admits every instance individually under the same K/action
 // budget as /v1/solve, serves cache hits without solving, groups the misses
 // by an order-normalized lattice hash, and runs each group through
-// core.SolveBatchCtx — one Gosper sweep, re-priced per instance. Every
-// instance's answer is certified independently before it enters the shared
-// LRU (the same certify-before-cache contract as /v1/solve); an instance
-// whose group solve or certification fails falls back to the per-instance
-// resilient path rather than failing the batch. Batch solves bypass the
-// singleflight map (the group itself is the coalescing mechanism) but
-// populate the same cache, so follow-up /v1/solve requests for any member
-// hit.
+// core.SolveBatchCtx, which splits the group's instances across the stripe
+// pool and solves each with the solo exact sweep. Every instance's answer
+// is certified independently before it enters the shared LRU (the same
+// certify-before-cache contract as /v1/solve); an instance whose group
+// solve or certification fails falls back to the per-instance resilient
+// path rather than failing the batch. Batch solves bypass the singleflight
+// map (the group itself is the coalescing mechanism) but populate the same
+// cache, so follow-up /v1/solve requests for any member hit.
 //
 // Admission accounting: one batch request occupies one solver slot (and one
-// MaxPending unit) for its whole duration — the group sweep already
-// parallelizes internally over the stripe pool, with as many ranges per
-// level as a solo solve would get, so letting each group grab its own slot
-// would double-count the same CPUs.
+// MaxPending unit) for its whole duration — the group solve already
+// parallelizes internally over the stripe pool, on as many ranges as a solo
+// solve would get, so letting each group grab its own slot would
+// double-count the same CPUs.
 
 // BatchItem is one instance's slice of the /v1/solve/batch reply.
 type BatchItem struct {
@@ -57,7 +56,7 @@ type BatchItem struct {
 type BatchResponse struct {
 	Instances   int         `json:"instances"`
 	Groups      int         `json:"groups"`       // shared-lattice groups actually batch-solved
-	Repriced    int         `json:"repriced"`     // instances that rode another instance's enumeration
+	Repriced    int         `json:"repriced"`     // batch-solved instances beyond each group's first
 	CacheHits   int         `json:"cache_hits"`   //
 	Fallbacks   int         `json:"fallbacks"`    // instances solved per-instance after a group/certify failure
 	CertifyMode string      `json:"certify_mode"` //
@@ -135,8 +134,8 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
-	// The batch path is exact-only (shared-lattice re-pricing has no
-	// approximate variant), so its 422s carry no approx hint.
+	// The batch path is exact-only (the group solve has no approximate
+	// variant), so its 422s carry no approx hint.
 	if len(ps) > s.cfg.MaxBatch {
 		s.rejectOversize(w, &oversizeError{budget: "batch", limit: s.cfg.MaxBatch, got: len(ps),
 			msg: fmt.Sprintf("%v: %d instances > max batch %d", errOversize, len(ps), s.cfg.MaxBatch)}, nil)
@@ -219,12 +218,11 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// solveBatchGroup solves one shared-lattice group with the enumerate-once
-// sweep, certifies and caches each instance's answer independently, and
-// falls back to the per-instance resilient path for any instance the group
-// could not deliver. It returns the number of instances that were priced by
-// riding the group's shared enumeration (group size − 1 on success, 0 when
-// the whole group fell back).
+// solveBatchGroup solves one shared-lattice group with core.SolveBatchCtx,
+// certifies and caches each instance's answer independently, and falls back
+// to the per-instance resilient path for any instance the group could not
+// deliver. It returns the group's repriced count (group size − 1 on
+// success, 0 when the whole group fell back).
 func (s *Server) solveBatchGroup(ctx context.Context, gi int, idxs []int, canons []*core.Problem, items []BatchItem, wantTree bool) (repriced int) {
 	group := make([]*core.Problem, len(idxs))
 	for j, i := range idxs {

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/instio"
@@ -16,18 +18,20 @@ import (
 // are positional (weight j belongs to object j) and are left untouched.
 func Canonicalize(p *core.Problem) *core.Problem {
 	c := p.Clone()
-	sort.SliceStable(c.Actions, func(i, j int) bool {
-		a, b := c.Actions[i], c.Actions[j]
-		if a.Set != b.Set {
-			return a.Set < b.Set
+	slices.SortStableFunc(c.Actions, func(a, b core.Action) int {
+		if r := cmp.Compare(a.Set, b.Set); r != 0 {
+			return r
 		}
 		if a.Treatment != b.Treatment {
-			return !a.Treatment // tests before treatments
+			if a.Treatment {
+				return 1 // tests before treatments
+			}
+			return -1
 		}
-		if a.Cost != b.Cost {
-			return a.Cost < b.Cost
+		if r := cmp.Compare(a.Cost, b.Cost); r != 0 {
+			return r
 		}
-		return a.Name < b.Name
+		return strings.Compare(a.Name, b.Name)
 	})
 	return c
 }

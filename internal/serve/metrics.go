@@ -73,8 +73,8 @@ type Metrics struct {
 
 	// Shared-lattice batch solving (batch.go).
 	BatchRequests atomic.Int64 // POST /v1/solve/batch requests admitted past parsing
-	BatchGroups   atomic.Int64 // shared-lattice groups solved by one enumerate-once sweep
-	BatchRepriced atomic.Int64 // instances priced by riding another instance's enumeration
+	BatchGroups   atomic.Int64 // shared-lattice groups solved by one core.SolveBatchCtx call
+	BatchRepriced atomic.Int64 // batch-solved instances beyond each group's first
 	BatchFallback atomic.Int64 // batch instances that fell back to a per-instance solve
 
 	// Self-healing path (resilience.go).
