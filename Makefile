@@ -58,11 +58,12 @@ bench-json:
 
 # One-iteration benchmark smoke: exercises every route kernel, Apply3 fast
 # path, striped Exec, the single and batched DP sweeps, the certification
-# pipeline, the instance decoder and the in-process cache-hit handler under
+# pipeline, the greedy, branch-and-bound and lookahead heuristics, the
+# instance decoder and the in-process cache-hit handler under
 # the bench harness so a silent fallback to the scalar path (or a kernel
 # panic on any geometry, or a certifier regression) fails CI fast.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkExecPerRoute|BenchmarkExecStriped|BenchmarkApply3|BenchmarkE3CycleID|BenchmarkCertifyOverhead|BenchmarkSolveDP|BenchmarkSolveBatch|BenchmarkRouteStep' -benchtime 1x ./internal/bvm ./internal/bitvec ./internal/policy .
+	$(GO) test -run '^$$' -bench 'BenchmarkExecPerRoute|BenchmarkExecStriped|BenchmarkApply3|BenchmarkE3CycleID|BenchmarkCertifyOverhead|BenchmarkSolveDP|BenchmarkSolveBatch|BenchmarkRouteStep|BenchmarkGreedySolve|BenchmarkBranchAndBound|BenchmarkE17Lookahead' -benchtime 1x ./internal/bvm ./internal/bitvec ./internal/policy .
 	$(GO) test -run '^$$' -bench 'BenchmarkReadInstance|BenchmarkSolveHit|BenchmarkSolveParallelK16' -benchtime 1x ./internal/instio ./internal/serve ./internal/core
 
 # Regression gate against the committed baseline: rerun the suite, render it

@@ -1,15 +1,18 @@
 // Package approx is the bounded-suboptimality plane: anytime solvers for TT
 // instances past the exact-DP budget, every answer shipped with a defensible
 // quality claim. Where internal/core's solvers enumerate the 2^K lattice,
-// this package builds valid procedure trees in polynomial time and space —
+// this package builds valid procedure trees in polynomial time and space,
+// reading every subset mass p(S) and treatment floor L(S) from the per-byte
+// tables of the same compiled core.Kernel the exact sweep runs —
 //
 //   - a greedy portfolio (the classic cost/probability-ratio rule and an
 //     information-gain variant from the sequential-testing literature) that
 //     always produces an incumbent in O(K²·N) with no 2^K state;
 //   - an AND/OR branch-and-bound over candidate sets that uses the best
 //     greedy tree as its incumbent upper bound and the certifiable
-//     treatment/information lower bound (certify.LowerBound's per-set form)
-//     for pruning, memoizing subproblem bounds so they are reusable;
+//     treatment/information lower bound (certify.LowerBound's per-set form,
+//     derived here from the kernel) for pruning, memoizing subproblem bounds
+//     so they are reusable;
 //
 // under an anytime contract: Solve never fails because time ran out. A
 // deadline or node-budget expiry returns the best incumbent found so far,
@@ -42,17 +45,11 @@ type Options struct {
 	// default (1<<20); negative disables the branch-and-bound entirely,
 	// leaving the greedy portfolio answer.
 	NodeBudget int64
-	// MemoLimit caps the branch-and-bound's memoized subproblem count.
-	// 0 selects the default (1<<20).
-	MemoLimit int
 }
 
 func (o Options) withDefaults() Options {
 	if o.NodeBudget == 0 {
 		o.NodeBudget = 1 << 20
-	}
-	if o.MemoLimit <= 0 {
-		o.MemoLimit = 1 << 20
 	}
 	return o
 }
@@ -79,15 +76,14 @@ type Result struct {
 // context deadline) returns that incumbent rather than failing — the
 // anytime contract that lets a serving layer degrade instead of 5xx-ing.
 func Solve(ctx context.Context, p *core.Problem, opts Options) (*Result, error) {
-	if err := p.Validate(); err != nil {
+	st, err := newState(p)
+	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	st := newState(p)
-	st.memoCap = opts.MemoLimit
 	if j := st.uncovered(); j >= 0 {
 		// Certifiably inadequate: object j can never be cured, so no
 		// successful procedure exists at any cost.
@@ -149,11 +145,10 @@ func Solve(ctx context.Context, p *core.Problem, opts Options) (*Result, error) 
 	// node budget. A completed search proves optimality; an interrupted one
 	// leaves the incumbent standing.
 	b := &bb{
-		st:        st,
-		memo:      make(map[core.Set]bbEntry),
-		memoLimit: opts.MemoLimit,
-		budget:    opts.NodeBudget,
-		ctx:       ctx,
+		st:     st,
+		memo:   make(map[core.Set]bbEntry),
+		budget: opts.NodeBudget,
+		ctx:    ctx,
 	}
 	if opts.Deadline > 0 {
 		b.deadline = time.Now().Add(opts.Deadline)

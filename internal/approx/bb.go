@@ -1,9 +1,10 @@
 package approx
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -29,14 +30,13 @@ import (
 // budget); interruption poisons exactness, never soundness — values
 // returned after a stop are still valid lower bounds.
 type bb struct {
-	st        *state
-	memo      map[core.Set]bbEntry
-	memoLimit int
-	nodes     int64
-	budget    int64
-	ctx       context.Context
-	deadline  time.Time
-	stopped   bool
+	st       *state
+	memo     map[core.Set]bbEntry
+	nodes    int64
+	budget   int64
+	ctx      context.Context
+	deadline time.Time
+	stopped  bool
 }
 
 // bbEntry is one memoized subproblem. When exact, val is C(S) and choice
@@ -79,7 +79,7 @@ func (b *bb) solve(s core.Set, ub uint64) (uint64, bool) {
 	}
 	b.nodes++
 
-	ps := b.st.psum(s)
+	ps := b.st.kn.Weight(s)
 	type cand struct {
 		idx  int
 		base uint64 // action cost paid at s: t_i·p(s)
@@ -105,7 +105,7 @@ func (b *bb) solve(s core.Set, ub uint64) (uint64, bool) {
 		}
 		cands = append(cands, cand{idx: i, base: base, est: est})
 	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].est < cands[j].est })
+	slices.SortStableFunc(cands, func(x, y cand) int { return cmp.Compare(x.est, y.est) })
 
 	best := core.Inf
 	bestIdx := int32(-1)
@@ -200,7 +200,7 @@ func (b *bb) checkStop() {
 }
 
 func (b *bb) store(s core.Set, e bbEntry) {
-	if _, ok := b.memo[s]; !ok && len(b.memo) >= b.memoLimit {
+	if _, ok := b.memo[s]; !ok && len(b.memo) >= memoCap {
 		return
 	}
 	b.memo[s] = e

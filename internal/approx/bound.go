@@ -4,80 +4,52 @@ import (
 	"repro/internal/core"
 )
 
+// memoCap caps each memo map (lower bounds here, the branch-and-bound's
+// subproblems in bb.go); misses beyond it recompute or go unstored.
+const memoCap = 1 << 20
+
 // state carries the per-instance precomputation shared by the greedy
-// policies and the branch-and-bound: cheapest covering treatment per object,
-// the global minimum action cost, and memoized subset masses and lower
-// bounds. Everything here is polynomial in K and N — no 2^K tables — which
-// is the point of the package.
+// policies and the branch-and-bound: the compiled kernel, whose per-byte
+// tables give every subset mass p(S) and treatment floor L(S) in at most
+// four lookups, the global minimum action cost, and memoized lower bounds.
+// The kernel's tables take 512 words per byte of K (12 KB at K = 24) —
+// no 2^K tables — which is the point of the package.
 type state struct {
-	p       *core.Problem
-	tmin    []uint64            // per object: min cost over treatments covering it (Inf: uncovered)
-	cmin    uint64              // min cost over all actions
-	memoCap int                 // per-map memo entry cap; misses beyond it recompute
-	ps      map[core.Set]uint64 // subset mass memo
-	lb      map[core.Set]uint64 // lower-bound memo
+	p    *core.Problem
+	kn   *core.Kernel
+	cmin uint64              // min cost over all actions
+	lb   map[core.Set]uint64 // lower-bound memo
 }
 
-func newState(p *core.Problem) *state {
-	st := &state{
-		p:       p,
-		tmin:    make([]uint64, p.K),
-		cmin:    core.Inf,
-		memoCap: 1 << 20,
-		ps:      make(map[core.Set]uint64),
-		lb:      make(map[core.Set]uint64),
+// newState compiles p, which validates it.
+func newState(p *core.Problem) (*state, error) {
+	kn, err := core.Compile(p)
+	if err != nil {
+		return nil, err
 	}
-	for j := range st.tmin {
-		st.tmin[j] = core.Inf
-	}
+	st := &state{p: p, kn: kn, cmin: core.Inf, lb: make(map[core.Set]uint64)}
 	for _, a := range p.Actions {
-		if a.Cost < st.cmin {
-			st.cmin = a.Cost
-		}
-		if a.Treatment {
-			for _, j := range a.Set.Objects() {
-				if a.Cost < st.tmin[j] {
-					st.tmin[j] = a.Cost
-				}
-			}
-		}
+		st.cmin = min(st.cmin, a.Cost)
 	}
-	return st
+	return st, nil
 }
 
 // uncovered returns an object no treatment covers (the inadequacy witness),
 // or -1 when the instance is adequate.
 func (st *state) uncovered() int {
-	for j, t := range st.tmin {
-		if t == core.Inf {
+	for j := 0; j < st.p.K; j++ {
+		if st.kn.Floor(core.SetOf(j)) == core.Inf {
 			return j
 		}
 	}
 	return -1
 }
 
-// psum is the mass of s, memoized; O(|s|) on a miss, no 2^K array.
-func (st *state) psum(s core.Set) uint64 {
-	if s == 0 {
-		return 0
-	}
-	if v, ok := st.ps[s]; ok {
-		return v
-	}
-	var t uint64
-	for _, j := range s.Objects() {
-		t = core.SatAdd(t, st.p.Weights[j])
-	}
-	if len(st.ps) < st.memoCap {
-		st.ps[s] = t
-	}
-	return t
-}
-
 // lower is a valid lower bound on C(s): the maximum of
 //
-//   - the treatment bound Σ_{j∈s} P_j·tmin_j — object j's run ends with a
-//     treatment covering j, paid at a candidate set still containing j;
+//   - the treatment floor L(s) = Σ_{j∈s} P_j·τ_j, τ_j the cheapest
+//     treatment covering j — object j's run ends with a treatment covering
+//     j, paid at a candidate set still containing j;
 //   - the information bound cmin·p(s)·b, with b the largest integer such
 //     that 2^b times the largest treated-part mass stays under p(s) — the
 //     prefix-code argument spelled out at certify.LowerBound, which this
@@ -92,19 +64,13 @@ func (st *state) lower(s core.Set) uint64 {
 	if v, ok := st.lb[s]; ok {
 		return v
 	}
-	var treat uint64
-	for _, j := range s.Objects() {
-		treat = core.SatAdd(treat, core.SatMul(st.p.Weights[j], st.tmin[j]))
-	}
-	v := treat
-	ps := st.psum(s)
+	v := st.kn.Floor(s)
+	ps := st.kn.Weight(s)
 	if ps > 0 && st.cmin > 0 && st.cmin < core.Inf {
 		var maxMass uint64
 		for _, a := range st.p.Actions {
 			if a.Treatment {
-				if m := st.psum(a.Set & s); m > maxMass {
-					maxMass = m
-				}
+				maxMass = max(maxMass, st.kn.Weight(a.Set&s))
 			}
 		}
 		if maxMass > 0 {
@@ -117,7 +83,7 @@ func (st *state) lower(s core.Set) uint64 {
 			}
 		}
 	}
-	if len(st.lb) < st.memoCap {
+	if len(st.lb) < memoCap {
 		st.lb[s] = v
 	}
 	return v

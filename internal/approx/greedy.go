@@ -27,7 +27,7 @@ func (st *state) greedyGain() (*core.Node, error) {
 		if s == 0 {
 			return nil, nil
 		}
-		ps := st.psum(s)
+		ps := st.kn.Weight(s)
 		hs := st.entropy(s, ps)
 		bestIdx := -1
 		bestScore := math.Inf(-1)
@@ -37,17 +37,16 @@ func (st *state) greedyGain() (*core.Node, error) {
 			if inter == 0 || (!a.Treatment && diff == 0) {
 				continue
 			}
-			if st.psum(inter) == 0 || (!a.Treatment && st.psum(diff) == 0) {
+			pi := st.kn.Weight(inter)
+			pd := ps - pi // p(s−T), exact within Validate's bounds
+			if pi == 0 || (!a.Treatment && pd == 0) {
 				continue // splits only zero-weight mass: no progress
 			}
 			// Residual entropy after the action: both test outcomes are
 			// observed; a treatment's cured-exit branch carries none.
-			var after float64
-			if a.Treatment {
-				after = float64(st.psum(diff)) / float64(ps) * st.entropy(diff, st.psum(diff))
-			} else {
-				after = float64(st.psum(inter))/float64(ps)*st.entropy(inter, st.psum(inter)) +
-					float64(st.psum(diff))/float64(ps)*st.entropy(diff, st.psum(diff))
+			after := float64(pd) / float64(ps) * st.entropy(diff, pd)
+			if !a.Treatment {
+				after += float64(pi) / float64(ps) * st.entropy(inter, pi)
 			}
 			gain := hs - after
 			var score float64

@@ -1,93 +1,35 @@
 package core
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // This file holds the comparison solver: a greedy heuristic of the kind
 // the binary-testing literature (the paper's refs [1][2][6][7][11]) uses
 // when the exponential DP is out of reach. The experiment harness (E14)
 // quantifies the optimality gap of the greedy on the synthetic workloads.
 
-// GreedyTree builds a valid (generally sub-optimal) procedure tree with a
-// one-step cost-effectiveness rule: at candidate set S, every applicable
-// action is scored by expected cost paid now per unit of progress —
-//
-//	treatment: t_i·p(S) / p(S∩T_i)        (weight resolved outright)
-//	test:      t_i·p(S) / min(p(S∩T_i), p(S−T_i))
-//
-// (a balanced cheap test scores well; an expensive or lopsided one badly),
-// and the lowest score is applied. Zero-progress denominators disqualify an
-// action. Returns an error when no applicable action exists at some
-// reachable set, which on a validated instance means inadequacy.
-//
-// Subset masses are computed on demand (memoized, O(|S|) a miss) rather
-// than from a precomputed 2^K table: the greedy visits O(K·N) sets, and
-// it is the fallback of choice exactly when 2^K state is unaffordable —
+// GreedyTree builds a valid (generally sub-optimal) procedure tree by
+// applying greedyPick's one-step cost-effectiveness rule at every candidate
+// set it reaches. It compiles the problem once and reads every subset mass
+// from the kernel's per-byte tables, so it keeps no 2^K state and no memo:
 // the bounded-suboptimality plane (internal/approx) runs it at every K the
-// Set type can express.
+// Set type can express. Returns an error when no applicable action exists
+// at some reachable set, which on a validated instance means inadequacy.
 func GreedyTree(p *Problem) (*Node, error) {
-	if err := p.Validate(); err != nil {
+	kn, err := compile(p)
+	if err != nil {
 		return nil, err
-	}
-	masses := make(map[Set]uint64, 4*p.K*len(p.Actions))
-	psum := func(s Set) uint64 {
-		if s == 0 {
-			return 0
-		}
-		if v, ok := masses[s]; ok {
-			return v
-		}
-		var t uint64
-		for rest := uint32(s); rest != 0; rest &= rest - 1 {
-			t = satAdd(t, p.Weights[bits.TrailingZeros32(rest)])
-		}
-		masses[s] = t
-		return t
 	}
 	var build func(s Set) (*Node, error)
 	build = func(s Set) (*Node, error) {
 		if s == 0 {
 			return nil, nil
 		}
-		bestIdx := -1
-		var bestNum, bestDen uint64 // compare num/den as cross products
-		for i, a := range p.Actions {
-			inter := s & a.Set
-			diff := s &^ a.Set
-			if inter == 0 || (!a.Treatment && diff == 0) {
-				continue
-			}
-			num := satMul(a.Cost, psum(s))
-			var den uint64
-			if a.Treatment {
-				den = psum(inter)
-			} else {
-				den = min(psum(inter), psum(diff))
-			}
-			if den == 0 {
-				continue // splits only zero-weight mass: no progress
-			}
-			if bestIdx < 0 || satMul(num, bestDen) < satMul(bestNum, den) {
-				bestIdx, bestNum, bestDen = i, num, den
-			}
-		}
-		if bestIdx < 0 {
-			// Zero-weight candidates may remain; any treatment intersecting S
-			// still discharges them. Retry accepting zero-progress treatments.
-			for i, a := range p.Actions {
-				if a.Treatment && s&a.Set != 0 {
-					bestIdx = i
-					break
-				}
-			}
-		}
-		if bestIdx < 0 {
+		i := greedyPick(&kn, s)
+		if i < 0 {
 			return nil, fmt.Errorf("core: greedy stuck at set %v (inadequate instance?)", s)
 		}
-		a := p.Actions[bestIdx]
-		n := &Node{Action: bestIdx, Set: s}
+		a := p.Actions[i]
+		n := &Node{Action: i, Set: s}
 		var err error
 		if !a.Treatment {
 			if n.Pos, err = build(s & a.Set); err != nil {
@@ -100,6 +42,55 @@ func GreedyTree(p *Problem) (*Node, error) {
 		return n, nil
 	}
 	return build(Universe(p.K))
+}
+
+// greedyPick is the ratio rule GreedyTree and the lookahead's horizon
+// share. At candidate set S it scores every applicable action by expected
+// cost paid now per unit of progress —
+//
+//	treatment: t_i·p(S) / p(S∩T_i)        (weight resolved outright)
+//	test:      t_i·p(S) / min(p(S∩T_i), p(S−T_i))
+//
+// (a balanced cheap test scores well; an expensive or lopsided one badly),
+// and returns the lowest score's index, the first on ties. It walks the
+// kernel's action-order records, as Cell does, and reads every mass from
+// its tables; p(S−T_i) is p(S) − p(S∩T_i), exact within Validate's bounds.
+// Zero-progress denominators disqualify an action. When every action is
+// disqualified, as at a set of weightless objects, any treatment
+// intersecting S still discharges part of it, so the first one is
+// returned; -1 means no treatment intersects S either.
+func greedyPick(kn *Kernel, s Set) int {
+	ps := kn.Weight(s)
+	recs := kn.mem[kn.words : kn.words+kn.n] // action order
+	best := -1
+	var bestNum, bestDen uint64 // compare num/den as cross products
+	for i, r := range recs {
+		inter := s & Set(r)
+		test := r&treatBit == 0
+		if inter == 0 || (test && inter == s) {
+			continue
+		}
+		den := kn.Weight(inter)
+		if test {
+			den = min(den, ps-den)
+		}
+		if den == 0 {
+			continue // splits only zero-weight mass: no progress
+		}
+		num := r >> 32 * ps
+		if best < 0 || satMul(num, bestDen) < satMul(bestNum, den) {
+			best, bestNum, bestDen = i, num, den
+		}
+	}
+	if best >= 0 {
+		return best
+	}
+	for i, r := range recs {
+		if r&treatBit != 0 && s&Set(r) != 0 {
+			return i
+		}
+	}
+	return -1
 }
 
 // GreedyCost is GreedyTree followed by TreeCost.

@@ -27,7 +27,9 @@ import (
 // batched alike, which need only C(S): it prices cheapest first and stops
 // early. Cell is for argmins (tree extraction, policies, Explain, and the
 // parttsolve machine's ABFT mirror, which audits choices): it prices every
-// action in index order so that ties go to the lowest index.
+// action in index order so that ties go to the lowest index. Weight and
+// Floor read the tables alone, for the solvers that price sets without a
+// plane: the greedy and lookahead heuristics and internal/approx's bounds.
 //
 // A Kernel is immutable after Compile and safe for concurrent use. It
 // aliases nothing in the Problem, so later edits to the Problem do not reach
@@ -128,6 +130,18 @@ func (kn Kernel) Weight(s Set) uint64 {
 	x := uint32(s)
 	for b := 0; b < kn.words; b += 512 { // table b/512 reads byte b/512 of s
 		sum += kn.mem[b|int(x&255)<<1]
+		x >>= 8
+	}
+	return sum
+}
+
+// Floor returns the treatment floor L(S) = Σ_{x∈S} w_x·τ_x, a lower bound
+// on C(S) (see Cost), or Inf when s holds an object no treatment covers.
+func (kn Kernel) Floor(s Set) uint64 {
+	var sum uint64
+	x := uint32(s)
+	for b := 0; b < kn.words; b += 512 {
+		sum = addSat(sum, kn.mem[b|int(x&255)<<1|1])
 		x >>= 8
 	}
 	return sum

@@ -281,8 +281,41 @@ func FuzzKernelCell(f *testing.F) {
 			if got := kn.Weight(Set(s)); got != ps {
 				t.Fatalf("Weight(%b) = %d, want %d", s, got, ps)
 			}
+			if got, want := kn.Floor(Set(s)), refFloor(p, Set(s)); got != want {
+				t.Fatalf("Floor(%b) = %d, want %d", s, got, want)
+			}
 		}
 	})
+}
+
+// TestKernelFloorUncovered: on an instance where no treatment covers object
+// 9, which sits in the second byte table and weighs nothing, Floor is Inf on
+// every set holding it and refFloor's finite value on every other set.
+func TestKernelFloorUncovered(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	p := randomProblem(rng, 10, 12)
+	p.Weights[9] = 0
+	for i, a := range p.Actions {
+		if a.Treatment {
+			p.Actions[i].Set &^= SetOf(9)
+		}
+	}
+	kn, err := Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := Set(0); s <= Universe(10); s++ {
+		got := kn.Floor(s)
+		if s.Has(9) {
+			if got != Inf {
+				t.Fatalf("Floor(%b) = %d holds the uncovered object, want Inf", s, got)
+			}
+			continue
+		}
+		if want := refFloor(p, s); got != want || got == Inf {
+			t.Fatalf("Floor(%b) = %d, want %d", s, got, want)
+		}
+	}
 }
 
 // TestKernelCostOrder pins the record copies: the first decodes to the

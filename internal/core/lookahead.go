@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // This file implements a depth-d lookahead policy: the anytime middle ground
 // between the one-step greedy and the exponential exact DP. At each realized
@@ -14,10 +11,11 @@ import (
 // expands every branch to empty sets and is exact. This is how one would
 // actually deploy the TT machinery when 2^k state space is out of reach.
 
-// lookaheadSolver caches greedy completion costs and bounded-depth values.
+// lookaheadSolver caches greedy completion costs and bounded-depth values;
+// subset masses come from the compiled kernel.
 type lookaheadSolver struct {
 	p      *Problem
-	psum   []uint64
+	kn     Kernel
 	greedy map[Set]uint64
 	value  map[lkKey]uint64
 }
@@ -29,7 +27,8 @@ type lkKey struct {
 
 // LookaheadTree builds a valid procedure tree with depth-d lookahead.
 func LookaheadTree(p *Problem, depth int) (*Node, error) {
-	if err := p.Validate(); err != nil {
+	kn, err := compile(p)
+	if err != nil {
 		return nil, err
 	}
 	if depth < 0 {
@@ -37,13 +36,9 @@ func LookaheadTree(p *Problem, depth int) (*Node, error) {
 	}
 	ls := &lookaheadSolver{
 		p:      p,
-		psum:   make([]uint64, 1<<uint(p.K)),
+		kn:     kn,
 		greedy: make(map[Set]uint64),
 		value:  make(map[lkKey]uint64),
-	}
-	for s := 1; s < len(ls.psum); s++ {
-		low := s & -s
-		ls.psum[s] = satAdd(ls.psum[s&(s-1)], p.Weights[bits.TrailingZeros(uint(low))])
 	}
 	return ls.build(Universe(p.K), depth)
 }
@@ -63,8 +58,9 @@ func (ls *lookaheadSolver) build(s Set, depth int) (*Node, error) {
 	}
 	bestIdx := -1
 	best := Inf
+	ps := ls.kn.Weight(s)
 	for i, a := range ls.p.Actions {
-		cost, ok := ls.actionValue(s, a, depth)
+		cost, ok := ls.actionValue(s, ps, a, depth)
 		if !ok {
 			continue
 		}
@@ -89,15 +85,15 @@ func (ls *lookaheadSolver) build(s Set, depth int) (*Node, error) {
 	return n, nil
 }
 
-// actionValue prices applying action a at set s with depth levels of exact
-// expansion below it. ok is false for inapplicable actions.
-func (ls *lookaheadSolver) actionValue(s Set, a Action, depth int) (uint64, bool) {
+// actionValue prices applying action a at set s, of mass ps, with depth
+// levels of exact expansion below it. ok is false for inapplicable actions.
+func (ls *lookaheadSolver) actionValue(s Set, ps uint64, a Action, depth int) (uint64, bool) {
 	inter := s & a.Set
 	diff := s &^ a.Set
 	if inter == 0 || (!a.Treatment && diff == 0) {
 		return 0, false
 	}
-	cost := satMul(a.Cost, ls.psum[s])
+	cost := satMul(a.Cost, ps)
 	if a.Treatment {
 		return satAdd(cost, ls.estimate(diff, depth)), true
 	}
@@ -118,8 +114,9 @@ func (ls *lookaheadSolver) estimate(s Set, depth int) uint64 {
 		return v
 	}
 	best := Inf
+	ps := ls.kn.Weight(s)
 	for _, a := range ls.p.Actions {
-		if v, ok := ls.actionValue(s, a, depth-1); ok && v < best {
+		if v, ok := ls.actionValue(s, ps, a, depth-1); ok && v < best {
 			best = v
 		}
 	}
@@ -127,8 +124,8 @@ func (ls *lookaheadSolver) estimate(s Set, depth int) uint64 {
 	return best
 }
 
-// greedyCost prices a set with the cost-effectiveness greedy (the same rule
-// as GreedyTree), memoized across the whole search.
+// greedyCost prices a set with GreedyTree's rule (greedyPick), memoized
+// across the whole search.
 func (ls *lookaheadSolver) greedyCost(s Set) uint64 {
 	if s == 0 {
 		return 0
@@ -136,42 +133,13 @@ func (ls *lookaheadSolver) greedyCost(s Set) uint64 {
 	if v, ok := ls.greedy[s]; ok {
 		return v
 	}
-	bestIdx := -1
-	var bestNum, bestDen uint64
-	for i, a := range ls.p.Actions {
-		inter := s & a.Set
-		diff := s &^ a.Set
-		if inter == 0 || (!a.Treatment && diff == 0) {
-			continue
-		}
-		num := satMul(a.Cost, ls.psum[s])
-		var den uint64
-		if a.Treatment {
-			den = ls.psum[inter]
-		} else {
-			den = min(ls.psum[inter], ls.psum[diff])
-		}
-		if den == 0 {
-			continue
-		}
-		if bestIdx < 0 || satMul(num, bestDen) < satMul(bestNum, den) {
-			bestIdx, bestNum, bestDen = i, num, den
-		}
-	}
-	if bestIdx < 0 {
-		for i, a := range ls.p.Actions {
-			if a.Treatment && s&a.Set != 0 {
-				bestIdx = i
-				break
-			}
-		}
-	}
-	if bestIdx < 0 {
+	i := greedyPick(&ls.kn, s)
+	if i < 0 {
 		ls.greedy[s] = Inf
 		return Inf
 	}
-	a := ls.p.Actions[bestIdx]
-	v := satMul(a.Cost, ls.psum[s])
+	a := ls.p.Actions[i]
+	v := satMul(a.Cost, ls.kn.Weight(s))
 	if !a.Treatment {
 		v = satAdd(v, ls.greedyCost(s&a.Set))
 	}
