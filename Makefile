@@ -42,6 +42,7 @@ fuzz-short:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzSolveAgreement$$' -fuzztime 30s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzSolveBatch$$' -fuzztime 30s
 	$(GO) test ./internal/instio/ -run '^$$' -fuzz 'FuzzRead$$' -fuzztime 30s
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz 'FuzzSolveResponseAppend$$' -fuzztime 30s
 
 # Regenerate the bvmcheck golden reports after an intentional format change.
 golden:

@@ -28,7 +28,7 @@ func appendBatch(dst []byte, ps []*core.Problem, comment string) ([]byte, error)
 	}
 	b := append(dst, '{')
 	if comment != "" {
-		b = append(appendString(member(b, 1, "comment"), comment), ',')
+		b = append(AppendString(member(b, 1, "comment"), comment), ',')
 	}
 	b = append(member(b, 1, "instances"), '[')
 	for i, p := range ps {
@@ -49,7 +49,7 @@ func appendBatch(dst []byte, ps []*core.Problem, comment string) ([]byte, error)
 func appendInstance(b []byte, p *core.Problem, comment string, depth int) []byte {
 	b = append(b, '{')
 	if comment != "" {
-		b = append(appendString(member(b, depth+1, "comment"), comment), ',')
+		b = append(AppendString(member(b, depth+1, "comment"), comment), ',')
 	}
 	b = append(member(b, depth+1, "weights"), '[')
 	for j, w := range p.Weights {
@@ -66,7 +66,7 @@ func appendInstance(b []byte, p *core.Problem, comment string, depth int) []byte
 		}
 		b = append(newline(b, depth+2), '{')
 		if a.Name != "" {
-			b = append(appendString(member(b, depth+3, "name"), a.Name), ',')
+			b = append(AppendString(member(b, depth+3, "name"), a.Name), ',')
 		}
 		b = append(member(b, depth+3, "objects"), '[')
 		for x := uint32(a.Set); x != 0; x &= x - 1 {
@@ -103,11 +103,13 @@ func member(b []byte, depth int, key string) []byte {
 	return append(b, `": `...)
 }
 
-// appendString appends s as a JSON string. Printable ASCII other than
-// '"', '\\', '<', '>' and '&' is copied as is; any other string goes through
-// json.Marshal, whose escaping (HTML characters, control characters, U+2028,
-// invalid UTF-8) is json.Encoder's.
-func appendString(b []byte, s string) []byte {
+// AppendString appends s as a JSON string, escaped exactly as json.Encoder
+// escapes it; it is the one string escaper of the repository's hand-built
+// JSON (instances here, /v1/solve replies in serve). Printable ASCII other
+// than '"', '\\', '<', '>' and '&' is copied as is; any other string goes
+// through json.Marshal, whose escaping (HTML characters, control characters,
+// U+2028, invalid UTF-8) is json.Encoder's.
+func AppendString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
 			q, _ := json.Marshal(s) // a string always marshals

@@ -16,9 +16,11 @@
 // for byte; serve.Hash hashes those bytes, so the format is also the cache
 // key. Append builds the same bytes without reflection.
 //
-// Read and ReadBatch read their input whole and parse it in one pass with a
-// small scanner that builds the core.Problem directly. The scanner accepts
-// exactly this grammar (ws is any run of space, tab, CR and LF):
+// Parse and ParseBatch are the scanner's entry points: each parses a whole
+// body in one pass with a small scanner that builds the core.Problem
+// directly. Read and ReadBatch read their input to the end and call them.
+// The scanner accepts exactly this grammar (ws is any run of space, tab, CR
+// and LF):
 //
 //	instance = ws "{" [ member { "," member } ] ws "}" ws    (end of input)
 //	member   = ws key ws ":" value                           (each key at most once)
@@ -71,6 +73,12 @@ func Read(r io.Reader) (*core.Problem, error) {
 	if err != nil {
 		return nil, fmt.Errorf("instio: reading instance: %w", err)
 	}
+	return Parse(body)
+}
+
+// Parse parses and validates one instance held whole in body. The returned
+// Problem does not alias body.
+func Parse(body []byte) (*core.Problem, error) {
 	if p, ok := scanInstance(body); ok {
 		return p, nil
 	}
@@ -94,13 +102,19 @@ func ReadBatch(r io.Reader) ([]*core.Problem, error) {
 	if err != nil {
 		return nil, fmt.Errorf("instio: reading batch: %w", err)
 	}
+	return ParseBatch(body)
+}
+
+// ParseBatch parses and validates a batch envelope held whole in body, as
+// ReadBatch does.
+func ParseBatch(body []byte) ([]*core.Problem, error) {
 	if ps, ok := scanBatch(body); ok {
 		return ps, nil
 	}
 	return decodeBatch(body)
 }
 
-// decodeInstance is Read's encoding/json path.
+// decodeInstance is Parse's encoding/json path.
 func decodeInstance(body []byte) (*core.Problem, error) {
 	var w wireProblem
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -111,7 +125,7 @@ func decodeInstance(body []byte) (*core.Problem, error) {
 	return fromWire(w)
 }
 
-// decodeBatch is ReadBatch's encoding/json path.
+// decodeBatch is ParseBatch's encoding/json path.
 func decodeBatch(body []byte) ([]*core.Problem, error) {
 	var b wireBatch
 	dec := json.NewDecoder(bytes.NewReader(body))

@@ -1,6 +1,10 @@
 package instio
 
-import "repro/internal/core"
+import (
+	"bytes"
+
+	"repro/internal/core"
+)
 
 // maxDigits bounds the integers the scanner parses: below 10^9, so no
 // overflow, and far above every weight, cost and object index that
@@ -15,11 +19,19 @@ const maxDigits = 9
 type scanner struct {
 	b []byte
 	i int
+	// actions is the capacity an instance's action list starts with. In a
+	// one-instance body every action is an object, so the count of '{'
+	// less the instance's own lets one allocation hold every action. It is
+	// only a hint (a brace inside a name or comment inflates it); a wrong
+	// count costs a regrowth, never a wrong parse. A one-byte count is
+	// vectorized, where counting a key such as "cost" re-searches at every
+	// '"' and cost more than the allocations it saved.
+	actions int
 }
 
 // scanInstance parses body as one instance, or reports false.
 func scanInstance(body []byte) (*core.Problem, bool) {
-	s := scanner{b: body}
+	s := scanner{b: body, actions: max(0, bytes.Count(body, []byte{'{'})-1)}
 	p, ok := s.instance()
 	return p, ok && s.end()
 }
@@ -54,14 +66,25 @@ func (s *scanner) instance() (*core.Problem, bool) {
 		case "comment":
 			return once(&seen, 1) && s.skipString()
 		case "weights":
-			return once(&seen, 2) && s.array(func() bool {
-				var w uint64
-				ok := s.uint(&w)
-				p.Weights = append(p.Weights, w)
-				return ok
+			// Collected on the stack and copied once; more than MaxK
+			// weights fail Validate anyway, so they decline here.
+			var w [core.MaxK]uint64
+			n := 0
+			ok := once(&seen, 2) && s.array(func() bool {
+				if n == len(w) {
+					return false
+				}
+				n++
+				return s.uint(&w[n-1])
 			})
+			p.Weights = append([]uint64(nil), w[:n]...)
+			return ok
 		case "actions":
-			return once(&seen, 4) && s.array(func() bool {
+			if !once(&seen, 4) {
+				return false
+			}
+			p.Actions = make([]core.Action, 0, s.actions)
+			return s.array(func() bool {
 				var a core.Action
 				ok := s.action(&a)
 				p.Actions = append(p.Actions, a)

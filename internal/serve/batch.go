@@ -125,7 +125,12 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		timeout = min(time.Duration(n)*time.Millisecond, s.cfg.MaxTimeout)
 	}
-	ps, err := instio.ReadBatch(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := readBody(w, r)
+	if err != nil {
+		bodyError(w, err)
+		return
+	}
+	ps, err := instio.ParseBatch(body)
 	if err != nil {
 		bodyError(w, err)
 		return
@@ -152,20 +157,18 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 
 	items := make([]BatchItem, len(ps))
-	canons := make([]*core.Problem, len(ps))
 	resp := &BatchResponse{Instances: len(ps), CertifyMode: s.certifyMode.String(), Items: items}
 
-	// Cache pass: canonicalize, hash, and serve hits without taking a slot.
+	// Cache pass: canonicalize each instance in place, hash, and serve hits
+	// without taking a slot.
 	misses := make([]int, 0, len(ps))
 	for i, p := range ps {
-		canon := Canonicalize(p)
-		hash, err := Hash(canon)
+		hash, err := Hash(canonicalize(p))
 		if err != nil {
 			s.metrics.Failures.Add(1)
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		canons[i] = canon
 		items[i] = BatchItem{InstanceHash: hash, Group: -1}
 		s.mu.Lock()
 		ent := s.cache.get(cacheKey(hash, approx.Spec{}))
@@ -195,7 +198,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		groupOf := make(map[uint64]int)
 		var groups [][]int
 		for _, i := range misses {
-			k := latticeKey(canons[i])
+			k := latticeKey(ps[i])
 			gi, ok := groupOf[k]
 			if !ok {
 				gi = len(groups)
@@ -206,7 +209,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Groups = len(groups)
 		for gi, idxs := range groups {
-			resp.Repriced += s.solveBatchGroup(ctx, gi, idxs, canons, items, isTrue(q.Get("tree")))
+			resp.Repriced += s.solveBatchGroup(ctx, gi, idxs, ps, items, isTrue(q.Get("tree")))
 		}
 		for _, i := range misses {
 			if items[i].SolvedBy != "" && items[i].SolvedBy != "batch" {

@@ -64,7 +64,8 @@ func TestSolveBodiesGolden(t *testing.T) {
 	var got bytes.Buffer
 	for _, d := range goldenDomains {
 		// Each instance twice: the pair shares a lattice, so every batch
-		// group is a G=2 enumerate-once sweep.
+		// group has two members, which core.SolveBatchCtx solves as two
+		// shards of solo sweeps.
 		var batch bytes.Buffer
 		batch.WriteString(`{"instances":[`)
 		for k := 3; k <= 6; k++ {

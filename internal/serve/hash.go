@@ -16,9 +16,14 @@ import (
 // invariant under action permutation, so two requests that differ only in
 // action order share one canonical instance — and one cache slot. Weights
 // are positional (weight j belongs to object j) and are left untouched.
-func Canonicalize(p *core.Problem) *core.Problem {
-	c := p.Clone()
-	slices.SortStableFunc(c.Actions, func(a, b core.Action) int {
+// p itself is not changed.
+func Canonicalize(p *core.Problem) *core.Problem { return canonicalize(p.Clone()) }
+
+// canonicalize sorts p's actions into Canonicalize's order in place and
+// returns p. The handlers own the Problem they just parsed, so they call it
+// directly instead of paying for a clone.
+func canonicalize(p *core.Problem) *core.Problem {
+	slices.SortStableFunc(p.Actions, func(a, b core.Action) int {
 		if r := cmp.Compare(a.Set, b.Set); r != 0 {
 			return r
 		}
@@ -33,7 +38,7 @@ func Canonicalize(p *core.Problem) *core.Problem {
 		}
 		return strings.Compare(a.Name, b.Name)
 	})
-	return c
+	return p
 }
 
 // Hash returns the canonical instance hash: SHA-256 over the instio wire

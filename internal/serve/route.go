@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/approx"
 	"repro/internal/certify"
-	"repro/internal/instio"
 	"repro/internal/policy"
 )
 
@@ -61,7 +60,7 @@ func (s *Server) handlePolicyPublish(w http.ResponseWriter, r *http.Request) {
 	if s.rejectRetiredParams(w, q) {
 		return
 	}
-	p, err := instio.Read(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	p, err := readInstance(w, r)
 	if err != nil {
 		bodyError(w, err)
 		return
@@ -70,7 +69,7 @@ func (s *Server) handlePolicyPublish(w http.ResponseWriter, r *http.Request) {
 		s.rejectOversize(w, oerr, nil)
 		return
 	}
-	canon := Canonicalize(p)
+	canon := canonicalize(p)
 	hash, err := Hash(canon)
 	if err != nil {
 		s.metrics.Failures.Add(1)

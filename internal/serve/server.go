@@ -35,6 +35,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -403,7 +404,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	p, err := instio.Read(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	p, err := readInstance(w, r)
 	if err != nil {
 		bodyError(w, err)
 		return
@@ -420,7 +421,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 		rung = "approx"
 	}
-	canon := Canonicalize(p)
+	canon := canonicalize(p)
 	hash, err := Hash(canon)
 	if err != nil {
 		s.metrics.Failures.Add(1)
@@ -436,7 +437,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.solveError(w, err)
 		return
 	}
-	resp := &SolveResponse{
+	resp := SolveResponse{
 		InstanceHash: ent.hash,
 		K:            canon.K,
 		Actions:      len(canon.Actions),
@@ -469,7 +470,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			resp.Tree = ent.tree.Render(ent.canon)
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	b := appendSolveResponse(make([]byte, 0, 512), &resp) // 512 bytes hold every reply but a rendered tree
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(b) // the client is gone if this fails
 }
 
 // admit enforces the exact-DP size budget, checked before any 2^K
@@ -782,6 +785,96 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v) // the client is gone if this fails; nothing to recover
+}
+
+// appendSolveResponse appends the bytes writeJSON sends for r — json.Encoder
+// with SetIndent("", "  "), trailing newline included — without reflection
+// (TestSolveResponseAppendMatchesEncoder). Keys follow SolveResponse's field
+// order, and the omitempty fields are left out when zero.
+func appendSolveResponse(b []byte, r *SolveResponse) []byte {
+	b = instio.AppendString(append(b, "{\n  \"instance_hash\": "...), r.InstanceHash)
+	b = strconv.AppendInt(member(b, "k"), int64(r.K), 10)
+	b = strconv.AppendInt(member(b, "actions"), int64(r.Actions), 10)
+	b = instio.AppendString(member(b, "engine"), r.Engine)
+	b = instio.AppendString(member(b, "solved_by"), r.SolvedBy)
+	b = strconv.AppendBool(member(b, "cached"), r.Cached)
+	if r.Coalesced {
+		b = append(member(b, "coalesced"), "true"...)
+	}
+	b = instio.AppendString(member(b, "certify_mode"), r.CertifyMode)
+	b = strconv.AppendBool(member(b, "adequate"), r.Adequate)
+	if r.Cost != nil {
+		b = strconv.AppendUint(member(b, "cost"), *r.Cost, 10)
+	}
+	if r.FirstAction != "" {
+		b = instio.AppendString(member(b, "first_action"), r.FirstAction)
+	}
+	if r.Tree != "" {
+		b = instio.AppendString(member(b, "tree"), r.Tree)
+	}
+	b = appendFloat(member(b, "elapsed_ms"), r.ElapsedMS)
+	if r.Approx != "" {
+		b = instio.AppendString(member(b, "approx"), r.Approx)
+	}
+	if r.GapMilli != nil {
+		b = strconv.AppendUint(member(b, "gap_milli"), *r.GapMilli, 10)
+	}
+	if r.LowerBound != nil {
+		b = strconv.AppendUint(member(b, "lower_bound"), *r.LowerBound, 10)
+	}
+	if r.ApproxPolicy != "" {
+		b = instio.AppendString(member(b, "approx_policy"), r.ApproxPolicy)
+	}
+	if r.ApproxExact {
+		b = append(member(b, "approx_exact"), "true"...)
+	}
+	return append(b, "\n}\n"...)
+}
+
+// member ends the previous member and starts the next one, `,\n  "name": `.
+func member(b []byte, name string) []byte {
+	b = append(append(b, ",\n  \""...), name...)
+	return append(b, "\": "...)
+}
+
+// appendFloat appends f as encoding/json writes a float64: the shortest
+// decimal that round-trips, in exponent form below 1e-6 and from 1e21 on,
+// with a one-digit negative exponent unpadded. f must be finite.
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-07 becomes e-7
+		b = b[:n-1]
+	}
+	return b
+}
+
+// readInstance reads and parses a /v1/solve or /v1/policy body.
+func readInstance(w http.ResponseWriter, r *http.Request) (*core.Problem, error) {
+	body, err := readBody(w, r)
+	if err != nil {
+		return nil, err
+	}
+	return instio.Parse(body)
+}
+
+// readBody reads a request body of at most maxBodyBytes; a longer one is an
+// error that unwraps to *http.MaxBytesError. A Content-Length within the
+// limit sizes the buffer in one allocation, with room to see EOF without
+// growing; any other body grows the buffer as it reads.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		return nil, fmt.Errorf("serve: reading request body: %w", err)
+	}
+	return buf.Bytes(), nil
 }
 
 func httpError(w http.ResponseWriter, status int, msg string) {
