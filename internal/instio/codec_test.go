@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -193,6 +194,29 @@ func TestScannerAcceptsWireForms(t *testing.T) {
 		if _, ok := scanBatch([]byte(in)); ok {
 			t.Errorf("scanner accepted the invalid batch %s", in)
 		}
+	}
+}
+
+// TestParseBoundsActionHint parses a body whose comment is all braces: the
+// action hint counts them, but the allocation it sizes must stay below twice
+// the body, not grow to a 40-byte Action per brace.
+func TestParseBoundsActionHint(t *testing.T) {
+	const size = 1 << 20
+	head, tail := `{"comment":"`, `","weights":[1],"actions":[{"objects":[0],"cost":1,"treatment":true}]}`
+	body := []byte(head + strings.Repeat("{", size-len(head)-len(tail)) + tail)
+	var before, after runtime.MemStats
+	least := uint64(1 << 62)
+	for range 3 { // the least of three runs, so another goroutine's garbage does not count
+		runtime.ReadMemStats(&before)
+		p, err := Parse(body)
+		runtime.ReadMemStats(&after)
+		if err != nil || len(p.Actions) != 1 {
+			t.Fatalf("Parse gave %v, %v; want the one-action instance", p, err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > 2*size {
+		t.Fatalf("parsing a %d-byte body full of braces allocated %d bytes, want <= %d", size, least, 2*size)
 	}
 }
 

@@ -19,19 +19,29 @@ const maxDigits = 9
 type scanner struct {
 	b []byte
 	i int
-	// actions is the capacity an instance's action list starts with. In a
-	// one-instance body every action is an object, so the count of '{'
-	// less the instance's own lets one allocation hold every action. It is
-	// only a hint (a brace inside a name or comment inflates it); a wrong
-	// count costs a regrowth, never a wrong parse. A one-byte count is
-	// vectorized, where counting a key such as "cost" re-searches at every
-	// '"' and cost more than the allocations it saved.
+	// actions is the capacity an instance's action list starts with: see
+	// actionHint.
 	actions int
+}
+
+// minAction is the length of a small action object. actionHint asks for no
+// more actions than a body of such objects could hold, so braces inside a
+// comment or name cannot size an action list of more than about twice the
+// body's bytes (a core.Action is 40 bytes).
+const minAction = len(`{"objects":[],"cost":0}`)
+
+// actionHint guesses how many actions a one-instance body holds: every
+// action is an object, so the count of '{' less the instance's own. It only
+// sizes a slice; a wrong guess costs a regrowth or spare capacity, never a
+// wrong parse. A one-byte count is vectorized, where counting a key such as
+// "cost" re-searches at every '"'.
+func actionHint(body []byte) int {
+	return max(0, min(bytes.Count(body, []byte{'{'})-1, len(body)/minAction))
 }
 
 // scanInstance parses body as one instance, or reports false.
 func scanInstance(body []byte) (*core.Problem, bool) {
-	s := scanner{b: body, actions: max(0, bytes.Count(body, []byte{'{'})-1)}
+	s := scanner{b: body, actions: actionHint(body)}
 	p, ok := s.instance()
 	return p, ok && s.end()
 }
@@ -66,19 +76,12 @@ func (s *scanner) instance() (*core.Problem, bool) {
 		case "comment":
 			return once(&seen, 1) && s.skipString()
 		case "weights":
-			// Collected on the stack and copied once; more than MaxK
-			// weights fail Validate anyway, so they decline here.
-			var w [core.MaxK]uint64
-			n := 0
-			ok := once(&seen, 2) && s.array(func() bool {
-				if n == len(w) {
-					return false
-				}
-				n++
-				return s.uint(&w[n-1])
+			return once(&seen, 2) && s.array(func() bool {
+				var w uint64
+				ok := s.uint(&w)
+				p.Weights = append(p.Weights, w)
+				return ok
 			})
-			p.Weights = append([]uint64(nil), w[:n]...)
-			return ok
 		case "actions":
 			if !once(&seen, 4) {
 				return false

@@ -13,7 +13,7 @@ import (
 // each solved once before the timer starts, POSTed to the /v1/solve handler
 // in turn. Decode, canonicalize, hash, lookup and encode are the cost, as in
 // perfbench's solve-hot workload, without the network. On a 2-vCPU Xeon
-// (go1.24.0, 20000 iterations) it takes about 36 µs, 60 allocs and 12.6 KB
+// (go1.24.0, 20000 iterations) it takes about 43 µs, 64 allocs and 12.7 KB
 // per op, request construction included.
 func BenchmarkSolveHit(b *testing.B) {
 	s := New(Config{Logger: testLogger()})

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strconv"
 	"testing"
@@ -48,6 +49,29 @@ var replyFloats = []float64{0, math.Copysign(0, -1), 1e-7, 1e-6, 9.99e-7, 1e21, 
 // the reflection encoder on every combination of the optional fields, with
 // every awkward string and, cycling through them, every float.
 func TestSolveResponseAppendMatchesEncoder(t *testing.T) {
+	// Every field set through reflection, so a field added to SolveResponse
+	// fails here until appendSolveResponse writes it too.
+	var all SolveResponse
+	v := reflect.ValueOf(&all).Elem()
+	for i := range v.NumField() {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString("s" + strconv.Itoa(i))
+		case reflect.Int:
+			f.SetInt(int64(i + 1))
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 0.5)
+		case reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		default:
+			t.Fatalf("SolveResponse.%s is a %s, which this test cannot set", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	if got, want := appendSolveResponse(nil, &all), encoderReply(t, &all); !bytes.Equal(got, want) {
+		t.Fatalf("every field set:\n got: %q\nwant: %q", got, want)
+	}
 	const optional = 9 // coalesced, cost, first_action, tree, approx, gap_milli, lower_bound, approx_policy, approx_exact
 	cost, gap, lb := uint64(12345), uint64(1200), uint64(0)
 	n := 0
@@ -143,10 +167,10 @@ func FuzzSolveResponseAppend(f *testing.F) {
 }
 
 // hitAllocs bounds the allocations of one warmed /v1/solve cache hit
-// through Handler(), request construction excluded. The path measures 47
+// through Handler(), request construction excluded. The path measures 51
 // allocations on go1.24; the slack of 2 is less than what a returning
 // Problem clone (3), reflective encode or regrowing body read would add.
-const hitAllocs = 49
+const hitAllocs = 53
 
 // TestSolveHitAllocs pins the cache-hit path's allocation count, in the
 // manner of core.TestSolveSteadyStateAllocs.
@@ -189,8 +213,9 @@ func TestSolveHitAllocs(t *testing.T) {
 
 // TestBodySizeHint covers readBody's Content-Length hint: a chunked body
 // (no length) still parses, an over-limit body is a 413 whether its length
-// is declared or not, a length past maxBodyBytes or short of the body falls
-// back to growing the buffer, and an honest length reads into one buffer.
+// is declared or not, a length past bodyHint (maxBodyBytes included) or
+// short of the body falls back to growing the buffer, and an honest length
+// reads into one buffer.
 func TestBodySizeHint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	p := workload.MedicalDiagnosis(2, 6)
@@ -240,14 +265,16 @@ func TestBodySizeHint(t *testing.T) {
 		for name, declared := range map[string]int64{
 			"exact":          int64(len(body)),
 			"short":          int64(len(body) / 3),
+			"past the hint":  bodyHint + 1,
+			"at the limit":   maxBodyBytes,
 			"past the limit": maxBodyBytes + 1,
 		} {
 			b, err := readBody(httptest.NewRecorder(), request(declared))
 			if err != nil || !bytes.Equal(b, body) {
 				t.Fatalf("%s: readBody gave %d bytes, %v; want the %d-byte body", name, len(b), err, len(body))
 			}
-			if declared > maxBodyBytes && cap(b) >= maxBodyBytes {
-				t.Errorf("%s: a %d-byte buffer for a %d-byte body: the length past the limit sized it", name, cap(b), len(body))
+			if cap(b) > bodyHint {
+				t.Errorf("%s: a %d-byte buffer for a %d-byte body: a declared length past bodyHint sized it", name, cap(b), len(body))
 			}
 		}
 	})

@@ -64,6 +64,12 @@ import (
 // few tens of kilobytes of JSON.
 const maxBodyBytes = 1 << 20
 
+// bodyHint is the largest Content-Length readBody allocates for before the
+// body arrives, so a client that declares a length and then stalls pins at
+// most this much. It holds every instance solve-hot's clients send (k <= 13)
+// several times over; a longer body grows as its bytes come.
+const bodyHint = 64 << 10
+
 // Config tunes the service; zero values select the defaults noted per field.
 type Config struct {
 	MaxConcurrent  int           // simultaneous solver runs (default GOMAXPROCS)
@@ -863,12 +869,12 @@ func readInstance(w http.ResponseWriter, r *http.Request) (*core.Problem, error)
 }
 
 // readBody reads a request body of at most maxBodyBytes; a longer one is an
-// error that unwraps to *http.MaxBytesError. A Content-Length within the
-// limit sizes the buffer in one allocation, with room to see EOF without
+// error that unwraps to *http.MaxBytesError. A Content-Length of at most
+// bodyHint sizes the buffer in one allocation, with room to see EOF without
 // growing; any other body grows the buffer as it reads.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	var buf bytes.Buffer
-	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+	if n := r.ContentLength; n > 0 && n <= bodyHint {
 		buf.Grow(int(n) + bytes.MinRead)
 	}
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
