@@ -113,7 +113,7 @@ func BenchmarkE9SequentialDP(b *testing.B) {
 
 // BenchmarkSolveDP — the one-range exact sweep: one cost plane filled in
 // numeric order, each cell one compiled-kernel Cost call (the multi-range
-// level driver is BenchmarkSolveParallelK16 in internal/core). Random
+// block sweep is BenchmarkSolveParallelK16 in internal/core). Random
 // runs at the k=16 serving sweet spot and the k=20 cache-pressure regime
 // (8 MiB plane, past L2); the three domain generators run at k=16, so the
 // four k=16 rows are the instance mix the serving benchmark's cold path

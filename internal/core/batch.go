@@ -43,7 +43,7 @@ func SolveBatch(ps []*Problem, workers int) ([]*Solution, error) {
 // process-wide one; `workers` <= 0 selects GOMAXPROCS). Shard sh solves
 // instances sh, sh+shards, … in turn, each as SolveParallelPooledCtx would
 // with max(1, workers/G) ranges: one range runs the numeric-order sweep, more
-// split each level. A group of one is therefore an ordinary solve on
+// run its subcube blocks in parallel. A group of one is therefore an ordinary solve on
 // `workers` ranges. Each returned Solution is cost-only like every other
 // solver's and bit-identical to Solve on that instance alone. Empty and
 // mixed-lattice groups are refused. On any failure every Solution already

@@ -136,9 +136,20 @@ func SolveExhaustiveCtx(ctx context.Context, p *Problem) (uint64, error) {
 	return got, nil
 }
 
+// binomial returns C(n, k) for n <= 32.
+func binomial(n, k int) uint64 {
+	if k < 0 || k > n {
+		return 0
+	}
+	c := uint64(1)
+	for i := 0; i < k; i++ {
+		c = c * uint64(n-i) / uint64(i+1)
+	}
+	return c
+}
+
 // subsetsOfSize enumerates all k-bit subsets with exactly j set bits in
-// increasing numeric order (Gosper's hack): the reference enumeration the
-// level driver's rank ranges are checked against.
+// increasing numeric order (Gosper's hack).
 func subsetsOfSize(k, j int) []Set {
 	if j < 0 || j > k {
 		panic(fmt.Sprintf("core: %d-subsets of %d elements", j, k))

@@ -65,43 +65,61 @@ func TestSolveCheckpointedMatchesSolve(t *testing.T) {
 }
 
 // TestProgressReports pins what the hook sees: K−1 reports whatever the
-// range count, done strictly increasing, total always 2^K−1. A one-range
-// sweep visits sets in numeric order and reports done = 2^j−1 for
-// j = 1..K−1; a multi-range sweep reports at each level barrier but the
-// last, done = Σ_{1≤i≤j} C(K,i) after level j.
+// range count, done strictly increasing, total always 2^K−1. A sweep cut
+// into 2^j blocks reports done = 2^i−1 for i = 1..K−j while block 0 fills,
+// then (Σ_{0≤i≤p} C(j,i))·2^(K−j) − 1 at the barrier after the blocks of
+// popcount p, for p = 1..j−1. One range is j = 0: done = 2^i−1 for
+// i = 1..K−1, the numeric-order reports.
 func TestProgressReports(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, k := range []int{1, 2, 6, 9} {
-		p := randomProblem(rng, k, 7)
-		var numeric, levels []report
-		done, total := uint64(0), uint64(1)<<uint(k)-1
-		for j := 1; j < k; j++ {
-			numeric = append(numeric, report{uint64(1)<<uint(j) - 1, total})
-			done += binomial(k, j)
-			levels = append(levels, report{done, total})
+	for _, tc := range []struct {
+		k, ranges int
+		shipped   bool // under the shipped block floor
+		j         int
+	}{
+		{1, 2, false, 0}, // one object: too few to split
+		{2, 2, false, 2}, // blocks of one set each
+		{6, 1, false, 0}, // one range
+		{6, 4, false, 6},
+		{9, 2, false, 6}, // 32 blocks per range: blocks of eight sets
+		{9, 4, false, 7},
+		{12, 1, true, 0}, // one range
+		{12, 2, true, 3}, // 8 actions: blocks of 512 sets
+		{14, 3, true, 5},
+		{16, 2, true, 6},
+	} {
+		p := randomProblem(rng, tc.k, 7)
+		all := uint64(1)<<uint(tc.k) - 1
+		low := tc.k - tc.j
+		var want []report
+		for i := 1; i <= low && i < tc.k; i++ {
+			want = append(want, report{uint64(1)<<uint(i) - 1, all})
 		}
-		for _, ranges := range []int{1, 2, 4} {
-			want := levels
-			if ranges == 1 {
-				want = numeric
+		blocks := uint64(1)
+		for q := 1; q < tc.j; q++ {
+			blocks += binomial(tc.j, q)
+			want = append(want, report{blocks<<uint(low) - 1, all})
+		}
+		if tc.shipped {
+			minRangeEvals = shippedMinRangeEvals
+		}
+		var got []report
+		sol, err := SolveParallelPooledCtx(context.Background(), p, tc.ranges, nil, nil, recordProgress(&got, 0))
+		minRangeEvals = 1
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol.Release()
+		if len(want) != tc.k-1 || len(got) != tc.k-1 {
+			t.Fatalf("k=%d ranges=%d: %d reports, want %d (%d expected)", tc.k, tc.ranges, len(got), tc.k-1, len(want))
+		}
+		for i, r := range got {
+			if r != want[i] {
+				t.Fatalf("k=%d ranges=%d: report %d is %d/%d, want %d/%d",
+					tc.k, tc.ranges, i, r.done, r.total, want[i].done, want[i].total)
 			}
-			var got []report
-			sol, err := SolveParallelPooledCtx(context.Background(), p, ranges, nil, nil, recordProgress(&got, 0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sol.Release()
-			if len(got) != k-1 {
-				t.Fatalf("k=%d ranges=%d: %d reports, want %d", k, ranges, len(got), k-1)
-			}
-			for i, r := range got {
-				if r != want[i] {
-					t.Fatalf("k=%d ranges=%d: report %d is %d/%d, want %d/%d",
-						k, ranges, i, r.done, r.total, want[i].done, want[i].total)
-				}
-				if i > 0 && r.done <= got[i-1].done {
-					t.Fatalf("k=%d ranges=%d: done fell from %d to %d", k, ranges, got[i-1].done, r.done)
-				}
+			if i > 0 && r.done <= got[i-1].done {
+				t.Fatalf("k=%d ranges=%d: done fell from %d to %d", tc.k, tc.ranges, got[i-1].done, r.done)
 			}
 		}
 	}

@@ -50,11 +50,13 @@ func SolveCtx(ctx context.Context, p *Problem) (*Solution, error) {
 // Progress is a sweep's progress hook. The sweep calls it K−1 times, on the
 // goroutine that called the solver, with the number of nonempty subsets
 // whose cost is final (done, strictly increasing) out of 2^K−1 (total); it
-// never sees the cost plane. A one-range sweep, which visits sets in numeric
-// order, reports done = 2^j−1 for j = 1..K−1, once every subset of the first
-// j objects is final. A multi-range sweep reports at each popcount level
-// barrier but the last, done = Σ_{1≤i≤j} C(K,i). An error from the hook
-// aborts the solve, which returns the error wrapped and no Solution.
+// never sees the cost plane. A sweep cut into 2^j blocks by its top j
+// objects (see SolveParallelPooledCtx) reports done = 2^i−1 for
+// i = 1..K−j while block 0, the subsets of the low K−j objects, fills in
+// numeric order, then at each barrier between popcounts of blocks but the
+// last. A one-range sweep is one block, j = 0: done = 2^i−1 for
+// i = 1..K−1. An error from the hook aborts the solve, which returns the
+// error wrapped and no Solution.
 type Progress func(done, total uint64) error
 
 // noFrontier is the type of the slot where SolveCheckpointedCtx and
@@ -72,16 +74,19 @@ func SolveCheckpointedCtx(ctx context.Context, p *Problem, _ *noFrontier, progre
 	return solve(ctx, p, 1, nil, progress)
 }
 
-// SolveParallelPooledCtx is SolveCtx with each popcount level split into up
-// to `workers` Gosper rank ranges run on a stripe pool — the natural way to
-// run the backward induction on shared-memory hardware (the paper's machine
-// is internal/parttsolve). `workers` <= 0 selects GOMAXPROCS; it sets the
-// unit of load balancing, not how many goroutines exist, so concurrent
-// solves share one bounded worker set. A level too small to repay the pool's
-// hand-off runs inline as one range, and `workers` == 1 runs SolveCtx's
-// numeric-order sweep. A nil pool selects the process-wide
-// one. A panic in any range is recovered and returned as an error. Results
-// are bit-identical to Solve for every worker count. The fifth argument must
+// SolveParallelPooledCtx is SolveCtx run on up to `workers` shards of a
+// stripe pool. The lattice is cut into 2^j subcube blocks by its top j
+// objects, each swept in numeric order; the blocks of one popcount are
+// independent and run in parallel, popcount by popcount, j+1 barriers in
+// all, the shape of the paper's ASCEND over hypercube dimensions (its
+// machine is internal/parttsolve). `workers` <= 0 selects GOMAXPROCS; it
+// sets the unit of load balancing, not how many goroutines exist, so
+// concurrent solves share one bounded worker set. j is the most bits that
+// leave every block enough work to repay the pool's hand-off and make at
+// most 32 blocks per worker; `workers` == 1, or an instance too small for 4
+// blocks, runs SolveCtx's numeric-order sweep. A nil pool selects the process-wide one. A panic in
+// any block is recovered and returned as an error. Results are
+// bit-identical to Solve for every worker count. The fifth argument must
 // be nil (see noFrontier); a non-nil progress hook is called as Progress
 // says.
 func SolveParallelPooledCtx(ctx context.Context, p *Problem, workers int, pool *stripe.Pool, _ *noFrontier, progress Progress) (*Solution, error) {
@@ -102,9 +107,8 @@ func poolWidth(workers int, pool *stripe.Pool) (int, *stripe.Pool) {
 }
 
 // solve is the one G=1 sweep behind every exact entry point: the problem
-// compiled once, and a pooled cost plane filled by Kernel.Cost, in numeric
-// order when the solve has one range and under the level driver when it has
-// more.
+// compiled once, and a pooled cost plane filled by Kernel.Cost in subcube
+// blocks, one block when the solve has one range.
 func solve(ctx context.Context, p *Problem, ranges int, pool *stripe.Pool, progress Progress) (*Solution, error) {
 	kn, err := compile(p)
 	if err != nil {
@@ -120,13 +124,8 @@ func solve(ctx context.Context, p *Problem, ranges int, pool *stripe.Pool, progr
 	// the sweep writes it; every other cell is written before any superset
 	// reads it.
 	c[0] = 0
-	if ranges <= 1 {
-		err = sweepOne(ctx, kn, c, p.K, progress)
-	} else {
-		d := &sweep{k: p.K, ranges: ranges, actions: len(p.Actions), pool: pool, progress: progress,
-			visit: func(s Set) { c[s] = kn.Cost(c, s) }}
-		err = d.run(ctx)
-	}
+	d := &sweep{ctx: ctx, kn: kn, c: c, k: p.K, j: blockBits(p.K, ranges, len(p.Actions)), progress: progress}
+	err = d.run(ranges, pool)
 	if err != nil {
 		sol.Release()
 		return nil, err

@@ -3,19 +3,22 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"os"
-	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// shippedMinRangeEvals is the production range floor. TestMain lowers the
+// shippedMinRangeEvals is the production block floor. TestMain lowers the
 // floor to one evaluation for the package's tests, so that the small
-// instances they solve still cut every level into several ranges and cover
-// the pool barrier; TestSweepRangeRule runs under the shipped value.
+// instances they solve are still cut into many blocks and cover the pool
+// barrier; TestSweepBlockRule and TestSolveParallelShippedFloor run under
+// the shipped value.
 var shippedMinRangeEvals = minRangeEvals
 
 func TestMain(m *testing.M) {
@@ -23,45 +26,75 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// levelRanges solves p with at most `workers` ranges per level under the
-// shipped floor and returns how many ranges each level ran.
-func levelRanges(t *testing.T, workers int, p *Problem) []int64 {
+// blockRuns solves p on `ranges` ranges and returns the sweep's block bits j
+// and how many times each of its 2^j blocks ran.
+func blockRuns(t *testing.T, ranges int, p *Problem) (int, []int64) {
 	t.Helper()
-	counts := make([]atomic.Int64, p.K+1)
-	sweepRangeHook = func(start Set) { counts[start.Size()].Add(1) }
-	minRangeEvals = shippedMinRangeEvals
-	defer func() { sweepRangeHook, minRangeEvals = nil, 1 }()
-	if _, err := SolveParallelPooledCtx(context.Background(), p, workers, nil, nil, nil); err != nil {
+	var mu sync.Mutex
+	j := -1
+	runs := map[uint64]int64{}
+	sweepBlockHook = func(b uint64, bj int) {
+		mu.Lock()
+		defer mu.Unlock()
+		if j >= 0 && bj != j {
+			t.Errorf("block %d ran with %d block bits, earlier blocks with %d", b, bj, j)
+		}
+		j = bj
+		runs[b]++
+	}
+	defer func() { sweepBlockHook = nil }()
+	sol, err := SolveParallelPooledCtx(context.Background(), p, ranges, nil, nil, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]int64, len(counts))
-	for i := range counts {
-		out[i] = counts[i].Load()
+	sol.Release()
+	out := make([]int64, 1<<uint(j))
+	for b, n := range runs {
+		if b >= uint64(len(out)) {
+			t.Fatalf("block %d out of range for %d block bits", b, j)
+		}
+		out[b] = n
 	}
-	return out
+	return j, out
 }
 
-// TestSweepRangeRule pins the range floor: a level gets one range per
-// minRangeEvals of (set, action) evaluations, capped at the requested width,
-// so small levels and small K run inline while the wide middle levels of a
-// large instance split.
-func TestSweepRangeRule(t *testing.T) {
+// TestSweepBlockRule pins how the sweep cuts the lattice: 2^j blocks by the
+// top j objects, j the most bits that leave every block minRangeEvals
+// (set, action) evaluations and make at most blocksPerRange blocks per
+// range, and 0 (one block) on one range or when the floor allows fewer
+// than 2. Every block runs once.
+func TestSweepBlockRule(t *testing.T) {
+	minRangeEvals = shippedMinRangeEvals
+	defer func() { minRangeEvals = 1 }()
+	for _, tc := range []struct{ k, ranges, actions, j int }{
+		{12, 4, 30, 4}, // 30·2^8 = 7680 >= 4096 > 30·2^7
+		{12, 1, 30, 0}, // one range: one block
+		{6, 4, 30, 0},  // 30·2^6 < 4096: no block reaches the floor
+		{15, 2, 40, 6}, // the floor allows 8, 32 blocks per range 6
+		{15, 3, 40, 6}, // 2^7 > 32·3
+		{15, 4, 40, 7},
+		{15, 8, 40, 8},  // the floor and the per-range cap agree
+		{20, 16, 40, 9}, // the per-range cap
+		{16, 64, 40, 9}, // the floor: 40·2^7 = 5120 >= 4096 > 40·2^6
+		{13, 2, 16, 5},  // 16·2^8 = 4096 exactly
+		{10, 2, 8, 0},   // 8·2^9 = 4096 allows j = 1, too few to split
+		{11, 2, 8, 2},   // the least j that splits
+	} {
+		if got := blockBits(tc.k, tc.ranges, tc.actions); got != tc.j {
+			t.Errorf("blockBits(K=%d, ranges=%d, N=%d) = %d, want %d", tc.k, tc.ranges, tc.actions, got, tc.j)
+		}
+	}
 	rng := rand.New(rand.NewSource(66))
-	// K=12 with 30 actions: level 1 is 12×30 = 360 evaluations, one range;
-	// level 6 is 924×30 = 27720, six floors' worth, capped at 4 ranges.
-	big := randomProblem(rng, 12, 29)
-	got := levelRanges(t, 4, big)
-	if got[1] != 1 || got[12] != 1 {
-		t.Errorf("K=12 levels 1 and 12 ran %d and %d ranges, want 1 each", got[1], got[12])
-	}
-	if got[6] != 4 {
-		t.Errorf("K=12 level 6 ran %d ranges, want 4", got[6])
-	}
-	// K=6: no level reaches the floor, so every level is one range.
-	small := randomProblem(rng, 6, 29)
-	for level, n := range levelRanges(t, 4, small)[1:] {
-		if n != 1 {
-			t.Errorf("K=6 level %d ran %d ranges, want 1", level+1, n)
+	for _, tc := range []struct{ k, ranges, j int }{{12, 4, 4}, {12, 1, 0}, {6, 4, 0}} {
+		p := randomProblem(rng, tc.k, 29) // 30 actions with the catch-all
+		j, runs := blockRuns(t, tc.ranges, p)
+		if j != tc.j {
+			t.Errorf("K=%d at %d ranges: %d block bits, want %d", tc.k, tc.ranges, j, tc.j)
+		}
+		for b, n := range runs {
+			if n != 1 {
+				t.Errorf("K=%d at %d ranges: block %d ran %d times, want once", tc.k, tc.ranges, b, n)
+			}
 		}
 	}
 }
@@ -79,39 +112,69 @@ func TestSolveBatchShards(t *testing.T) {
 		}
 		return ps
 	}
-	// G=4 on 2 workers: four one-range sweeps, whose hook fires once each,
-	// with {0}, and no level driver.
+	// G=4 on 2 workers: four one-range sweeps, each the single block (0, 0).
 	var ones, others atomic.Int64
-	sweepRangeHook = func(start Set) {
-		if start == 1 {
+	sweepBlockHook = func(b uint64, j int) {
+		if b == 0 && j == 0 {
 			ones.Add(1)
 		} else {
 			others.Add(1)
 		}
 	}
-	defer func() { sweepRangeHook = nil }()
+	defer func() { sweepBlockHook = nil }()
 	if _, err := SolveBatchCtx(context.Background(), group(4), 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if ones.Load() != 4 || others.Load() != 0 {
-		t.Errorf("G=4 at 2 workers: %d one-range sweeps and %d other range starts, want 4 and 0",
+		t.Errorf("G=4 at 2 workers: %d one-range sweeps and %d other blocks, want 4 and 0",
 			ones.Load(), others.Load())
 	}
 	// G=2 on 4 workers: each instance gets 2 ranges, so under the package
-	// tests' floor of one evaluation every level of both instances splits
-	// in two (level 8 holds one set and stays whole).
-	counts := make([]atomic.Int64, base.K+1)
-	sweepRangeHook = func(start Set) { counts[start.Size()].Add(1) }
+	// tests' floor of one evaluation both are cut into 2·32 blocks, and
+	// every block runs once per instance.
+	counts := make([]atomic.Int64, 64)
+	sweepBlockHook = func(b uint64, j int) {
+		if j != 6 {
+			t.Errorf("G=2 at 4 workers: %d block bits, want 6", j)
+		}
+		counts[b].Add(1)
+	}
 	if _, err := SolveBatchCtx(context.Background(), group(2), 4, nil); err != nil {
 		t.Fatal(err)
 	}
-	for level := 1; level < base.K; level++ {
-		if n := counts[level].Load(); n != 4 {
-			t.Errorf("G=2 at 4 workers: level %d ran %d ranges, want 2 per instance", level, n)
+	for b := range counts {
+		if n := counts[b].Load(); n != 2 {
+			t.Errorf("G=2 at 4 workers: block %d ran %d times, want once per instance", b, n)
 		}
 	}
-	if n := counts[base.K].Load(); n != 2 {
-		t.Errorf("G=2 at 4 workers: level %d ran %d ranges, want 1 per instance", base.K, n)
+}
+
+// TestSolveParallelShippedFloor compares the block sweep with Solve, bit
+// for bit, at K = 11..16 on 2, 3, 4 and 8 ranges under the shipped floor,
+// where every instance is cut into 4 to 256 blocks. Run under -race it
+// also checks that blocks of one popcount share no cell.
+func TestSolveParallelShippedFloor(t *testing.T) {
+	minRangeEvals = shippedMinRangeEvals
+	defer func() { minRangeEvals = 1 }()
+	rng := rand.New(rand.NewSource(68))
+	for k := 11; k <= 16; k++ {
+		p := randomProblem(rng, k, 8+rng.Intn(32))
+		want, err := Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ranges := range []int{2, 3, 4, 8} {
+			if j := blockBits(k, ranges, len(p.Actions)); j < 2 {
+				t.Fatalf("K=%d N=%d: %d block bits, want a split", k, len(p.Actions), j)
+			}
+			got, err := SolveParallelPooledCtx(context.Background(), p, ranges, nil, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSolution(t, want, got, fmt.Sprintf("K=%d ranges=%d", k, ranges))
+			got.Release()
+		}
+		want.Release()
 	}
 }
 
@@ -182,73 +245,6 @@ func TestSubsetsOfSize(t *testing.T) {
 	}
 }
 
-// gosperNext is the reference successor: the next higher number with the same
-// popcount.
-func gosperNext(v uint32) uint32 {
-	c := v & -v
-	r := v + c
-	return (r^v)>>2/c | r
-}
-
-// TestNthSubsetMatchesEnumeration cross-checks the combinadic unranking
-// against the reference Gosper enumeration at every rank of every level for
-// all universes up to k=12 (C(12,6)=924 per level — exhaustive but cheap).
-func TestNthSubsetMatchesEnumeration(t *testing.T) {
-	for k := 1; k <= 12; k++ {
-		for j := 1; j <= k; j++ {
-			all := subsetsOfSize(k, j)
-			if uint64(len(all)) != binomial(k, j) {
-				t.Fatalf("k=%d j=%d: %d subsets, want C=%d", k, j, len(all), binomial(k, j))
-			}
-			for rank, want := range all {
-				if got := nthSubset(uint64(rank), j); Set(got) != want {
-					t.Fatalf("nthSubset(%d, %d) = %b, want %b (k=%d)", rank, j, got, want, k)
-				}
-			}
-		}
-	}
-}
-
-// TestNthSubsetBoundariesMaxK checks the ranks SolveParallel's sharding
-// actually lands on at the largest supported universe (k=MaxK, where
-// enumeration is impossible): the first rank of each level is the lowest j
-// bits, the last is the highest j bits, and unranking agrees with the Gosper
-// successor at the seams of evenly split ranges.
-func TestNthSubsetBoundariesMaxK(t *testing.T) {
-	const k = MaxK
-	for j := 1; j <= k; j++ {
-		total := binomial(k, j)
-		if first, want := nthSubset(0, j), uint32(1)<<uint(j)-1; first != want {
-			t.Fatalf("level %d: first = %b, want %b", j, first, want)
-		}
-		last := nthSubset(total-1, j)
-		if want := (uint32(1)<<uint(j) - 1) << uint(k-j); last != want {
-			t.Fatalf("level %d: last = %b, want %b", j, last, want)
-		}
-		// Range starts for a 7-way split, plus the very ends: each start's
-		// Gosper successor must be the next rank's unranking. Only ranks with
-		// a successor qualify (total-2 underflows when the level is a
-		// singleton, so guard before subtracting).
-		if total < 2 {
-			continue
-		}
-		chunk := (total + 6) / 7
-		for _, rank := range []uint64{0, chunk, 2 * chunk, 3 * chunk, total - 2} {
-			if rank >= total-1 {
-				continue
-			}
-			v := nthSubset(rank, j)
-			next := nthSubset(rank+1, j)
-			if next <= v {
-				t.Fatalf("level %d: rank %d -> %d not increasing (%b, %b)", j, rank, rank+1, v, next)
-			}
-			if g := gosperNext(v); g != next {
-				t.Fatalf("level %d rank %d: gosper(%b) = %b, want %b", j, rank, v, g, next)
-			}
-		}
-	}
-}
-
 // TestSolveParallelMoreWorkersThanRanges pins the sharding when the pool is
 // far wider than any level (workers > C(k, level) for every level): every
 // range degenerates to a single subset and the result still matches Solve.
@@ -307,26 +303,25 @@ func TestSolveParallelCtxCancellation(t *testing.T) {
 	}
 }
 
-// TestSolveParallelWorkerPanicPropagates injects a panic into one worker's
-// range via the test hook: the pool must shut down and surface the panic as
-// an error instead of deadlocking the level barrier (wg.Done was unreachable
-// before the recover fix). At one range the hook fires once, at the start of
-// the one-range sweep, and the panic must come back as the same error; a
-// batch returns a panic in one instance's sweep the same way.
+// TestSolveParallelWorkerPanicPropagates injects a panic into one block via
+// the block-start hook: the sweep must surface it as an error instead of
+// deadlocking the level barrier. At one range the hook fires once, for the
+// single block, and the panic must come back as the same error; a batch
+// returns a panic in one instance's sweep the same way.
 func TestSolveParallelWorkerPanicPropagates(t *testing.T) {
-	defer func() { sweepRangeHook = nil }()
+	defer func() { sweepBlockHook = nil }()
 	rng := rand.New(rand.NewSource(65))
 	p := randomProblem(rng, 10, 8)
 	for _, tc := range []struct {
 		ranges int
-		size   int // popcount of the range start that panics
+		size   int // popcount of the block that panics
 	}{
-		{4, 2}, // blow up somewhere mid-DP, not level 1
-		{1, 1}, // the one-range sweep's only hook call
+		{4, 2}, // blow up on a pool worker mid-sweep, not in block 0
+		{1, 0}, // the one-range sweep's only block
 	} {
 		var fired atomic.Bool
-		sweepRangeHook = func(start Set) {
-			if start.Size() == tc.size && fired.CompareAndSwap(false, true) {
+		sweepBlockHook = func(b uint64, _ int) {
+			if bits.OnesCount64(b) == tc.size && fired.CompareAndSwap(false, true) {
 				panic("injected fault")
 			}
 		}
@@ -350,9 +345,9 @@ func TestSolveParallelWorkerPanicPropagates(t *testing.T) {
 
 	// A batch of two on one worker runs one shard, which sweeps the
 	// instances in turn: the hook's second call is the second instance's
-	// one-range sweep.
+	// only block.
 	var calls atomic.Int64
-	sweepRangeHook = func(Set) {
+	sweepBlockHook = func(uint64, int) {
 		if calls.Add(1) == 2 {
 			panic("injected fault")
 		}
@@ -417,20 +412,6 @@ func TestStatsErrors(t *testing.T) {
 	bad := &Node{Action: 1, Set: Universe(2)}
 	if _, err := Stats(p, bad); err == nil {
 		t.Fatal("stranding tree accepted")
-	}
-}
-
-// BenchmarkSolveParallelK16 runs the multi-range level driver: at least two
-// ranges per level, so that it does not fall to the one-range sweep on a
-// single-CPU host.
-func BenchmarkSolveParallelK16(b *testing.B) {
-	p := randomProblem(rand.New(rand.NewSource(62)), 16, 32)
-	workers := max(2, runtime.GOMAXPROCS(0))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SolveParallelPooledCtx(context.Background(), p, workers, nil, nil, nil); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -14,85 +15,106 @@ import (
 // enough that cancellation lands within microseconds of the deadline.
 const ctxStride = 1 << 12
 
-// sweepRangeHook, when non-nil, is called at the start of every Gosper range
-// the level driver runs, and once, with the set {0}, at the start of the
-// one-range sweep. Test-only: it lets the fault-injection tests panic inside
-// a worker and prove the sweep fails cleanly instead of deadlocking, and lets
-// the range-rule tests count the ranges of each level.
-var sweepRangeHook func(start Set)
+// sweepBlockHook, when non-nil, is called at the start of every block the
+// sweep runs, with the block's number b and the sweep's block bits j; a
+// one-range sweep is the single block (0, 0). Test-only: it lets the
+// fault-injection tests panic inside a worker and prove the sweep fails
+// cleanly instead of deadlocking, and lets the block-rule tests count
+// blocks.
+var sweepBlockHook func(b uint64, j int)
 
 // minRangeEvals is the least work, in (set, action) evaluations, that earns
-// a Gosper range of its own: handing a range to the pool and meeting it at
-// the barrier costs about as much as this many evaluations, so a smaller
-// level runs inline as one range. It was chosen from the idle one-range
-// against two-range times in EXPERIMENTS.md ("Exact engine verdict"). A
-// variable only so that the package tests can lower it and split every
-// level.
+// a block of its own: handing a block to the pool costs about as much as
+// this many evaluations, so the sweep cuts no block smaller. It was chosen
+// from the idle one-range against two-range times in EXPERIMENTS.md ("Exact
+// engine verdict"). A variable only so that the package tests can lower it
+// and cut small instances into many blocks.
 var minRangeEvals uint64 = 1 << 12
 
-// sweepOne is the exact sweep of a solve with one range: Garey's backward
-// induction in numeric order, s = 1..2^K−1, one direct Kernel.Cost call per
-// set. It needs no level driver, because every proper subset of S is
-// numerically smaller than S. The sets below 2^j are the subsets of the
-// first j objects, so all of them are final once s reaches 2^j−1; the
-// progress hook runs there, for j = 1..K−1, as often as the level driver
-// runs it. Numeric order beat Gosper levels visited inline on three of the
-// four domains (EXPERIMENTS.md, "One-range sweep"). It polls ctx every
-// ctxStride sets and returns a panic as the level driver does.
-func sweepOne(ctx context.Context, kn Kernel, c []uint64, k int, progress Progress) (err error) {
-	defer func() {
-		if x := recover(); x != nil {
-			err = fmt.Errorf("core: solver worker panicked: %v", x)
-		}
-	}()
-	if h := sweepRangeHook; h != nil {
-		h(1)
+// blocksPerRange caps the blocks at 32 per range. More blocks balance the
+// ranges no better and add barriers and hand-offs: at 2 ranges, 64 blocks
+// ran K = 15–16 up to 11% faster than 256 (EXPERIMENTS.md, "Subcube block
+// sweep").
+const blocksPerRange = 32
+
+// blockBits returns j, the number of top objects that cut the lattice into
+// 2^j blocks: the most that leaves every block minRangeEvals evaluations
+// (2^(K−j) sets of `actions` each) and makes at most blocksPerRange blocks
+// per range. One range, or a j below 2, is j = 0: one block, since with
+// j = 1 the two blocks of the lattice depend on each other and nothing runs
+// in parallel.
+func blockBits(k, ranges, actions int) int {
+	if ranges <= 1 {
+		return 0
 	}
-	all := uint64(1)<<uint(k) - 1
-	for hi := uint64(2); hi <= all+1; hi <<= 1 {
-		for lo := hi / 2; lo < hi; lo += ctxStride {
-			for s := lo; s < min(lo+ctxStride, hi); s++ {
-				c[s] = kn.Cost(c, Set(s))
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if progress != nil && hi-1 < all {
-			if err := progress(hi-1, all); err != nil {
-				return fmt.Errorf("core: progress hook at %d of %d sets: %w", hi-1, all, err)
-			}
-		}
+	j := k
+	for j > 0 && (uint64(actions)<<uint(k-j) < minRangeEvals || 1<<uint(j)/blocksPerRange > ranges) {
+		j--
 	}
-	return nil
+	if j < 2 {
+		return 0
+	}
+	return j
 }
 
-// sweep is the level driver that multi-range solves run under. Subsets are
-// visited level by level in popcount order: every C(S) at level j depends
-// only on strictly smaller sets, so the sets of one level are independent.
-// No level is materialized: each is cut into equal rank ranges of the
-// Gosper sequence (numeric order within a popcount), whose starts come from
-// combinadic unranking, and each range streams through its sets with
-// Gosper's hack.
+// sweep is the exact sweep behind every solve: Garey's backward induction,
+// one direct Kernel.Cost call per set, on subcube blocks. The top j objects
+// cut the 2^K sets into 2^j blocks; block b holds the sets whose top j bits
+// are b, and is swept in numeric order of its low K−j bits. Every proper
+// subset of a set in block b lies in b itself, numerically smaller, or in a
+// block b' ⊊ b, so once the blocks of popcount below |b| are final the
+// blocks of one popcount are independent. They run popcount by popcount on
+// the stripe pool, min(ranges, blocks) shards pulling blocks from a shared
+// cursor: j+1 barriers in all, where the paper's ASCEND over the hypercube
+// has one per dimension. With j = 0 the sweep is the plain numeric loop
+// s = 1..2^K−1.
 type sweep struct {
-	k       int
-	ranges  int // most Gosper rank ranges per level
-	actions int // evaluations per set
-	pool    *stripe.Pool
-	visit   func(s Set) // fills one subset's cost
-	// progress, when non-nil, runs at each level barrier but the last.
+	ctx      context.Context
+	kn       Kernel
+	c        []uint64
+	k, j     int
 	progress Progress
 
-	failed atomic.Bool // set by the first failure; ranges bail at their next poll
+	failed atomic.Bool // set by the first failure; blocks bail at their next poll
 	once   sync.Once
 	err    error
 }
 
-// gosperRange is one unit of work: count consecutive sets of one popcount
-// level, starting at start.
-type gosperRange struct {
-	start uint32
-	count uint64
+// run sweeps every block and returns the first failure: the context's
+// error, a progress hook's error, or a panic in any block. Block 0, the
+// subsets of the low K−j objects, runs on the calling goroutine and reports
+// progress at done = 2^i−1 for i = 1..K−j, once every subset of the first i
+// objects is final; each popcount level of blocks but the last reports at
+// its barrier, so the hook runs K−1 times in all.
+func (d *sweep) run(ranges int, pool *stripe.Pool) error {
+	d.block(0)
+	low := uint(d.k - d.j)
+	var level []uint64
+	done := uint64(1) // blocks final
+	for p := 1; p <= d.j && !d.failed.Load(); p++ {
+		level = level[:0]
+		for b := uint64(1); b < 1<<uint(d.j); b++ {
+			if bits.OnesCount64(b) == p {
+				level = append(level, b)
+			}
+		}
+		var next atomic.Int64
+		// Run is the level barrier: the blocks of popcount p+1 read those
+		// of popcount p only after every one has finished.
+		pool.Run(min(ranges, len(level)), func(int) {
+			for i := next.Add(1) - 1; i < int64(len(level)); i = next.Add(1) - 1 {
+				d.block(level[i])
+			}
+		})
+		done += uint64(len(level))
+		if !d.failed.Load() {
+			d.report(done<<low - 1)
+		}
+	}
+	if d.failed.Load() {
+		return d.err
+	}
+	return nil
 }
 
 func (d *sweep) fail(err error) {
@@ -102,47 +124,8 @@ func (d *sweep) fail(err error) {
 	})
 }
 
-// run sweeps levels 1..K. Each level gets as many ranges as it has
-// multiples of minRangeEvals of work, at most d.ranges and at least one. It
-// polls ctx every ctxStride subsets inside each range and at every level
-// barrier, recovers a panic in any range as an error, and returns the first
-// failure.
-func (d *sweep) run(ctx context.Context) error {
-	rs := make([]gosperRange, 0, d.ranges)
-	done, all := uint64(0), uint64(1)<<uint(d.k)-1
-	for level := 1; level <= d.k; level++ {
-		total := binomial(d.k, level)
-		n := min(uint64(d.ranges), max(1, total*uint64(d.actions)/minRangeEvals))
-		chunk := (total + n - 1) / n
-		rs = rs[:0]
-		for lo := uint64(0); lo < total; lo += chunk {
-			rs = append(rs, gosperRange{start: nthSubset(lo, level), count: min(chunk, total-lo)})
-		}
-		if len(rs) > 1 {
-			// Run is the level barrier: level j+1 reads level j's values
-			// only after every range of level j has finished.
-			d.pool.Run(len(rs), func(i int) { d.walk(ctx, rs[i]) })
-		} else {
-			d.walk(ctx, rs[0])
-		}
-		if d.failed.Load() {
-			return d.err
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		done += total
-		if d.progress != nil && done < all {
-			if err := d.progress(done, all); err != nil {
-				return fmt.Errorf("core: progress hook at %d of %d sets: %w", done, all, err)
-			}
-		}
-	}
-	return nil
-}
-
-// walk visits every set of one range.
-func (d *sweep) walk(ctx context.Context, rg gosperRange) {
+// block sweeps block b, recovering a panic as the sweep's failure.
+func (d *sweep) block(b uint64) {
 	defer func() {
 		if x := recover(); x != nil {
 			d.fail(fmt.Errorf("core: solver worker panicked: %v", x))
@@ -151,55 +134,52 @@ func (d *sweep) walk(ctx context.Context, rg gosperRange) {
 	if d.failed.Load() {
 		return
 	}
-	if h := sweepRangeHook; h != nil {
-		h(Set(rg.start))
+	if h := sweepBlockHook; h != nil {
+		h(b, d.j)
 	}
-	v := rg.start
-	for n := uint64(0); n < rg.count; n++ {
-		if n&(ctxStride-1) == ctxStride-1 {
-			if d.failed.Load() {
-				return
-			}
-			if err := ctx.Err(); err != nil {
-				d.fail(err)
-				return
-			}
+	low := uint(d.k - d.j)
+	if b != 0 {
+		d.fill(b<<low, (b+1)<<low)
+		return
+	}
+	// The sets below 2^i are the subsets of the first i objects.
+	for hi := uint64(2); hi <= 1<<low; hi <<= 1 {
+		if !d.fill(hi/2, hi) || !d.report(hi-1) {
+			return
 		}
-		d.visit(Set(v))
-		// Gosper: next higher number with the same popcount.
-		c := v & -v
-		r := v + c
-		v = (r^v)>>2/c | r
 	}
 }
 
-// binomial returns C(n, k) for the instance sizes the DP supports (n <= 32).
-func binomial(n, k int) uint64 {
-	if k < 0 || k > n {
-		return 0
+// fill computes C(S) for S = lo..hi−1 in numeric order, polling the failed
+// flag and the context every ctxStride sets. It reports whether the sweep
+// is still running.
+func (d *sweep) fill(lo, hi uint64) bool {
+	kn, c := d.kn, d.c
+	for ; lo < hi; lo += ctxStride {
+		for s := lo; s < min(lo+ctxStride, hi); s++ {
+			c[s] = kn.Cost(c, Set(s))
+		}
+		if d.failed.Load() {
+			return false
+		}
+		if err := d.ctx.Err(); err != nil {
+			d.fail(err)
+			return false
+		}
 	}
-	c := uint64(1)
-	for i := 0; i < k; i++ {
-		c = c * uint64(n-i) / uint64(i+1)
-	}
-	return c
+	return true
 }
 
-// nthSubset returns the subset of popcount j with `rank` predecessors in
-// increasing numeric order (equivalently, in the Gosper sequence): the
-// combinadic unranking that lets level ranges start anywhere without
-// enumerating the level. For fixed popcount, numeric order is colex order,
-// so the highest element e of the rank-m subset is the largest e with
-// C(e, j) <= m.
-func nthSubset(rank uint64, j int) uint32 {
-	var set uint32
-	for ; j > 0; j-- {
-		e := j - 1
-		for binomial(e+1, j) <= rank {
-			e++
-		}
-		set |= 1 << uint(e)
-		rank -= binomial(e, j)
+// report passes done to the progress hook unless every set is final, and
+// reports whether the sweep is still running.
+func (d *sweep) report(done uint64) bool {
+	all := uint64(1)<<uint(d.k) - 1
+	if d.progress == nil || done >= all {
+		return true
 	}
-	return set
+	if err := d.progress(done, all); err != nil {
+		d.fail(fmt.Errorf("core: progress hook at %d of %d sets: %w", done, all, err))
+		return false
+	}
+	return true
 }

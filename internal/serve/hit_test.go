@@ -167,10 +167,10 @@ func FuzzSolveResponseAppend(f *testing.F) {
 }
 
 // hitAllocs bounds the allocations of one warmed /v1/solve cache hit
-// through Handler(), request construction excluded. The path measures 51
-// allocations on go1.24; the slack of 2 is less than what a returning
-// Problem clone (3), reflective encode or regrowing body read would add.
-const hitAllocs = 53
+// through Handler(), request construction excluded: the 47 the path
+// measures on go1.24, with no slack, so that a returning Problem clone (3),
+// request deadline (4), reflective encode or regrowing body read fails it.
+const hitAllocs = 47
 
 // TestSolveHitAllocs pins the cache-hit path's allocation count, in the
 // manner of core.TestSolveSteadyStateAllocs.

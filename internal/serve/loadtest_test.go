@@ -98,7 +98,7 @@ func TestLoadConcurrentMixed(t *testing.T) {
 				// A huge instance with a tiny deadline: must 504 promptly.
 				big := workload.Random(2, 20, 40, 4)
 				start := time.Now()
-				_, status := postSolveClient(t, client, url, "?engine=parallel&timeout_ms=40", instanceJSONQuiet(big))
+				_, status := postSolveClient(t, client, url, "?engine=parallel&timeout_ms=5", instanceJSONQuiet(big))
 				if status != http.StatusGatewayTimeout {
 					t.Errorf("req %d: big instance got %d, want 504", r, status)
 					return

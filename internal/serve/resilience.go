@@ -80,7 +80,7 @@ func (s *Server) solveAttempt(ctx context.Context, hash string, canon *core.Prob
 	}
 	if rung == "approx" {
 		// The anytime path has its own certification discipline (gap
-		// certificates) and no level barriers.
+		// certificates) and no progress hook.
 		return s.solveApproxAttempt(ctx, hash, canon, ap)
 	}
 	sol, err := core.SolveParallelPooledCtx(ctx, canon, s.ranges(), s.stripe, nil, s.levelPause(ctx))
@@ -117,12 +117,12 @@ func (s *Server) solveAttempt(ctx context.Context, hash string, canon *core.Prob
 	return ent, nil
 }
 
-// ranges is the most Gosper ranges an exact solve cuts each level into: the
-// stripe pool's width shared among the solves holding a solver slot, this
-// one included. A lone solve spreads over every worker; under the defaults,
+// ranges is the most stripe-pool workers an exact solve runs its blocks on:
+// the pool's width shared among the solves holding a solver slot, this one
+// included. A lone solve spreads over every worker; under the defaults,
 // where the pool and MaxConcurrent are both GOMAXPROCS, a full house runs
-// one range each, since the other solves already fill the cores. core.sweep
-// further keeps small levels inline.
+// one range each, since the other solves already fill the cores. The core
+// sweep further runs an instance too small to cut into blocks as one.
 func (s *Server) ranges() int {
 	return max(1, s.stripe.Workers()/max(1, len(s.sem)))
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -76,10 +75,8 @@ func (s *Server) handlePolicyPublish(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DefaultTimeout)
-	defer cancel()
 	start := time.Now()
-	ent, cached, _, err := s.solveShared(ctx, hash, canon, "exact", approx.Spec{Raw: "off"}, s.cfg.DefaultTimeout)
+	ent, cached, _, err := s.solveShared(r.Context(), hash, canon, "exact", approx.Spec{Raw: "off"}, s.cfg.DefaultTimeout)
 	if err != nil {
 		s.solveError(w, err)
 		return

@@ -27,11 +27,11 @@
 // machines (lockstep, goroutine, ccc, bvm) compute the same C(U) as the host
 // DP, only slower, so they are not served: ttsolve -engine runs them.
 //
-// Every solve runs inside this process, on one exact path: the host DP, each
-// level cut into as many Gosper ranges as the stripe pool has workers to
-// spare for it. A failed exact attempt falls through to approx only when the
-// request enabled it; otherwise it is a 500. Nothing outlives the request, so
-// one instance's faults never refuse another instance's request.
+// Every solve runs inside this process, on one exact path: the host DP, its
+// subcube blocks run on as many stripe-pool workers as are spare for it. A
+// failed exact attempt falls through to approx only when the request
+// enabled it; otherwise it is a 500. Nothing outlives the request, so one
+// instance's faults never refuse another instance's request.
 package serve
 
 import (
@@ -191,7 +191,7 @@ type Server struct {
 	keyring  *policy.Keyring // signs and verifies route session cursors
 	routeSID atomic.Uint32   // session ids for new route sessions
 
-	stripe *stripe.Pool // worker pool behind the exact DP's level ranges and batch sweeps
+	stripe *stripe.Pool // worker pool behind the exact DP's blocks and batch sweeps
 
 	baseCtx    context.Context // parent of every solve context; Close cancels it
 	baseCancel context.CancelFunc
@@ -435,10 +435,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
 	start := time.Now()
-	ent, cached, coalesced, err := s.solveShared(ctx, hash, canon, rung, ap, timeout)
+	ent, cached, coalesced, err := s.solveShared(r.Context(), hash, canon, rung, ap, timeout)
 	if err != nil {
 		s.solveError(w, err)
 		return
@@ -501,9 +499,21 @@ func (s *Server) admit(p *core.Problem) *oversizeError {
 // identical in-flight solve, or start the solve. Cache and singleflight share
 // one key, cacheKey(hash, ap). The solve runs under its own context (derived from the server, bounded by timeout), so it
 // survives any single client's disconnect while other waiters remain — and
-// stops as soon as the last waiter is gone.
+// stops as soon as the last waiter is gone. A request waits on a solve,
+// joined or started, for at most timeout; a hit waits on nothing, so the
+// deadline and its timer are made only after a first look in the cache
+// misses (the loop looks again, since a solve may land in between).
 func (s *Server) solveShared(ctx context.Context, hash string, canon *core.Problem, rung string, ap approx.Spec, timeout time.Duration) (ent *cacheEntry, cached, coalesced bool, err error) {
 	key := cacheKey(hash, ap)
+	s.mu.Lock()
+	e := s.cache.get(key)
+	s.mu.Unlock()
+	if e != nil {
+		s.metrics.CacheHits.Add(1)
+		return e, true, false, nil
+	}
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
 	for attempt := 0; ; attempt++ {
 		s.mu.Lock()
 		if e := s.cache.get(key); e != nil {
@@ -536,8 +546,8 @@ func (s *Server) solveShared(ctx context.Context, hash string, canon *core.Probl
 			}
 			return e, false, true, err
 		}
-		solveCtx, cancel := context.WithTimeout(s.baseCtx, timeout)
-		c := &flightCall{done: make(chan struct{}), cancel: cancel, waiters: 1}
+		solveCtx, stop := context.WithTimeout(s.baseCtx, timeout)
+		c := &flightCall{done: make(chan struct{}), cancel: stop, waiters: 1}
 		s.flights[key] = c
 		s.mu.Unlock()
 		go s.runSolve(solveCtx, hash, key, c, canon, rung, ap)

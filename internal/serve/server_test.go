@@ -148,8 +148,8 @@ func TestSolveMatchesCoreAcrossEngines(t *testing.T) {
 	}
 }
 
-// TestRangesShareThePool pins how many Gosper ranges an exact solve may cut
-// each level into: the stripe pool's width at one solve in flight, and one
+// TestRangesShareThePool pins how many stripe-pool workers an exact solve
+// may run its blocks on: the pool's width at one solve in flight, and one
 // range each once MaxConcurrent solves hold every slot.
 func TestRangesShareThePool(t *testing.T) {
 	s, _ := newTestServer(t, Config{MaxConcurrent: 4, StripeWorkers: 4})
@@ -504,7 +504,7 @@ func TestStatsAndDebugVars(t *testing.T) {
 }
 
 func TestSolveTimeoutReturns504(t *testing.T) {
-	s, ts := newTestServer(t, Config{DefaultTimeout: 25 * time.Millisecond})
+	s, ts := newTestServer(t, Config{DefaultTimeout: 5 * time.Millisecond})
 	// Large enough that the full sweep takes well over the deadline.
 	p := workload.Random(29, 20, 40, 4)
 	_, status := postSolve(t, ts, "?engine=parallel", instanceJSON(t, p))

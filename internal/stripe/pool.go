@@ -1,13 +1,15 @@
 // Package stripe provides a reusable fixed-size worker pool for
 // deterministic data-parallel sweeps: the raw-speed substrate behind the
-// striped BVM word-plane executor (internal/bvm) and the level-synchronous
-// Gosper sweeps of the host DP solvers (internal/core).
+// striped BVM word-plane executor (internal/bvm) and the host DP's subcube
+// block sweep (internal/core), which runs the blocks of one popcount per job.
 //
 // The pool runs parallel-for jobs: Run(shards, fn) executes fn(0..shards-1)
 // across the workers and returns only when every shard has finished — a hard
 // barrier, which is exactly the merge discipline the solvers already use at
-// their ABFT level barriers. Shards are pure functions of their index, so
-// results are bit-identical for any worker count, including zero.
+// their ABFT level barriers. Each unit of work is a pure function of its
+// index, whether a shard is handed its units by index (the BVM) or pulls
+// them from a shared cursor (the DP's blocks), so results are bit-identical
+// for any worker count, including zero.
 //
 // Two properties make one process-wide pool safe to share across concurrent
 // solves (the ttserve case):
