@@ -40,6 +40,7 @@ fuzz-short:
 	$(GO) test ./internal/bvm/ -fuzz FuzzParseProgramRoundTrip -fuzztime 30s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzKernelCell$$' -fuzztime 30s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzSolveAgreement$$' -fuzztime 30s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzTreatmentOnly$$' -fuzztime 30s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzSolveBatch$$' -fuzztime 30s
 	$(GO) test ./internal/instio/ -run '^$$' -fuzz 'FuzzRead$$' -fuzztime 30s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz 'FuzzSolveResponseAppend$$' -fuzztime 30s

@@ -126,6 +126,7 @@ func BenchmarkSolveDP(b *testing.B) {
 		p    *core.Problem
 	}{
 		{"k16", workload.Random(2, 16, 16, 16)},
+		{"random-mix/k16", workload.Random(2, 16, 16, 8)}, // solve-cold's shape
 		{"k20", workload.Random(2, 20, 16, 16)},
 		{"medical/k16", workload.MedicalDiagnosis(2, 16)},
 		{"faultloc/k16", workload.FaultLocation(2, 16, 4)},

@@ -168,24 +168,29 @@ func (kn Kernel) Cell(c []uint64, s Set) (cost uint64, choice int32) {
 	return kn.cell(c, s, 0, kn.n)
 }
 
-// Cost is Cell's cost without its choice, for sweeps. It prices the
+// Cost is Cell's cost without its choice, for sweeps, which store the
+// result at c[s]. It first stores Inf there itself, so an action that would
+// not shrink S prices at Inf with no test, as the paper's infinity
+// initialization excludes it: a treatment with S∩T_i = ∅ reads c[S−T_i] =
+// c[s], and a test with S∩T_i ∈ {∅, S} reads c[s] + c[∅]. It prices the
 // treatments cheapest first, then the tests cheapest first, and stops each
-// walk early:
+// walk at any record, applicable or not, whose bound reaches the best:
 //
 //   - a treatment's M[S,i] >= t_i·p(S), since plane entries are >= 0 and
 //     the additions saturate upward, so the treatments stop at the first
-//     applicable one with t_i·p(S) >= best;
+//     record with t_i·p(S) >= best;
 //   - a test's M[S,i] = t_i·p(S) + c[S∩T_i] + c[S−T_i] >= t_i·p(S) + L(S)
 //     whenever c[X] >= L(X) for both parts, because L is additive over the
-//     disjoint parts; so the tests stop at the first applicable one with
+//     disjoint parts; so the tests stop at the first record with
 //     t_i·p(S) + L(S) >= best.
 //
-// Neither stop skips an action that is strictly cheaper than the best, so:
+// The records are sorted by cost, so each bound holds for every later
+// record of its walk. Neither stop skips a strictly cheaper action, so:
 //
 //   - Cost equals Cell's cost on any plane with c[X] >= L(X) for every
 //     proper subset X of s.
 //   - Cost is never below Cell's cost on any plane: it returns the minimum
-//     over a subset of the M[S,i] that Cell minimizes over.
+//     of Inf and some of the M[S,i] that Cell minimizes over.
 //
 // Every plane a sweep builds meets the first rule, by induction over the
 // levels. The base is C(∅) = 0 = L(∅). For X ≠ ∅, assume C(Y) >= L(Y) for
@@ -203,11 +208,12 @@ func (kn Kernel) Cell(c []uint64, s Set) (cost uint64, choice int32) {
 // may read higher.
 //
 // The body repeats cell's rather than sharing a helper, which the compiler
-// does not inline, and tests each exit inside its loop, after that loop's
-// exclusion: a shared helper and one combined exclusion test both measured
-// slower (EXPERIMENTS.md, "Cost-ordered early exit"). It slices mem in
-// place rather than through a method, whose receiver copy also measured
-// slower (EXPERIMENTS.md, "Treatment-floor bound").
+// does not inline, and tests each exit inside its loop: a shared helper
+// measured slower (EXPERIMENTS.md, "Cost-ordered early exit"), and so did
+// keeping the exclusion as a branch-free mask (EXPERIMENTS.md,
+// "Exclusion-free kernel"). It slices mem in place rather than through a
+// method, whose receiver copy also measured slower (EXPERIMENTS.md,
+// "Treatment-floor bound").
 func (kn Kernel) Cost(c []uint64, s Set) uint64 {
 	// p(S) and L(S) in one pass. Finite floor entries are at most
 	// 8·maxInput², so only an Inf entry can saturate L(S).
@@ -219,12 +225,10 @@ func (kn Kernel) Cost(c []uint64, s Set) uint64 {
 		lb = addSat(lb, kn.mem[i+1])
 		x >>= 8
 	}
+	c[s] = Inf
 	best := Inf
 	recs := kn.mem[kn.words+kn.n:] // the cost-ordered copy
 	for _, r := range recs[:kn.nt] {
-		if s&Set(r) == 0 {
-			continue // treats nothing in S: excluded
-		}
 		tp := r >> 32 * ps
 		if tp >= best {
 			break // this treatment and every later one price at >= best
@@ -234,16 +238,11 @@ func (kn Kernel) Cost(c []uint64, s Set) uint64 {
 		}
 	}
 	for _, r := range recs[kn.nt:] {
-		inter := s & Set(r)
-		diff := s &^ Set(r)
-		if inter == 0 || diff == 0 {
-			continue // does not split S: excluded
-		}
 		tp := r >> 32 * ps
 		if addSat(tp, lb) >= best {
 			break // this test and every later one price at >= best
 		}
-		if m := addSat(tp, addSat(c[inter], c[diff])); m < best {
+		if m := addSat(tp, addSat(c[s&Set(r)], c[s&^Set(r)])); m < best {
 			best = m
 		}
 	}

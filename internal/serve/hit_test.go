@@ -167,10 +167,11 @@ func FuzzSolveResponseAppend(f *testing.F) {
 }
 
 // hitAllocs bounds the allocations of one warmed /v1/solve cache hit
-// through Handler(), request construction excluded: the 47 the path
+// through Handler(), request construction excluded: the 44 the path
 // measures on go1.24, with no slack, so that a returning Problem clone (3),
-// request deadline (4), reflective encode or regrowing body read fails it.
-const hitAllocs = 47
+// request deadline (4), boxed log attributes (3), reflective encode or
+// regrowing body read fails it.
+const hitAllocs = 44
 
 // TestSolveHitAllocs pins the cache-hit path's allocation count, in the
 // manner of core.TestSolveSteadyStateAllocs.

@@ -31,9 +31,12 @@ func TestLoadConcurrentMixed(t *testing.T) {
 		nInstances = 20
 		nRequests  = 240
 	)
+	// LevelDelay's K−1 progress pauses hold the K = 20 solve past its 5 ms
+	// deadline however fast the sweep runs; the K <= 15 solves pause too.
 	s := New(Config{
 		MaxConcurrent: 8,
 		MaxPending:    256,
+		LevelDelay:    time.Millisecond,
 		Logger:        testLogger(),
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -272,12 +272,12 @@ func (s *Server) Handler() http.Handler {
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		s.mux.ServeHTTP(rec, r)
-		s.log.Info("request",
-			"id", id,
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", rec.status,
-			"dur_ms", float64(time.Since(start).Microseconds())/1000)
+		s.log.LogAttrs(r.Context(), slog.LevelInfo, "request",
+			slog.Int64("id", id),
+			slog.String("method", r.Method),
+			slog.String("path", r.URL.Path),
+			slog.Int("status", rec.status),
+			slog.Float64("dur_ms", float64(time.Since(start).Microseconds())/1000))
 	})
 }
 

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -461,6 +462,22 @@ func TestHealthzAndDraining(t *testing.T) {
 	}
 }
 
+// TestRequestLogLine pins the request log's TextHandler line: its keys, their
+// order and their value kinds, one line per request.
+func TestRequestLogLine(t *testing.T) {
+	var buf bytes.Buffer
+	s := New(Config{Logger: slog.New(slog.NewTextHandler(&buf, nil))})
+	defer s.Close()
+	h := s.Handler()
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/nowhere", nil))
+	want := regexp.MustCompile(`^time=\S+ level=INFO msg=request id=1 method=GET path=/healthz status=200 dur_ms=[0-9.e-]+\n` +
+		`time=\S+ level=INFO msg=request id=2 method=GET path=/nowhere status=404 dur_ms=[0-9.e-]+\n$`)
+	if !want.Match(buf.Bytes()) {
+		t.Fatalf("request log:\n%s\nwant lines matching %s", buf.Bytes(), want)
+	}
+}
+
 func TestStatsAndDebugVars(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	p := workload.SystematicBiology(23, 6)
@@ -504,8 +521,9 @@ func TestStatsAndDebugVars(t *testing.T) {
 }
 
 func TestSolveTimeoutReturns504(t *testing.T) {
-	s, ts := newTestServer(t, Config{DefaultTimeout: 5 * time.Millisecond})
-	// Large enough that the full sweep takes well over the deadline.
+	// The 19 progress pauses of a K = 20 solve hold it past the deadline
+	// however fast the sweep runs.
+	s, ts := newTestServer(t, Config{DefaultTimeout: 5 * time.Millisecond, LevelDelay: time.Millisecond})
 	p := workload.Random(29, 20, 40, 4)
 	_, status := postSolve(t, ts, "?engine=parallel", instanceJSON(t, p))
 	if status != http.StatusGatewayTimeout {
