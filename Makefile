@@ -42,6 +42,7 @@ fuzz-short:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzSolveAgreement$$' -fuzztime 30s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzTreatmentOnly$$' -fuzztime 30s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzSolveBatch$$' -fuzztime 30s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz 'FuzzSetTable$$' -fuzztime 30s
 	$(GO) test ./internal/instio/ -run '^$$' -fuzz 'FuzzRead$$' -fuzztime 30s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz 'FuzzSolveResponseAppend$$' -fuzztime 30s
 
@@ -65,7 +66,7 @@ bench-json:
 # the bench harness so a silent fallback to the scalar path (or a kernel
 # panic on any geometry, or a certifier regression) fails CI fast.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkExecPerRoute|BenchmarkExecStriped|BenchmarkApply3|BenchmarkE3CycleID|BenchmarkCertifyOverhead|BenchmarkSolveDP|BenchmarkSolveBatch|BenchmarkRouteStep|BenchmarkGreedySolve|BenchmarkBranchAndBound|BenchmarkE17Lookahead' -benchtime 1x ./internal/bvm ./internal/bitvec ./internal/policy .
+	$(GO) test -run '^$$' -bench 'BenchmarkExecPerRoute|BenchmarkExecStriped|BenchmarkApply3|BenchmarkE3CycleID|BenchmarkCertifyOverhead|BenchmarkSolveDP|BenchmarkSolveBatch|BenchmarkRouteStep|BenchmarkGreedySolve|BenchmarkBranchAndBound|BenchmarkApproxOversized|BenchmarkE17Lookahead' -benchtime 1x ./internal/bvm ./internal/bitvec ./internal/policy .
 	$(GO) test -run '^$$' -bench 'BenchmarkReadInstance|BenchmarkSolveHit|BenchmarkSolveParallelK16' -benchtime 1x ./internal/instio ./internal/serve ./internal/core
 
 # Regression gate against the committed baseline: rerun the suite, render it

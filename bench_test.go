@@ -438,6 +438,30 @@ func BenchmarkGreedySolve(b *testing.B) {
 	}
 }
 
+// BenchmarkApproxOversized — the approx requests solve-cold sends: K = 24
+// oversized instances at a 1.2 target gap, where the greedy portfolio misses
+// the target and the branch-and-bound runs, so the search's memo tables and
+// candidate ordering dominate. One op solves all four seeds.
+func BenchmarkApproxOversized(b *testing.B) {
+	var ps []*core.Problem
+	for seed := int64(1); seed <= 4; seed++ {
+		ps = append(ps, workload.Oversized(seed, 24))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range ps {
+			res, err := approx.Solve(context.Background(), p, approx.Options{TargetMilli: 1200})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Nodes == 0 {
+				b.Fatal("the greedy portfolio met the target: the search did not run")
+			}
+		}
+	}
+}
+
 // BenchmarkBranchAndBound — the anytime improvement phase run to a proof:
 // branch-and-bound from the greedy incumbent down to certified optimality on
 // a K=12 instance (the same family BenchmarkCertifyOverhead prices exactly).

@@ -12,7 +12,10 @@
 //     greedy tree as its incumbent upper bound and the certifiable
 //     treatment/information lower bound (certify.LowerBound's per-set form,
 //     derived here from the kernel) for pruning, memoizing subproblem bounds
-//     so they are reusable;
+//     so they are reusable. Its memos are core.SetTable open-addressing
+//     tables keyed by set, which start small and double as the search
+//     stores keys, and every node's candidates share one stack, so a
+//     search's allocations do not grow with the nodes it expands;
 //
 // under an anytime contract: Solve never fails because time ran out. A
 // deadline or node-budget expiry returns the best incumbent found so far,
@@ -146,7 +149,8 @@ func Solve(ctx context.Context, p *core.Problem, opts Options) (*Result, error) 
 	// leaves the incumbent standing.
 	b := &bb{
 		st:     st,
-		memo:   make(map[core.Set]bbEntry),
+		memo:   core.NewSetTable[bbEntry](memoCap),
+		cands:  make([]cand, 0, (p.K+1)*len(p.Actions)),
 		budget: opts.NodeBudget,
 		ctx:    ctx,
 	}

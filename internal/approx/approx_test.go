@@ -219,3 +219,30 @@ func TestBeyondCoreK(t *testing.T) {
 		t.Fatalf("greedy at k=22 took %v; the anytime path must stay polynomial", d)
 	}
 }
+
+// TestBranchAndBoundAllocs bounds a search's allocations by a constant: on
+// an oversized K = 24 instance whose branch-and-bound expands thousands of
+// nodes, Solve must allocate far fewer objects than it expands nodes. The
+// memo tables grow by doubling and every node's candidates share one stack,
+// so what remains is the kernel, the greedy and extracted trees and
+// O(log n) table growths, none of which scales with the node count.
+func TestBranchAndBoundAllocs(t *testing.T) {
+	p := workload.Oversized(24, 24)
+	res, err := Solve(context.Background(), p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Nodes < 1000 {
+		t.Fatalf("search expanded %d nodes, want at least 1000", res.Nodes)
+	}
+	const maxAllocs = 400
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Solve(context.Background(), p, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d nodes, %.0f allocations per solve", res.Nodes, allocs)
+	if allocs > maxAllocs {
+		t.Fatalf("Solve made %.0f allocations for %d nodes, want at most %d", allocs, res.Nodes, maxAllocs)
+	}
+}

@@ -1,10 +1,8 @@
 package approx
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -17,11 +15,12 @@ import (
 //   - incumbent pruning: a subproblem whose lower bound reaches the budget
 //     inherited from the incumbent is cut off, and the bound it returns is
 //     still a true lower bound on C(S);
-//   - memoization: exact values are final; pruned values are stored as
-//     reusable lower bounds (they never depended on the incumbent, only
-//     the decision to stop did);
-//   - action ordering by optimistic estimate, so the likely-best child is
-//     explored first and tightens the local budget for its siblings;
+//   - memoization in a set-keyed table: exact values are final; pruned
+//     values are stored as reusable lower bounds (they never depended on
+//     the incumbent, only the decision to stop did);
+//   - action ordering by optimistic estimate, ties by action index, so the
+//     likely-best child is explored first and tightens the local budget
+//     for its siblings;
 //   - bound propagation: a test's second child is solved under the budget
 //     left after the first child's exact value, and the first under the
 //     budget left after the second's lower bound.
@@ -31,7 +30,8 @@ import (
 // returned after a stop are still valid lower bounds.
 type bb struct {
 	st       *state
-	memo     map[core.Set]bbEntry
+	memo     *core.SetTable[bbEntry]
+	cands    []cand // candidate stack: each node's above its caller's
 	nodes    int64
 	budget   int64
 	ctx      context.Context
@@ -48,6 +48,13 @@ type bbEntry struct {
 	exact  bool
 }
 
+// cand is one applicable action at a node, ordered by its estimate.
+type cand struct {
+	idx  int
+	base uint64 // action cost paid at s: t_i·p(s)
+	est  uint64 // optimistic total: base + child lower bounds
+}
+
 // solve returns (value, exact) for candidate set s under budget ub: exact
 // means value = C(S) and requires value < ub; otherwise value is a lower
 // bound on C(S). The asymmetry is the classic B&B contract — once a
@@ -57,7 +64,8 @@ func (b *bb) solve(s core.Set, ub uint64) (uint64, bool) {
 	if s == 0 {
 		return 0, true
 	}
-	if e, ok := b.memo[s]; ok {
+	e, ok := b.memo.Get(uint64(s))
+	if ok {
 		if e.exact {
 			return e.val, e.val < ub
 		}
@@ -66,11 +74,11 @@ func (b *bb) solve(s core.Set, ub uint64) (uint64, bool) {
 		}
 	}
 	lb := b.st.lower(s)
-	if e, ok := b.memo[s]; ok && e.val > lb {
+	if ok && e.val > lb {
 		lb = e.val // an earlier deeper search proved a tighter bound
 	}
 	if lb >= ub {
-		b.store(s, bbEntry{val: lb, choice: -1})
+		b.memo.Put(uint64(s), bbEntry{val: lb, choice: -1})
 		return lb, false
 	}
 	b.checkStop()
@@ -80,12 +88,11 @@ func (b *bb) solve(s core.Set, ub uint64) (uint64, bool) {
 	b.nodes++
 
 	ps := b.st.kn.Weight(s)
-	type cand struct {
-		idx  int
-		base uint64 // action cost paid at s: t_i·p(s)
-		est  uint64 // optimistic total: base + child lower bounds
-	}
-	cands := make([]cand, 0, len(b.st.p.Actions))
+	// This node's candidates sit on the stack above its caller's and are
+	// popped on return. Each level of the recursion strictly shrinks s, so
+	// at most K+1 nodes hold candidates at once and the stack never outgrows
+	// its (K+1)·N capacity.
+	top := len(b.cands)
 	minOver := core.Inf // min lower bound among actions not searched to exactness
 	for i, a := range b.st.p.Actions {
 		inter := s & a.Set
@@ -96,30 +103,39 @@ func (b *bb) solve(s core.Set, ub uint64) (uint64, bool) {
 		base := core.SatMul(a.Cost, ps)
 		est := core.SatAdd(base, b.st.lower(diff))
 		if !a.Treatment {
-			est = core.SatAdd(est, b.st.lower(inter))
-		}
-		if e, ok := b.memo[s&a.Set]; ok && !a.Treatment && e.exact {
 			// Cheap ordering refinement: a child already solved exactly
 			// sharpens this action's estimate for free.
-			est = core.SatAdd(base, core.SatAdd(e.val, b.st.lower(diff)))
+			pos, ok := b.memo.Get(uint64(inter))
+			if !ok || !pos.exact {
+				pos.val = b.st.lower(inter)
+			}
+			est = core.SatAdd(est, pos.val)
 		}
-		cands = append(cands, cand{idx: i, base: base, est: est})
+		b.cands = append(b.cands, cand{idx: i, base: base, est: est})
 	}
-	slices.SortStableFunc(cands, func(x, y cand) int { return cmp.Compare(x.est, y.est) })
 
 	best := core.Inf
 	bestIdx := int32(-1)
 	localUB := ub
-	for _, c := range cands {
-		if b.stopped {
-			// Unexplored actions contribute their optimistic estimates as
-			// bounds; the aggregate below stays a true lower bound.
-			minOver = min(minOver, c.est)
-			continue
+	cands := b.cands[top:]
+	for k := range cands {
+		// Visit candidates in (est, action index) order by selecting the
+		// least remaining one: the search leaves the loop at the first
+		// candidate it cannot explore, so only that prefix needs ordering.
+		m := k
+		for j := k + 1; j < len(cands); j++ {
+			if cands[j].est < cands[m].est || cands[j].est == cands[m].est && cands[j].idx < cands[m].idx {
+				m = j
+			}
 		}
-		if c.est >= localUB {
+		cands[k], cands[m] = cands[m], cands[k]
+		c := cands[k]
+		if b.stopped || c.est >= localUB {
+			// This and every later candidate go unexplored, and none has a
+			// smaller estimate: it bounds them all, and the aggregate below
+			// stays a true lower bound.
 			minOver = min(minOver, c.est)
-			continue
+			break
 		}
 		a := b.st.p.Actions[c.idx]
 		inter := s & a.Set
@@ -156,12 +172,13 @@ func (b *bb) solve(s core.Set, ub uint64) (uint64, bool) {
 			minOver = min(minOver, total)
 		}
 	}
+	b.cands = b.cands[:top]
 
 	if bestIdx >= 0 && best <= minOver && !b.stopped {
 		// Every other action was either searched to exactness (and lost) or
 		// pruned with a bound that was ≥ the budget in force — which was
 		// never below the final best — so best is C(S).
-		b.store(s, bbEntry{val: best, choice: bestIdx, exact: true})
+		b.memo.Put(uint64(s), bbEntry{val: best, choice: bestIdx, exact: true})
 		return best, true
 	}
 	// No action beat the budget (or the search was interrupted): the least
@@ -173,7 +190,7 @@ func (b *bb) solve(s core.Set, ub uint64) (uint64, bool) {
 	if best < v {
 		v = best
 	}
-	b.store(s, bbEntry{val: v, choice: -1})
+	b.memo.Put(uint64(s), bbEntry{val: v, choice: -1})
 	return v, false
 }
 
@@ -199,13 +216,6 @@ func (b *bb) checkStop() {
 	}
 }
 
-func (b *bb) store(s core.Set, e bbEntry) {
-	if _, ok := b.memo[s]; !ok && len(b.memo) >= memoCap {
-		return
-	}
-	b.memo[s] = e
-}
-
 // budgetLeft is the budget a child inherits after its siblings' committed
 // cost: saturating subtraction, where an exhausted budget (0) makes any
 // child bound an immediate cutoff.
@@ -226,7 +236,7 @@ func (b *bb) extract(s core.Set) (*core.Node, error) {
 	if s == 0 {
 		return nil, nil
 	}
-	e, ok := b.memo[s]
+	e, ok := b.memo.Get(uint64(s))
 	if !ok || !e.exact || e.choice < 0 {
 		return nil, fmt.Errorf("approx: no exact memo entry for set %v", s)
 	}

@@ -4,21 +4,25 @@ import (
 	"repro/internal/core"
 )
 
-// memoCap caps each memo map (lower bounds here, the branch-and-bound's
-// subproblems in bb.go); misses beyond it recompute or go unstored.
+// memoCap caps each memo table (lower bounds here, the branch-and-bound's
+// subproblems in bb.go); misses beyond it recompute or go unstored. The
+// tables start small and double as they fill, so a search pays for the keys
+// it stores, not for the cap.
 const memoCap = 1 << 20
 
 // state carries the per-instance precomputation shared by the greedy
 // policies and the branch-and-bound: the compiled kernel, whose per-byte
 // tables give every subset mass p(S) and treatment floor L(S) in at most
-// four lookups, the global minimum action cost, and memoized lower bounds.
+// four lookups, the global minimum action cost, and a table of memoized
+// lower bounds keyed by set.
 // The kernel's tables take 512 words per byte of K (12 KB at K = 24) —
 // no 2^K tables — which is the point of the package.
 type state struct {
-	p    *core.Problem
-	kn   *core.Kernel
-	cmin uint64              // min cost over all actions
-	lb   map[core.Set]uint64 // lower-bound memo
+	p      *core.Problem
+	kn     *core.Kernel
+	cmin   uint64                 // min cost over all actions
+	treats []core.Set             // the treatments' sets, in action order
+	lb     *core.SetTable[uint64] // lower-bound memo
 }
 
 // newState compiles p, which validates it.
@@ -27,9 +31,12 @@ func newState(p *core.Problem) (*state, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &state{p: p, kn: kn, cmin: core.Inf, lb: make(map[core.Set]uint64)}
+	st := &state{p: p, kn: kn, cmin: core.Inf, lb: core.NewSetTable[uint64](memoCap)}
 	for _, a := range p.Actions {
 		st.cmin = min(st.cmin, a.Cost)
+		if a.Treatment {
+			st.treats = append(st.treats, a.Set)
+		}
 	}
 	return st, nil
 }
@@ -61,17 +68,15 @@ func (st *state) lower(s core.Set) uint64 {
 	if s == 0 {
 		return 0
 	}
-	if v, ok := st.lb[s]; ok {
+	if v, ok := st.lb.Get(uint64(s)); ok {
 		return v
 	}
 	v := st.kn.Floor(s)
 	ps := st.kn.Weight(s)
 	if ps > 0 && st.cmin > 0 && st.cmin < core.Inf {
 		var maxMass uint64
-		for _, a := range st.p.Actions {
-			if a.Treatment {
-				maxMass = max(maxMass, st.kn.Weight(a.Set&s))
-			}
+		for _, t := range st.treats {
+			maxMass = max(maxMass, st.kn.Weight(t&s))
 		}
 		if maxMass > 0 {
 			var b uint64
@@ -83,8 +88,6 @@ func (st *state) lower(s core.Set) uint64 {
 			}
 		}
 	}
-	if len(st.lb) < memoCap {
-		st.lb[s] = v
-	}
+	st.lb.Put(uint64(s), v)
 	return v
 }

@@ -3,6 +3,7 @@ package approx
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/core"
 )
@@ -18,9 +19,9 @@ import (
 // current candidate set. Gain is measured on the normalized weight
 // distribution within s: a test splits s into two observed halves; a
 // treatment resolves its covered part outright (the cured-exit branch) and
-// leaves the rest. Zero-progress actions are disqualified; like the ratio
-// greedy, a zero-weight remainder falls back to any intersecting treatment
-// so massless candidates are still discharged.
+// leaves the rest. Zero-progress actions are disqualified; a zero-weight
+// remainder takes core.Kernel.GreedyPick's fallback, the first intersecting
+// treatment, so massless candidates are still discharged.
 func (st *state) greedyGain() (*core.Node, error) {
 	var build func(s core.Set) (*core.Node, error)
 	build = func(s core.Set) (*core.Node, error) {
@@ -60,12 +61,9 @@ func (st *state) greedyGain() (*core.Node, error) {
 			}
 		}
 		if bestIdx < 0 {
-			for i, a := range st.p.Actions {
-				if a.Treatment && s&a.Set != 0 {
-					bestIdx = i
-					break
-				}
-			}
+			// Both rules disqualify exactly the zero-progress actions, so
+			// here the ratio rule returns its own fallback.
+			bestIdx = st.kn.GreedyPick(s)
 		}
 		if bestIdx < 0 {
 			return nil, fmt.Errorf("approx: gain greedy stuck at set %v (inadequate instance?)", s)
@@ -95,8 +93,8 @@ func (st *state) entropy(s core.Set, ps uint64) float64 {
 	}
 	total := float64(ps)
 	var h float64
-	for _, j := range s.Objects() {
-		if w := st.p.Weights[j]; w > 0 {
+	for x := uint32(s); x != 0; x &= x - 1 {
+		if w := st.p.Weights[bits.TrailingZeros32(x)]; w > 0 {
 			q := float64(w) / total
 			h -= q * math.Log2(q)
 		}

@@ -8,7 +8,7 @@ import "fmt"
 // quantifies the optimality gap of the greedy on the synthetic workloads.
 
 // GreedyTree builds a valid (generally sub-optimal) procedure tree by
-// applying greedyPick's one-step cost-effectiveness rule at every candidate
+// applying GreedyPick's one-step cost-effectiveness rule at every candidate
 // set it reaches. It compiles the problem once and reads every subset mass
 // from the kernel's per-byte tables, so it keeps no 2^K state and no memo:
 // the bounded-suboptimality plane (internal/approx) runs it at every K the
@@ -24,7 +24,7 @@ func GreedyTree(p *Problem) (*Node, error) {
 		if s == 0 {
 			return nil, nil
 		}
-		i := greedyPick(&kn, s)
+		i := kn.GreedyPick(s)
 		if i < 0 {
 			return nil, fmt.Errorf("core: greedy stuck at set %v (inadequate instance?)", s)
 		}
@@ -44,9 +44,10 @@ func GreedyTree(p *Problem) (*Node, error) {
 	return build(Universe(p.K))
 }
 
-// greedyPick is the ratio rule GreedyTree and the lookahead's horizon
-// share. At candidate set S it scores every applicable action by expected
-// cost paid now per unit of progress —
+// GreedyPick is the ratio rule GreedyTree and the lookahead's horizon
+// share; approx's gain greedy takes its fallback. At candidate set S it
+// scores every applicable action by expected cost paid now per unit of
+// progress —
 //
 //	treatment: t_i·p(S) / p(S∩T_i)        (weight resolved outright)
 //	test:      t_i·p(S) / min(p(S∩T_i), p(S−T_i))
@@ -59,7 +60,7 @@ func GreedyTree(p *Problem) (*Node, error) {
 // disqualified, as at a set of weightless objects, any treatment
 // intersecting S still discharges part of it, so the first one is
 // returned; -1 means no treatment intersects S either.
-func greedyPick(kn *Kernel, s Set) int {
+func (kn *Kernel) GreedyPick(s Set) int {
 	ps := kn.Weight(s)
 	recs := kn.mem[kn.words : kn.words+kn.n] // action order
 	best := -1

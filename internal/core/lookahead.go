@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // This file implements a depth-d lookahead policy: the anytime middle ground
 // between the one-step greedy and the exponential exact DP. At each realized
@@ -11,18 +14,13 @@ import "fmt"
 // expands every branch to empty sets and is exact. This is how one would
 // actually deploy the TT machinery when 2^k state space is out of reach.
 
-// lookaheadSolver caches greedy completion costs and bounded-depth values;
-// subset masses come from the compiled kernel.
+// lookaheadSolver keeps one memo table for the whole search: V_d(S) under
+// the key d<<32 | S, so the greedy completion costs at the horizon are the
+// d = 0 entries. Subset masses come from the compiled kernel.
 type lookaheadSolver struct {
-	p      *Problem
-	kn     Kernel
-	greedy map[Set]uint64
-	value  map[lkKey]uint64
-}
-
-type lkKey struct {
-	s Set
-	d int
+	p    *Problem
+	kn   Kernel
+	memo *SetTable[uint64]
 }
 
 // LookaheadTree builds a valid procedure tree with depth-d lookahead.
@@ -34,13 +32,11 @@ func LookaheadTree(p *Problem, depth int) (*Node, error) {
 	if depth < 0 {
 		return nil, fmt.Errorf("core: negative lookahead depth %d", depth)
 	}
-	ls := &lookaheadSolver{
-		p:      p,
-		kn:     kn,
-		greedy: make(map[Set]uint64),
-		value:  make(map[lkKey]uint64),
-	}
-	return ls.build(Universe(p.K), depth)
+	// Every action strictly shrinks the set it applies to, so V_d(S) is the
+	// exact C(S) for every d >= |S|: depths past K change no value and the
+	// clamp keeps d inside the key's high word.
+	ls := &lookaheadSolver{p: p, kn: kn, memo: NewSetTable[uint64](math.MaxInt)}
+	return ls.build(Universe(p.K), min(depth, p.K))
 }
 
 // LookaheadCost is LookaheadTree followed by TreeCost.
@@ -109,8 +105,8 @@ func (ls *lookaheadSolver) estimate(s Set, depth int) uint64 {
 	if depth == 0 {
 		return ls.greedyCost(s)
 	}
-	key := lkKey{s, depth}
-	if v, ok := ls.value[key]; ok {
+	key := uint64(depth)<<32 | uint64(s)
+	if v, ok := ls.memo.Get(key); ok {
 		return v
 	}
 	best := Inf
@@ -120,22 +116,22 @@ func (ls *lookaheadSolver) estimate(s Set, depth int) uint64 {
 			best = v
 		}
 	}
-	ls.value[key] = best
+	ls.memo.Put(key, best)
 	return best
 }
 
-// greedyCost prices a set with GreedyTree's rule (greedyPick), memoized
+// greedyCost prices a set with GreedyTree's rule (GreedyPick), memoized
 // across the whole search.
 func (ls *lookaheadSolver) greedyCost(s Set) uint64 {
 	if s == 0 {
 		return 0
 	}
-	if v, ok := ls.greedy[s]; ok {
+	if v, ok := ls.memo.Get(uint64(s)); ok {
 		return v
 	}
-	i := greedyPick(&ls.kn, s)
+	i := ls.kn.GreedyPick(s)
 	if i < 0 {
-		ls.greedy[s] = Inf
+		ls.memo.Put(uint64(s), Inf)
 		return Inf
 	}
 	a := ls.p.Actions[i]
@@ -144,6 +140,6 @@ func (ls *lookaheadSolver) greedyCost(s Set) uint64 {
 		v = satAdd(v, ls.greedyCost(s&a.Set))
 	}
 	v = satAdd(v, ls.greedyCost(s&^a.Set))
-	ls.greedy[s] = v
+	ls.memo.Put(uint64(s), v)
 	return v
 }

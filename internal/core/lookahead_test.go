@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -27,7 +28,7 @@ func TestLookaheadBracketsOptimal(t *testing.T) {
 
 // TestLookaheadDeepIsExact: with depth >= k every branch is expanded to
 // empty sets (each applicable action strictly shrinks S), so the policy is
-// the exact DP.
+// the exact DP, at depth k and at any depth past it.
 func TestLookaheadDeepIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
 	for trial := 0; trial < 25; trial++ {
@@ -37,12 +38,14 @@ func TestLookaheadDeepIsExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := LookaheadCost(p, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c != sol.Cost {
-			t.Fatalf("trial %d: depth-%d lookahead %d != optimum %d", trial, k, c, sol.Cost)
+		for _, d := range []int{k, math.MaxInt} {
+			c, err := LookaheadCost(p, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c != sol.Cost {
+				t.Fatalf("trial %d: depth-%d lookahead %d != optimum %d", trial, d, c, sol.Cost)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"context"
+	"hash/fnv"
 	"math/rand"
 	"slices"
 	"testing"
@@ -20,15 +21,30 @@ import (
 // The bytes read: K (1..20), a group count, then per object its group and a
 // weight v·2^e (v < 256, e < 6), then per group a cost v·2^e (e < 11). The
 // spread lets a costly treatment win some sets and lose others, so the
-// walk's exit decides the answer.
+// walk's exit decides the answer. Once b runs out, the rest comes from a
+// math/rand source seeded by the bytes read, not from fuzzBytes' zeros, so
+// a short input still spreads its objects over groups with nonzero weights.
 func treatmentOnly(b *fuzzBytes) (*Problem, uint64) {
-	k := int(b.byte())%20 + 1
-	g := int(b.byte())%k + 1
+	read := []byte(*b)
+	var rng *rand.Rand
+	next := func() byte {
+		if len(*b) > 0 {
+			return b.byte()
+		}
+		if rng == nil {
+			h := fnv.New64a()
+			h.Write(read)
+			rng = rand.New(rand.NewSource(int64(h.Sum64())))
+		}
+		return byte(rng.Intn(256))
+	}
+	k := int(next())%20 + 1
+	g := int(next())%k + 1
 	p := &Problem{K: k, Weights: make([]uint64, k)}
 	sets := make([]Set, g)
 	for x := range p.Weights {
-		sets[int(b.byte())%g] |= SetOf(x)
-		p.Weights[x] = uint64(b.byte()) << (b.byte() % 6)
+		sets[int(next())%g] |= SetOf(x)
+		p.Weights[x] = uint64(next()) << (next() % 6)
 	}
 	type group struct{ t, w uint64 }
 	var groups []group
@@ -36,7 +52,7 @@ func treatmentOnly(b *fuzzBytes) (*Problem, uint64) {
 		if s == 0 {
 			continue
 		}
-		a := Action{Set: s, Treatment: true, Cost: uint64(b.byte()) << (b.byte() % 11)}
+		a := Action{Set: s, Treatment: true, Cost: uint64(next()) << (next() % 11)}
 		p.Actions = append(p.Actions, a)
 		var w uint64
 		for x := 0; x < k; x++ {
