@@ -173,9 +173,9 @@ func BenchmarkSolveReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveBatch — shared-lattice batching: G instances differing
-// only in costs and weights (Random k = 14, G = 8), solved one by one and
-// through core.SolveBatch on one and on two workers. The batch path splits
+// BenchmarkSolveBatch — batching: G instances differing only in costs and
+// weights (Random k = 14, G = 8), solved one by one and through
+// core.SolveBatchCtx on one and on two workers. The batch path splits
 // the group into min(workers, G) shards that run the solo sweep, so at one
 // worker it matches the solo row and at two it runs two shards at once. On
 // a 2-vCPU Xeon (go1.24.0), medians [min, max] of 5 alternating runs
@@ -219,7 +219,7 @@ func BenchmarkSolveBatch(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sols, err := core.SolveBatch(group, workers)
+				sols, err := core.SolveBatchCtx(context.Background(), group, workers, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

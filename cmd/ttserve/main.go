@@ -18,7 +18,7 @@
 // Endpoints:
 //
 //	POST /v1/solve?timeout_ms=...&tree=1&approx=off|RATIO|DEADLINE
-//	POST /v1/solve/batch?timeout_ms=...&tree=1 — solve related instances together, each shared-lattice group split across the pool (docs/SERVING.md)
+//	POST /v1/solve/batch?timeout_ms=...&tree=1 — solve several instances together, the cache misses split across the pool (docs/SERVING.md)
 //	POST /v1/eval                     — price a stored policy under a weight vector
 //	POST /v1/policy                   — solve, certify, and publish a compiled route policy
 //	GET  /v1/policies                 — list resident policy versions
@@ -72,7 +72,7 @@ func run(args []string, stderr io.Writer, ready chan<- string, stop <-chan struc
 	approxMaxK := fs.Int("approx-max-k", 0, "largest universe the approx plane accepts (0 = 26, the Set-type maximum)")
 	approxMaxActions := fs.Int("approx-max-actions", 0, "most actions the approx plane accepts (0 = 256)")
 	approxNodes := fs.Int64("approx-nodes", 0, "branch-and-bound node budget per approx solve (0 = 1<<20, negative = greedy only)")
-	chaosLevelDelay := fs.Duration("chaos-level-delay", 0, "TESTING: artificial pause at each of the K-1 progress reports of a single exact solve (batch groups never pause)")
+	chaosLevelDelay := fs.Duration("chaos-level-delay", 0, "TESTING: artificial pause at each of the K-1 progress reports of a single exact solve (batch solves never pause)")
 	chaosFailEngine := fs.String("chaos-fail-engine", "", "TESTING: inject solve faults, as rung[:count] with rung exact or approx (count omitted = every attempt)")
 	chaosCorruptEngine := fs.String("chaos-corrupt-engine", "", "TESTING: silently corrupt finished answers, as rung[:count] with rung exact or approx (count omitted = every attempt)")
 	fs.SetOutput(stderr)

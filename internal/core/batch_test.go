@@ -69,29 +69,44 @@ func TestSolveBatchMatchesSolo(t *testing.T) {
 	}
 }
 
-// TestSolveBatchRejectsMixedLattices: instances that do not share the
-// lattice are refused, as are empty batches.
-func TestSolveBatchRejectsMixedLattices(t *testing.T) {
+// TestSolveBatchMixedGroups: members need not share a lattice. A batch
+// whose members differ in an action's set, in a treatment flag, or in K is
+// solved bit-identically to solving each member alone; only an empty batch
+// is refused.
+func TestSolveBatchMixedGroups(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	a := randomProblem(rng, 4, 3)
 	b := a.Clone()
 	b.Actions[0].Set ^= 1 // different lattice
-	if _, err := SolveBatch([]*Problem{a, b}, 1); err == nil {
-		t.Fatal("mixed-lattice batch accepted")
-	}
 	c := a.Clone()
 	c.Actions[0].Treatment = !c.Actions[0].Treatment
-	if _, err := SolveBatch([]*Problem{a, c}, 1); err == nil {
-		t.Fatal("mixed treatment-flag batch accepted")
+	for _, group := range [][]*Problem{{a, b}, {a, c}, {a, randomProblem(rng, 7, 5), b, c}} {
+		for _, workers := range []int{1, 2, 5} {
+			sols, err := SolveBatchCtx(context.Background(), group, workers, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for g, p := range group {
+				want, err := Solve(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sols[g].Cost != want.Cost || len(sols[g].C) != len(want.C) {
+					t.Fatalf("%d workers, instance %d: batch C(U)=%d over %d sets, solo %d over %d",
+						workers, g, sols[g].Cost, len(sols[g].C), want.Cost, len(want.C))
+				}
+				for s := range want.C {
+					if sols[g].C[s] != want.C[s] {
+						t.Fatalf("%d workers, instance %d: C[%b] batch %d, solo %d", workers, g, s, sols[g].C[s], want.C[s])
+					}
+				}
+				sols[g].Release()
+				want.Release()
+			}
+		}
 	}
-	if _, err := SolveBatch(nil, 1); err == nil {
+	if _, err := SolveBatchCtx(context.Background(), nil, 1, nil); err == nil {
 		t.Fatal("empty batch accepted")
-	}
-	if !SameLattice(a, repriced(rng, a)) {
-		t.Fatal("repriced variant must share the lattice")
-	}
-	if SameLattice(a, b) {
-		t.Fatal("SameLattice missed a Set difference")
 	}
 }
 
@@ -108,8 +123,9 @@ func TestSolveBatchCancellation(t *testing.T) {
 	}
 }
 
-// FuzzSolveBatch cross-checks batched re-pricing against solo solves on
-// arbitrary lattices and group sizes.
+// FuzzSolveBatch cross-checks batched solving against solo solves on
+// arbitrary lattices and group sizes. Besides re-priced copies of the first
+// member, a group may hold unrelated problems of another K.
 func FuzzSolveBatch(f *testing.F) {
 	f.Add(int64(3), uint8(4), uint8(2))
 	f.Add(int64(77), uint8(6), uint8(4))
@@ -124,7 +140,11 @@ func FuzzSolveBatch(f *testing.F) {
 		group := make([]*Problem, G)
 		group[0] = base
 		for g := 1; g < G; g++ {
-			group[g] = repriced(rng, base)
+			if rng.Intn(2) == 0 {
+				group[g] = repriced(rng, base)
+			} else {
+				group[g] = randomProblem(rng, (k+g)%7+1, rng.Intn(4)+1)
+			}
 		}
 		sols, err := SolveBatchCtx(context.Background(), group, int(seed%3)+1, nil)
 		if err != nil {
@@ -134,6 +154,9 @@ func FuzzSolveBatch(f *testing.F) {
 			want, err := Solve(p)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if len(sols[g].C) != len(want.C) {
+				t.Fatalf("instance %d: batch plane has %d sets, solo %d", g, len(sols[g].C), len(want.C))
 			}
 			for s := range want.C {
 				if sols[g].C[s] != want.C[s] {

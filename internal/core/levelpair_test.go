@@ -150,7 +150,7 @@ func TestSolutionReleaseReuse(t *testing.T) {
 			return SolveParallelPooledCtx(context.Background(), p2, 3, nil, nil, nil)
 		},
 		"batch": func() (*Solution, error) {
-			sols, err := SolveBatch([]*Problem{p2, p2.Clone()}, 2)
+			sols, err := SolveBatchCtx(context.Background(), []*Problem{p2, p2.Clone()}, 2, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/instio"
 	"repro/internal/workload"
@@ -58,8 +59,8 @@ func sameLatticeVariants(rng *rand.Rand, base *core.Problem, n int) []*core.Prob
 	return out
 }
 
-// TestBatchSolveMatchesSolo: a batch of re-priced variants returns exactly
-// the per-instance answers, reports the grouping, and certifies each answer.
+// TestBatchSolveMatchesSolo: a batch of re-priced variants and an unrelated
+// outlier returns exactly the per-instance answers and certifies each one.
 func TestBatchSolveMatchesSolo(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	base := workload.MedicalDiagnosis(5, 10)
@@ -74,12 +75,6 @@ func TestBatchSolveMatchesSolo(t *testing.T) {
 	}
 	if br.Instances != len(batch) || len(br.Items) != len(batch) {
 		t.Fatalf("batch echoed %d/%d items for %d instances", br.Instances, len(br.Items), len(batch))
-	}
-	if br.Groups != 2 {
-		t.Fatalf("expected 2 lattice groups (variants + outlier), got %d", br.Groups)
-	}
-	if br.Repriced != len(group)-1 {
-		t.Fatalf("repriced = %d, want %d", br.Repriced, len(group)-1)
 	}
 	if br.Fallbacks != 0 || br.CacheHits != 0 {
 		t.Fatalf("unexpected fallbacks=%d cache_hits=%d", br.Fallbacks, br.CacheHits)
@@ -102,22 +97,6 @@ func TestBatchSolveMatchesSolo(t *testing.T) {
 		if it.Tree == "" || it.FirstAction == "" {
 			t.Fatalf("instance %d: missing tree rendering", i)
 		}
-	}
-	// The group members share a group index; the outlier has its own.
-	g0 := br.Items[0].Group
-	for i := 1; i < len(group); i++ {
-		if br.Items[i].Group != g0 {
-			t.Fatalf("variant %d in group %d, want %d", i, br.Items[i].Group, g0)
-		}
-	}
-	if br.Items[len(batch)-1].Group == g0 {
-		t.Fatal("outlier landed in the variants' lattice group")
-	}
-	if got := s.metrics.BatchGroups.Load(); got != 2 {
-		t.Fatalf("batch_groups metric = %d, want 2", got)
-	}
-	if got := s.metrics.BatchRepriced.Load(); got != int64(len(group)-1) {
-		t.Fatalf("batch_repriced metric = %d, want %d", got, len(group)-1)
 	}
 	if pass := s.metrics.CertifyPass.Load(); pass != int64(len(batch)) {
 		t.Fatalf("certify_pass = %d, want every batch answer certified (%d)", pass, len(batch))
@@ -146,13 +125,13 @@ func TestBatchPopulatesSharedCache(t *testing.T) {
 	if !sr.Cached || sr.SolvedBy != "batch" {
 		t.Fatalf("follow-up solve cached=%v solved_by=%q, want cache hit on the batch entry", sr.Cached, sr.SolvedBy)
 	}
-	// Re-batching is all cache hits, no new groups.
+	// Re-batching is all cache hits.
 	br, _ := postBatch(t, ts, "", batchJSON(t, batch))
-	if br.CacheHits != len(batch) || br.Groups != 0 {
-		t.Fatalf("re-batch: cache_hits=%d groups=%d, want %d/0", br.CacheHits, br.Groups, len(batch))
+	if br.CacheHits != len(batch) {
+		t.Fatalf("re-batch: cache_hits=%d, want %d", br.CacheHits, len(batch))
 	}
 	for _, it := range br.Items {
-		if !it.Cached || it.Group != -1 {
+		if !it.Cached {
 			t.Fatalf("re-batch item not served from cache: %+v", it)
 		}
 	}
@@ -194,12 +173,6 @@ func TestBatchStatsExposed(t *testing.T) {
 	if got := stats["stripe_workers"]; got != 3 {
 		t.Fatalf("stripe_workers = %v, want 3", got)
 	}
-	if got := stats["batch_groups"]; got != int64(1) {
-		t.Fatalf("batch_groups = %v, want 1", got)
-	}
-	if got := stats["batch_repriced"]; got != int64(2) {
-		t.Fatalf("batch_repriced = %v, want 2", got)
-	}
 	if got := stats["batch_requests"]; got != int64(1) {
 		t.Fatalf("batch_requests = %v, want 1", got)
 	}
@@ -227,5 +200,50 @@ func TestBatchInadequateMember(t *testing.T) {
 	}
 	if br.Items[1].Adequate || br.Items[1].Cost != nil || br.Items[1].Error != "" {
 		t.Fatalf("inadequate member misreported: %+v", br.Items[1])
+	}
+}
+
+// TestBatchCertifyFallback: the chaos ResultFault reaches batch answers as
+// rung "batch". The first member's answer is corrupted, refused by certify
+// and answered by the per-instance fallback with core.Solve's cost; its
+// groupmates keep their batch answers, and the fallback's entry is cached,
+// so a follow-up /v1/solve of that member hits it.
+func TestBatchCertifyFallback(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	batch := sameLatticeVariants(rng, workload.MedicalDiagnosis(4, 7), 3)
+	s, ts := newTestServer(t, Config{ResultFault: chaos.CorruptFirst("batch", 1)})
+	br, code := postBatch(t, ts, "", batchJSON(t, batch))
+	if code != http.StatusOK {
+		t.Fatalf("batch status %d", code)
+	}
+	if br.Fallbacks != 1 {
+		t.Fatalf("fallbacks = %d, want 1", br.Fallbacks)
+	}
+	stats := s.statsPayload()
+	if stats["batch_fallback"] != int64(1) || stats["certify_fail"] != int64(1) {
+		t.Fatalf("batch_fallback = %v, certify_fail = %v, want 1 and 1", stats["batch_fallback"], stats["certify_fail"])
+	}
+	costs := make([]uint64, len(batch))
+	for i, p := range batch {
+		want, err := core.Solve(Canonicalize(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		costs[i] = want.Cost
+		wantBy := "batch"
+		if i == 0 {
+			wantBy = "exact"
+		}
+		it := br.Items[i]
+		if it.Error != "" || it.SolvedBy != wantBy || it.Cost == nil || *it.Cost != want.Cost {
+			t.Fatalf("instance %d: solved_by %q cost %v error %q, want %s with cost %d", i, it.SolvedBy, it.Cost, it.Error, wantBy, want.Cost)
+		}
+	}
+	sr, code := postSolve(t, ts, "", instanceJSON(t, batch[0]))
+	if code != http.StatusOK {
+		t.Fatalf("follow-up solve status %d", code)
+	}
+	if !sr.Cached || sr.Cost == nil || *sr.Cost != costs[0] {
+		t.Fatalf("follow-up solve cached=%v cost %v, want a cache hit with cost %d", sr.Cached, sr.Cost, costs[0])
 	}
 }

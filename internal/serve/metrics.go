@@ -71,10 +71,8 @@ type Metrics struct {
 	ClientGone     atomic.Int64 // client disconnected before the answer
 	Failures       atomic.Int64 // 5xx
 
-	// Shared-lattice batch solving (batch.go).
+	// Batch solving (batch.go).
 	BatchRequests atomic.Int64 // POST /v1/solve/batch requests admitted past parsing
-	BatchGroups   atomic.Int64 // shared-lattice groups solved by one core.SolveBatchCtx call
-	BatchRepriced atomic.Int64 // batch-solved instances beyond each group's first
 	BatchFallback atomic.Int64 // batch instances that fell back to a per-instance solve
 
 	// Self-healing path (resilience.go).
@@ -158,8 +156,6 @@ func (m *Metrics) Snapshot() map[string]any {
 		"client_gone":          m.ClientGone.Load(),
 		"failures":             m.Failures.Load(),
 		"batch_requests":       m.BatchRequests.Load(),
-		"batch_groups":         m.BatchGroups.Load(),
-		"batch_repriced":       m.BatchRepriced.Load(),
 		"batch_fallback":       m.BatchFallback.Load(),
 		"engine_failures":      m.EngineFailures.Load(),
 		"fallbacks":            m.Fallbacks.Load(),

@@ -64,9 +64,8 @@ func isContextErr(err error) bool {
 // (EXPERIMENTS.md, "Checkpoint plane verdict").
 //
 // The answer is certified in the server's mode before it is returned (and
-// therefore before runSolve can cache it): the tree extracted from the cost
-// plane plus the reported C(U) must pass the engine-independent certifier. A
-// failed certification is an engine fault like any other.
+// therefore before runSolve can cache it), by certifiedEntry. A failed
+// certification is an engine fault like any other.
 func (s *Server) solveAttempt(ctx context.Context, hash string, canon *core.Problem, rung string, ap approx.Spec) (ent *cacheEntry, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -87,7 +86,17 @@ func (s *Server) solveAttempt(ctx context.Context, hash string, canon *core.Prob
 	if err != nil {
 		return nil, err
 	}
-	defer sol.Release() // pooled DP tables, recycled once the answer is certified
+	return s.certifiedEntry(canon, hash, rung, ap, sol)
+}
+
+// certifiedEntry turns one exact solution into a certified cache entry: tree
+// reconstruction from the cost plane, then the engine-independent certifier
+// every exact answer passes before it can be cached, solo ("exact") and
+// batch ("batch") alike. A refused answer is an error, and the pass or fail
+// is counted. It releases sol's pooled DP tables once the answer is
+// certified.
+func (s *Server) certifiedEntry(canon *core.Problem, hash, rung string, ap approx.Spec, sol *core.Solution) (*cacheEntry, error) {
+	defer sol.Release()
 	cost := sol.Cost
 	if hook := s.cfg.ResultFault; hook != nil && hook(rung) {
 		// Chaos: a silent in-memory corruption of the finished answer — the
@@ -98,7 +107,7 @@ func (s *Server) solveAttempt(ctx context.Context, hash string, canon *core.Prob
 			cost++
 		}
 	}
-	ent = &cacheEntry{rung: rung, cost: cost, adequate: cost < core.Inf,
+	ent := &cacheEntry{rung: rung, cost: cost, adequate: cost < core.Inf,
 		canon: canon, hash: hash, key: cacheKey(hash, ap)}
 	if ent.adequate {
 		tree, err := core.TreeFromCosts(canon, sol.C)

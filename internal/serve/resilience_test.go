@@ -171,12 +171,12 @@ func TestShedRetryAfter(t *testing.T) {
 	}
 }
 
-// TestLevelDelaySkipsBatchGroups: the chaos LevelDelay pauses single exact
-// solves only. core.SolveBatchCtx takes no progress hook, so under an
-// hour-long delay a batch — a group of three and a group of one — is still
-// answered by the batch path, while a single solve is held until its
+// TestLevelDelaySkipsBatch: the chaos LevelDelay pauses single exact solves
+// only. core.SolveBatchCtx takes no progress hook, so under an hour-long
+// delay a batch — three re-priced variants and an unrelated instance — is
+// still answered by the batch path, while a single solve is held until its
 // deadline.
-func TestLevelDelaySkipsBatchGroups(t *testing.T) {
+func TestLevelDelaySkipsBatch(t *testing.T) {
 	_, ts := newTestServer(t, Config{LevelDelay: time.Hour})
 	group := sameLatticeVariants(rand.New(rand.NewSource(3)), workload.MedicalDiagnosis(3, 6), 3)
 	batch := append(group, workload.BinaryTestingUniform(6, 5))
@@ -184,8 +184,8 @@ func TestLevelDelaySkipsBatchGroups(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("batch status %d", status)
 	}
-	if br.Groups != 2 || br.Fallbacks != 0 {
-		t.Fatalf("groups %d fallbacks %d, want 2 groups and no fallback", br.Groups, br.Fallbacks)
+	if br.Fallbacks != 0 {
+		t.Fatalf("fallbacks %d, want no fallback", br.Fallbacks)
 	}
 	for i, it := range br.Items {
 		if it.SolvedBy != "batch" || it.Error != "" {

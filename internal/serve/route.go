@@ -50,13 +50,8 @@ type PolicyResponse struct {
 // compile gate demands a certify.Certificate, so an uncertified tree cannot
 // be published no matter which path produced it.
 func (s *Server) handlePolicyPublish(w http.ResponseWriter, r *http.Request) {
-	s.metrics.Requests.Add(1)
-	if s.draining.Load() {
-		s.rejectShed(w, true)
-		return
-	}
-	q := r.URL.Query()
-	if s.rejectRetiredParams(w, q) {
+	_, timeout, ok := s.openRequest(w, r, false)
+	if !ok {
 		return
 	}
 	p, err := readInstance(w, r)
@@ -76,7 +71,7 @@ func (s *Server) handlePolicyPublish(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	ent, cached, _, err := s.solveShared(r.Context(), hash, canon, "exact", approx.Spec{Raw: "off"}, s.cfg.DefaultTimeout)
+	ent, cached, _, err := s.solveShared(r.Context(), hash, canon, "exact", approx.Spec{Raw: "off"}, timeout)
 	if err != nil {
 		s.solveError(w, err)
 		return

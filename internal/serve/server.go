@@ -94,10 +94,11 @@ type Config struct {
 	ApproxNodes      int64  // branch-and-bound node budget per solve (default 1<<20; negative disables B&B, greedy only)
 
 	// Chaos hooks, wired to ttserve's -chaos-* flags; zero in production.
-	// Both are keyed by rung: "exact" or "approx".
+	// Both are keyed by rung: "exact" or "approx"; ResultFault also sees
+	// "batch", the rung of answers out of /v1/solve/batch.
 	EngineFault func(rung string) error // called before each solve attempt; error or panic = engine fault
 	ResultFault func(rung string) bool  // true = silently corrupt this attempt's answer before certification
-	LevelDelay  time.Duration           // artificial pause at each of the K−1 progress reports of a single exact solve; batch groups never pause
+	LevelDelay  time.Duration           // artificial pause at each of the K−1 progress reports of a single exact solve; batch solves never pause
 }
 
 func (c Config) withDefaults() Config {
@@ -381,26 +382,40 @@ func (s *Server) rejectShed(w http.ResponseWriter, draining bool) {
 	httpError(w, http.StatusServiceUnavailable, errBusy.Error())
 }
 
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+// openRequest is the prelude of every handler that may solve (/v1/solve,
+// /v1/solve/batch, /v1/policy): it counts the request, sheds it while the
+// server drains, and refuses retired query parameters. When timed is set it
+// also parses timeout_ms, capped at MaxTimeout; otherwise, or when the
+// request sends none, the timeout is DefaultTimeout. It reports false when
+// it has already answered the request.
+func (s *Server) openRequest(w http.ResponseWriter, r *http.Request, timed bool) (q url.Values, timeout time.Duration, ok bool) {
 	s.metrics.Requests.Add(1)
 	if s.draining.Load() {
 		// A draining process sheds new solves immediately: the client should
 		// retry against a replica, not wait out this process's shutdown.
 		s.rejectShed(w, true)
-		return
+		return nil, 0, false
 	}
-	q := r.URL.Query()
+	q = r.URL.Query()
 	if s.rejectRetiredParams(w, q) {
-		return
+		return nil, 0, false
 	}
-	timeout := s.cfg.DefaultTimeout
-	if ms := q.Get("timeout_ms"); ms != "" {
+	timeout = s.cfg.DefaultTimeout
+	if ms := q.Get("timeout_ms"); timed && ms != "" {
 		n, err := strconv.ParseInt(ms, 10, 64)
 		if err != nil || n <= 0 {
 			httpError(w, http.StatusBadRequest, "timeout_ms must be a positive integer")
-			return
+			return nil, 0, false
 		}
 		timeout = min(time.Duration(n)*time.Millisecond, s.cfg.MaxTimeout)
+	}
+	return q, timeout, true
+}
+
+func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+	q, timeout, ok := s.openRequest(w, r, true)
+	if !ok {
+		return
 	}
 	ap := s.defaultApprox
 	if q.Has("approx") {
@@ -597,19 +612,10 @@ func (s *Server) runSolve(ctx context.Context, hash, key string, c *flightCall, 
 	var ent *cacheEntry
 	var err error
 	func() {
-		if s.pending.Add(1) > int64(s.cfg.MaxPending) {
-			s.pending.Add(-1)
-			err = errBusy
+		if err = s.acquire(ctx); err != nil {
 			return
 		}
-		defer s.pending.Add(-1)
-		select {
-		case s.sem <- struct{}{}:
-		case <-ctx.Done():
-			err = ctx.Err()
-			return
-		}
-		defer func() { <-s.sem }()
+		defer s.release()
 		ent, err = s.solveResilient(ctx, hash, canon, rung, ap)
 	}()
 	s.mu.Lock()
@@ -620,6 +626,30 @@ func (s *Server) runSolve(ctx context.Context, hash, key string, c *flightCall, 
 	}
 	s.mu.Unlock()
 	close(c.done)
+}
+
+// acquire is the one admission seam for solves, solo and batch: it takes one
+// MaxPending unit, failing with errBusy when the queue is full, then waits
+// for a solver slot until ctx ends. After a nil error the caller must call
+// release exactly once.
+func (s *Server) acquire(ctx context.Context) error {
+	if s.pending.Add(1) > int64(s.cfg.MaxPending) {
+		s.pending.Add(-1)
+		return errBusy
+	}
+	select {
+	case s.sem <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		s.pending.Add(-1)
+		return ctx.Err()
+	}
+}
+
+// release returns the solver slot and the MaxPending unit acquire took.
+func (s *Server) release() {
+	<-s.sem
+	s.pending.Add(-1)
 }
 
 // solveError maps a solve failure to its HTTP status and counter.
